@@ -19,6 +19,7 @@ from .criteria import (
     criterion_constants,
     shell_mass_threshold,
 )
+from .errors import ValidationError
 from .kernels import build_kernel_table, radial_kernel, semigroup_at_origin, validate_kernel
 from .radial import (
     Chandrasekhar,
@@ -430,7 +431,9 @@ def run_acceptance(only: str | None = None):
     names = [only] if only else list(REGISTRY)
     for name in names:
         if name not in REGISTRY:
-            raise KeyError(f"unknown acceptance criterion {name!r}; known: {list(REGISTRY)}")
+            raise ValidationError(
+                f"unknown acceptance criterion {name!r}; known: {list(REGISTRY)}"
+            )
     runtimes: dict[str, float] = {}
     results: dict[str, list[CheckItem]] = {}
     for name in names:

@@ -26,7 +26,10 @@ sup_r M(r) > 8 pi, and indeed C(2)/L_2(2) = 8 pi.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 from scipy.integrate import quad
@@ -34,8 +37,11 @@ from scipy.special import gammaln
 
 from .errors import NumericsError, ValidationError
 from .kernels import (
+    RHO_CUT,
     RadialKernel,
     check_integrability,
+    log_quad,
+    log_window,
     radial_kernel,
     semigroup_at_origin,
     tail_coefficient,
@@ -73,7 +79,6 @@ __all__ = [
     "blowup_rate_bound",
 ]
 
-_RHO_CUT = 1.0e3
 _T_DECADES = (-4.0, 4.0)
 _T_PER_DECADE = 32
 _MASS_2D_THRESHOLD = 8.0 * math.pi
@@ -109,13 +114,14 @@ def blowup_constant(d: int) -> float:
 
 
 def blowup_constant_fractional(
-    d: int, alpha: float, kernel: RadialKernel | None = None
-) -> float:
+    d: int, alpha: float, kernel: RadialKernel | None = None, with_error: bool = False
+) -> float | tuple[float, float]:
     """C_alpha(d) = 2 sigma_d int rho^(d-1) R'^2 / ((d-1)|R'|/rho + R'') drho.
 
     The denominator is the expanded form of |d/drho(rho^(1-d) R')|; its
-    positivity (equivalent to rho R'' - R' >= 0 plus d >= 2) is asserted
-    pointwise before integrating.
+    positivity (equivalent to rho R'' - R' >= 0 plus d >= 2) is asserted on a
+    400-point probe and at every quadrature node.  With ``with_error`` the
+    quadrature's error estimate for C is returned too, as (C, abserr).
     """
     d = check_dimension(d)
     alpha = check_alpha(alpha)
@@ -124,30 +130,28 @@ def blowup_constant_fractional(
     if kernel is None:
         kernel = radial_kernel(d, alpha)
 
-    probe = np.geomspace(1e-6, _RHO_CUT, 400)
-    denom_probe = (d - 1) / probe + kernel.curvature_ratio(probe)
-    if np.any(denom_probe <= 0.0):
-        raise NumericsError("kernel table invalid: weighted-gradient denominator not positive")
+    probe = np.geomspace(1e-6, RHO_CUT, 400)
+    _check_denominator((d - 1) / probe + kernel.curvature_ratio(probe))
 
     def log_integrand(rho: np.ndarray) -> np.ndarray:
-        rho = np.maximum(rho, 1e-300)
-        denom = (d - 1) / rho + kernel.curvature_ratio(rho)
-        return (d - 1) * np.log(rho) + kernel.log_abs_Rp(rho) - np.log(denom)
+        log_s1, log_s2 = kernel.log_sums(rho, (1, 2))
+        # (d-1)/rho + R''/|R'| with R' = -(rho/2) S_1, R'' = (rho^2/4) S_2 - S_1/2
+        denom = (d - 2) / rho + 0.5 * rho * np.exp(log_s2 - log_s1)
+        _check_denominator(denom)
+        return d * np.log(rho) + log_s1 - math.log(2.0) - np.log(denom)
 
-    shift = float(np.max(log_integrand(probe)))
-    val, _ = quad(
-        lambda x: math.exp(float(log_integrand(np.array([x]))[0]) - shift),
-        0.0,
-        _RHO_CUT,
-        limit=400,
-        epsabs=0.0,
-        epsrel=1e-10,
-    )
-    body = 2.0 * sphere_area(d) * math.exp(shift) * val
+    (log_body,), (err,) = log_quad(log_integrand)
+    scale = 2.0 * sphere_area(d)
     # tail: integrand -> c_Rp rho^(-1-alpha)/(2d+alpha) with c_Rp = (d+alpha) c1
     c_rp = (d + alpha) * tail_coefficient(d, alpha, 1)
-    tail = 2.0 * sphere_area(d) * c_rp * _RHO_CUT**-alpha / ((2.0 * d + alpha) * alpha)
-    return body + tail
+    tail = scale * c_rp * RHO_CUT**-alpha / ((2.0 * d + alpha) * alpha)
+    c = scale * math.exp(log_body) + tail
+    return (c, scale * float(err)) if with_error else c
+
+
+def _check_denominator(denom: np.ndarray) -> None:
+    if not np.all(denom > 0.0):
+        raise NumericsError("kernel table invalid: weighted-gradient denominator not positive")
 
 
 def singular_semigroup_value(d: int, alpha: float = 2.0) -> float:
@@ -177,11 +181,12 @@ def singular_semigroup_value(d: int, alpha: float = 2.0) -> float:
 
 
 def singular_semigroup_quadrature(
-    d: int, alpha: float, kernel: RadialKernel | None = None
-) -> float:
+    d: int, alpha: float, kernel: RadialKernel | None = None, with_error: bool = False
+) -> float | tuple[float, float]:
     """K_alpha(d) by direct quadrature s(alpha,d) sigma_d int R rho^(d-1-alpha) drho.
 
     Independent evaluation route used to cross-check the Gamma-product form.
+    With ``with_error`` returns (K, abserr) with the quadrature's error estimate.
     """
     d = check_dimension(d)
     alpha = check_alpha(alpha)
@@ -191,25 +196,16 @@ def singular_semigroup_quadrature(
         kernel = radial_kernel(d, alpha)
 
     def log_integrand(rho: np.ndarray) -> np.ndarray:
-        rho = np.maximum(rho, 1e-300)
-        return kernel.log_R(rho) + (d - 1.0 - alpha) * np.log(rho)
+        return kernel.log_sums(rho, (0,))[0] + (d - 1.0 - alpha) * np.log(rho)
 
-    probe = np.geomspace(1e-6, _RHO_CUT, 400)
-    shift = float(np.max(log_integrand(probe)))
-    val, _ = quad(
-        lambda x: math.exp(float(log_integrand(np.array([x]))[0]) - shift),
-        0.0,
-        _RHO_CUT,
-        limit=400,
-        epsabs=0.0,
-        epsrel=1e-10,
-    )
-    body = math.exp(shift) * val
+    (log_body,), (err,) = log_quad(log_integrand)
+    body = math.exp(log_body)
     tail = sum(
-        tail_coefficient(d, alpha, k) * _RHO_CUT ** (-alpha * (k + 1)) / (alpha * (k + 1))
+        tail_coefficient(d, alpha, k) * RHO_CUT ** (-alpha * (k + 1)) / (alpha * (k + 1))
         for k in range(1, 9)
     )
-    return singular_coefficient(d, alpha) * sphere_area(d) * (body + tail)
+    scale = singular_coefficient(d, alpha) * sphere_area(d)
+    return (scale * (body + tail), scale * float(err)) if with_error else scale * (body + tail)
 
 
 def shell_semigroup_peak(
@@ -218,9 +214,10 @@ def shell_semigroup_peak(
     """L_alpha(d) = sup_t t P_t(unit shell)(0) = sup_rho rho^(d-alpha) R(rho).
 
     Returns (value, maximizing time); the time for a unit-radius shell is
-    rho*^(-alpha).  Closed form for alpha = 2; numeric grid + golden-section
-    maximization otherwise, with a range-extension error if the maximizer
-    lands on the scan boundary.
+    rho*^(-alpha).  Closed form for alpha = 2; otherwise a grid scan over the
+    window where rho^(d-alpha) R is within reach of its peak (the window the
+    quadratures probe) plus golden-section maximization, with a range error
+    if the maximizer still lands on the scan boundary.
     """
     d = check_dimension(d)
     alpha = check_alpha(alpha)
@@ -238,7 +235,10 @@ def shell_semigroup_peak(
         return math.exp(log_l), 1.0 / (2.0 * (d - 2))
     if kernel is None:
         kernel = radial_kernel(d, alpha)
-    grid = np.geomspace(1e-4, _RHO_CUT, 48 * 7 + 1)
+    # scan 48 points per decade over the window that holds the peak
+    x_lo, x_hi, _ = log_window(lambda x: (d - alpha) * x + kernel.log_R(np.exp(x)))
+    n = round(48 * (x_hi - x_lo) / math.log(10.0)) + 1
+    grid = np.geomspace(math.exp(x_lo), math.exp(x_hi), n)
     logvals = (d - alpha) * np.log(grid) + kernel.log_R(grid)
     k = int(np.argmax(logvals))
     if k == 0 or k == len(grid) - 1:
@@ -276,14 +276,19 @@ class CriterionConstants:
     L: float
     N_threshold: float
     upper_bound: float | None
-    #: quadrature diagnostics (cross-check residuals where computed)
-    residuals: dict = field(default_factory=dict)
+    #: quadrature diagnostics: error estimates and cross-check residuals,
+    #: read-only because the record is shared through the cache
+    residuals: Mapping = field(default_factory=lambda: MappingProxyType({}))
 
 
+@lru_cache(maxsize=32)
 def criterion_constants(
     d: int, alpha: float = 2.0, kernel: RadialKernel | None = None, cross_check: bool = False
 ) -> CriterionConstants:
-    """All criterion constants for (d, alpha) in one immutable record."""
+    """All criterion constants for (d, alpha) in one immutable record.
+
+    Memoized per (d, alpha, kernel, cross_check), like ``radial_kernel``.
+    """
     d = check_dimension(d)
     alpha = check_alpha(alpha)
     residuals: dict = {}
@@ -296,11 +301,13 @@ def criterion_constants(
             raise ValidationError("fractional criteria require 2*alpha < d")
         if kernel is None:
             kernel = radial_kernel(d, alpha)
-        c = blowup_constant_fractional(d, alpha, kernel)
+        c, residuals["C_abserr"] = blowup_constant_fractional(d, alpha, kernel, with_error=True)
         k = singular_semigroup_value(d, alpha)
         upper = 2.0 * d / (d - 2.0)
         if cross_check:
-            kq = singular_semigroup_quadrature(d, alpha, kernel)
+            kq, residuals["K_quadrature_abserr"] = singular_semigroup_quadrature(
+                d, alpha, kernel, with_error=True
+            )
             residuals["K_quadrature_vs_closed_form"] = kq / k - 1.0
     l_val, _ = shell_semigroup_peak(d, alpha, kernel)
     return CriterionConstants(
@@ -312,7 +319,7 @@ def criterion_constants(
         L=l_val,
         N_threshold=c / l_val,
         upper_bound=upper,
-        residuals=residuals,
+        residuals=MappingProxyType(residuals),
     )
 
 

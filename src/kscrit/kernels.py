@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .errors import IntegrabilityError, NumericsError, ValidationError
 from .radial import MassProfile, check_alpha, check_dimension, sphere_area
@@ -48,12 +48,17 @@ __all__ = [
     "KernelValidation",
     "build_kernel_table",
     "validate_kernel",
+    "log_window",
+    "log_quad",
     "semigroup_at_origin",
     "tail_coefficient",
 ]
 
 _SGRID_SPACING = 0.05
-_RHO_CUT = 1.0e3  # quadrature cut; the algebraic tail beyond is added analytically
+#: upper end of every rho-quadrature; the algebraic tail beyond is added analytically
+RHO_CUT = 1.0e3
+#: entries of one exponent block in SubordinatedKernel.log_sums
+_CHUNK_ELEMENTS = 1_000_000
 _TAIL_TERMS = 12
 _WARN_DIMENSION = 60
 
@@ -107,13 +112,23 @@ class GaussianKernel:
         rho = np.asarray(rho, dtype=float)
         return (0.25 * rho**2 - 0.5) * self.R(rho)
 
+    def log_sums(self, rho, orders=(0, 1, 2)) -> np.ndarray:
+        """The subordinated sums for a point mass at lam = 1: every order is R."""
+        log_r = self.log_R(rho)
+        return np.broadcast_to(log_r, (len(orders),) + np.shape(log_r))
+
+    def derivatives(self, rho):
+        """(log R, log|R'|, R'') in closed form."""
+        return self.log_R(rho), self.log_abs_Rp(rho), self.Rpp(rho)
+
 
 class SubordinatedKernel:
     """Bochner-subordinated radial kernel for 0 < alpha < 2.
 
     Construction evaluates log f_beta once on an s = log(lam) trapezoid grid
-    whose window is found by probing the rho = 0 integrand; all three
-    evaluators are then vectorized log-sum-exp reductions over that grid.
+    whose window is found by probing the rho = 0 integrand; every evaluator
+    is then a view over ``log_sums``, one vectorized log-sum-exp reduction
+    over that grid.
     """
 
     def __init__(self, d: int, alpha: float, rho_support: float = 4.0e3):
@@ -175,48 +190,85 @@ class SubordinatedKernel:
         #: log of f(lam) lam (4 pi lam)^(-d/2) times the trapezoid weight
         self._logw = logw + logf + s - 0.5 * d * (math.log(4.0 * math.pi) + s)
 
-    def _reduce(self, rho, extra_log: np.ndarray | float = 0.0) -> np.ndarray:
-        rho = np.atleast_1d(np.asarray(rho, dtype=float))
-        expo = self._logw + extra_log - rho[..., None] ** 2 * self._quarter_inv_lam
-        return logsumexp(expo, axis=-1)
+    def log_sums(self, rho, orders=(0, 1, 2)) -> np.ndarray:
+        """log sum_j w_j exp(-rho^2/(4 lam_j)) lam_j^(-k) for each k in ``orders``.
+
+        The exponent block is built once per chunk of rho (at most
+        ``_CHUNK_ELEMENTS`` entries) and every order is reduced from it with
+        its own max shift, so no order over- or underflows on any s-window.
+        Returns shape ``(len(orders),) + shape(rho)``.
+        """
+        rho = np.asarray(rho, dtype=float)
+        flat = rho.reshape(-1)
+        out = np.empty((len(orders), flat.size))
+        step = max(1, _CHUNK_ELEMENTS // self._s.size)
+        for lo in range(0, flat.size, step):
+            r2 = flat[lo : lo + step, None] ** 2
+            expo = self._logw - r2 * self._quarter_inv_lam
+            for i, k in enumerate(orders):
+                block = expo if i == len(orders) - 1 else expo.copy()
+                if k:
+                    block += k * self._neg_s
+                peak = block.max(axis=-1)
+                block -= peak[:, None]
+                np.exp(block, out=block)
+                out[i, lo : lo + step] = peak + np.log(block.sum(axis=-1))
+        return out.reshape((len(orders),) + rho.shape)
+
+    def derivatives(self, rho):
+        """(log R, log|R'|, R'') from one fused reduction."""
+        log_s0, log_s1, log_s2 = self.log_sums(rho)
+        return log_s0, _log_abs_rp(rho, log_s1), _rpp(rho, log_s1, log_s2)
 
     def log_R(self, rho):
-        out = self._reduce(rho)
-        return out if np.ndim(rho) else float(out[0])
+        return _scalar_if(rho, self.log_sums(rho, (0,))[0])
 
     def R(self, rho):
         return np.exp(self.log_R(rho))
 
     def log_abs_Rp(self, rho):
-        rho_arr = np.atleast_1d(np.asarray(rho, dtype=float))
-        out = self._reduce(rho_arr, self._neg_s) + np.log(
-            np.maximum(rho_arr, 1e-300)
-        ) - math.log(2.0)
-        return out if np.ndim(rho) else float(out[0])
+        return _scalar_if(rho, _log_abs_rp(rho, self.log_sums(rho, (1,))[0]))
 
     def Rp(self, rho):
         return -np.exp(self.log_abs_Rp(rho))
 
     def Rpp(self, rho):
-        rho_arr = np.atleast_1d(np.asarray(rho, dtype=float))
-        log_s1 = self._reduce(rho_arr, 2.0 * self._neg_s) + 2.0 * np.log(
-            np.maximum(rho_arr, 1e-300)
-        ) - math.log(4.0)
-        log_s2 = self._reduce(rho_arr, self._neg_s) - math.log(2.0)
-        ref = np.maximum(log_s1, log_s2)
-        out = np.exp(ref) * (np.exp(log_s1 - ref) - np.exp(log_s2 - ref))
-        return out if np.ndim(rho) else float(out[0])
+        log_s1, log_s2 = self.log_sums(rho, (1, 2))
+        return _scalar_if(rho, _rpp(rho, log_s1, log_s2))
 
     def curvature_ratio(self, rho):
         """R''(rho)/|R'(rho)|, computed without cancellation in the logs."""
-        rho_arr = np.atleast_1d(np.asarray(rho, dtype=float))
-        log_abs_rp = self.log_abs_Rp(rho_arr)
-        log_s1 = self._reduce(rho_arr, 2.0 * self._neg_s) + 2.0 * np.log(
-            np.maximum(rho_arr, 1e-300)
-        ) - math.log(4.0)
-        log_s2 = self._reduce(rho_arr, self._neg_s) - math.log(2.0)
-        out = np.exp(log_s1 - log_abs_rp) - np.exp(log_s2 - log_abs_rp)
-        return out if np.ndim(rho) else float(out[0])
+        log_s1, log_s2 = self.log_sums(rho, (1, 2))
+        return _scalar_if(rho, _curvature_ratio(rho, log_s1, log_s2))
+
+
+# With S_k = sum_j w_j exp(-rho^2/(4 lam_j)) lam_j^(-k), differentiating under
+# the integral gives R = S_0, R' = -(rho/2) S_1 and R'' = (rho^2/4) S_2 - S_1/2.
+
+
+def _log_rho(rho) -> np.ndarray:
+    return np.log(np.maximum(np.asarray(rho, dtype=float), 1e-300))
+
+
+def _log_abs_rp(rho, log_s1: np.ndarray) -> np.ndarray:
+    return log_s1 + _log_rho(rho) - math.log(2.0)
+
+
+def _rpp(rho, log_s1: np.ndarray, log_s2: np.ndarray) -> np.ndarray:
+    log_a = log_s2 + 2.0 * _log_rho(rho) - math.log(4.0)
+    log_b = log_s1 - math.log(2.0)
+    ref = np.maximum(log_a, log_b)
+    return np.exp(ref) * (np.exp(log_a - ref) - np.exp(log_b - ref))
+
+
+def _curvature_ratio(rho, log_s1: np.ndarray, log_s2: np.ndarray) -> np.ndarray:
+    # R''/|R'| = (rho/2) S_2/S_1 - 1/rho
+    log_rho = _log_rho(rho)
+    return np.exp(log_s2 - log_s1 + log_rho - math.log(2.0)) - np.exp(-log_rho)
+
+
+def _scalar_if(rho, out: np.ndarray):
+    return out if np.ndim(rho) else float(out)
 
 
 RadialKernel = GaussianKernel | SubordinatedKernel
@@ -259,20 +311,122 @@ def _tail_fit(log_rho: np.ndarray, log_val: np.ndarray) -> tuple[float, float]:
     return math.exp(min(max(intercept, -745.0), 700.0)), slope
 
 
-def _log_quad(log_f, a: float, b: float, probe: np.ndarray) -> float:
-    """log of int_a^b exp(log_f), with the maximum shifted out for large d."""
-    shift = float(np.max(log_f(probe)))
-    val, _ = quad(
-        lambda x: math.exp(log_f(np.array([x]))[0] - shift),
-        a,
-        b,
-        limit=400,
-        epsabs=0.0,
-        epsrel=1e-10,
+# Gauss-Kronrod 7-15 on [-1, 1] (QUADPACK qk15).  Kronrod abscissae from the
+# left end to the centre; the Gauss abscissae are every second one.
+_XGK = np.array([
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+    0.0,
+])
+_WGK = np.array([
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+    0.209482141084727828012999174891714,
+])
+_WG = np.array([
+    0.129484966168869693270611432679082,
+    0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
+    0.417959183673469387755102040816327,
+])
+#: the 15 nodes on [-1, 1] and the Kronrod and Gauss weights over them
+GK15_NODES = np.concatenate([-_XGK, _XGK[-2::-1]])
+GK15_KRONROD = np.concatenate([_WGK, _WGK[-2::-1]])
+GK15_GAUSS = np.zeros(15)
+GK15_GAUSS[1:8:2] = _WG
+GK15_GAUSS[13:7:-2] = _WG[:3]
+
+#: a window keeps x = log(rho) where the log-integrand is within this of its maximum
+_WINDOW_DROP = 40.0
+#: probe points per unit of x, and the x-extent added per probe extension
+_PROBE_PER_UNIT = 4
+_PROBE_SPAN = 46.0
+_QUAD_EPSREL = 1e-10
+_QUAD_MAX_PANELS = 20_000
+
+
+def log_window(log_g) -> tuple[float, float, np.ndarray]:
+    """Window [x_lo, x_hi] of x <= log(RHO_CUT) that holds the mass of exp(log_g).
+
+    ``log_g`` maps a 1-d x array to one row (or several rows) of log values.
+    It is probed on a uniform grid that reaches left until every row has
+    dropped ``_WINDOW_DROP`` below its maximum; the window reaches one probe
+    step past the first and the last point where any row is within that drop.  Returns the window and the probed maximum of each row.
+    """
+    x_hi = math.log(RHO_CUT)
+    x_lo = x_hi - _PROBE_SPAN
+    for _ in range(20):
+        x = np.linspace(x_lo, x_hi, int(_PROBE_PER_UNIT * (x_hi - x_lo)) + 1)
+        vals = np.atleast_2d(log_g(x))
+        if np.any(np.isnan(vals) | (vals == np.inf)):
+            raise NumericsError("integrand is not finite on the probe")
+        tops = vals.max(axis=1)
+        if not np.all(np.isfinite(tops)):
+            raise NumericsError("integrand vanishes on the whole probe")
+        keep = np.nonzero(np.any(vals >= tops[:, None] - _WINDOW_DROP, axis=0))[0]
+        if keep[0] > 0:
+            return float(x[keep[0] - 1]), float(x[min(keep[-1] + 1, x.size - 1)]), tops
+        x_lo -= _PROBE_SPAN
+    raise NumericsError(
+        f"could not window the integrand: still significant at rho = {math.exp(x_lo):.3g}"
     )
-    if val <= 0:
-        return -math.inf
-    return shift + math.log(val)
+
+
+def log_quad(log_f):
+    """log of int_0^RHO_CUT exp(log_f(rho)) drho for each row of ``log_f``, with errors.
+
+    ``log_f`` maps a 1-d rho array to one row (or several rows sharing the
+    nodes) of log-integrand values.  The integral runs in x = log(rho) over
+    the window ``log_window`` finds, by adaptive Gauss-Kronrod 7-15: every
+    pass evaluates all of its nodes in one call of ``log_f``, and panels are
+    bisected until sum |K15 - G7| <= 1e-10 |I| on every row.  A panel is
+    kept once its error is within half the tolerance prorated to its width.
+    Returns (log I, abserr) as arrays over the rows, abserr being that sum.
+    """
+
+    def log_g(x):
+        return np.atleast_2d(log_f(np.exp(x))) + x
+
+    x_lo, x_hi, shift = log_window(log_g)
+    width = x_hi - x_lo
+    edges = np.linspace(x_lo, x_hi, max(4, math.ceil(width / 2.0)) + 1)
+    a, b = edges[:-1], edges[1:]
+    kept_val = np.zeros(shift.size)
+    kept_err = np.zeros(shift.size)
+    # ends with no panel left only if the kept ones were budgeted on a poor early estimate
+    while 0 < a.size <= _QUAD_MAX_PANELS:
+        half = 0.5 * (b - a)
+        x = (0.5 * (a + b))[:, None] + half[:, None] * GK15_NODES
+        g = np.exp(log_g(x.ravel()) - shift[:, None]).reshape(shift.size, a.size, 15)
+        if not np.all(np.isfinite(g)):
+            raise NumericsError("integrand is not finite at a quadrature node")
+        k15 = (g @ GK15_KRONROD) * half
+        err = np.abs(k15 - (g @ GK15_GAUSS) * half)
+        value = kept_val + k15.sum(axis=1)
+        error = kept_err + err.sum(axis=1)
+        if np.all(error <= _QUAD_EPSREL * np.abs(value)):
+            # abserr is inf where I itself is beyond the float range
+            with np.errstate(divide="ignore", over="ignore"):
+                return shift + np.log(value), np.exp(shift) * error
+        share = 0.5 * _QUAD_EPSREL * np.abs(value)[:, None] * (2.0 * half / width)
+        keep = np.all(err <= share, axis=0)
+        kept_val += k15[:, keep].sum(axis=1)
+        kept_err += err[:, keep].sum(axis=1)
+        mid = 0.5 * (a + b)[~keep]
+        a, b = np.concatenate([a[~keep], mid]), np.concatenate([mid, b[~keep]])
+    raise NumericsError(
+        f"quadrature did not reach epsrel={_QUAD_EPSREL:g} within {_QUAD_MAX_PANELS} panels"
+    )
 
 
 def _tail_remainder_log(d: int, alpha: float, rho_cut: float, moment: float) -> float:
@@ -305,9 +459,7 @@ def build_kernel_table(
     kernel = radial_kernel(d, alpha)
     n = int(round(points_per_decade * math.log10(rho_max / rho_min))) + 1
     rho = np.geomspace(rho_min, rho_max, n)
-    log_R = kernel.log_R(rho)
-    log_abs_Rp = kernel.log_abs_Rp(rho)
-    Rpp = kernel.Rpp(rho)
+    log_R, log_abs_Rp, Rpp = kernel.derivatives(rho)
 
     last_decade = rho >= rho_max / 10.0
     lr = np.log(rho[last_decade])
@@ -318,17 +470,21 @@ def build_kernel_table(
     }
 
     sig = sphere_area(d)
-    probe = np.geomspace(1e-3, _RHO_CUT, 200)
-    log_i1 = _log_quad(lambda x: kernel.log_R(x) + (d - 1) * np.log(x), 0.0, _RHO_CUT, probe)
-    log_i2 = _log_quad(lambda x: kernel.log_abs_Rp(x) + d * np.log(x), 0.0, _RHO_CUT, probe)
+
+    def log_f(r):
+        log_s0, log_s1 = kernel.log_sums(r, (0, 1))
+        log_r = np.log(r)
+        return np.stack([log_s0 + (d - 1) * log_r, _log_abs_rp(r, log_s1) + d * log_r])
+
+    (log_i1, log_i2), (err1, err2) = log_quad(log_f)
     i1 = math.exp(math.log(sig) + log_i1)
     i2 = math.exp(math.log(sig) - math.log(d) + log_i2)
     if alpha < 2.0:
-        i1 += sig * _tail_remainder_log(d, alpha, _RHO_CUT, d)
+        i1 += sig * _tail_remainder_log(d, alpha, RHO_CUT, d)
         # |R'| tail: term k carries the extra factor (d + alpha k)
         rem = 0.0
         for k in range(1, _TAIL_TERMS + 1):
-            rem += tail_coefficient(d, alpha, k) * (d + alpha * k) * _RHO_CUT ** (
+            rem += tail_coefficient(d, alpha, k) * (d + alpha * k) * RHO_CUT ** (
                 -alpha * k
             ) / (alpha * k)
         i2 += sig / d * rem
@@ -337,6 +493,9 @@ def build_kernel_table(
         "norm_R": i1 - 1.0,
         "norm_Rp": i2 - 1.0,
         "R0": math.exp(kernel.log_R(np.array([0.0]))[0] - kernel.log_R0) - 1.0,
+        # quadrature error estimates of the two normalization integrals
+        "norm_R_abserr": sig * float(err1),
+        "norm_Rp_abserr": sig / d * float(err2),
     }
     table = KernelTable(
         d=d,
@@ -476,12 +635,12 @@ def semigroup_at_origin(
 
     # W = t^(-d/alpha) int M(t^(1/alpha) rho) |R'(rho)| drho
     scale = t ** (1.0 / alpha)
-    pts = sorted(b / scale for b in mass.breakpoints if 0.0 < b / scale < _RHO_CUT)
+    pts = sorted(b / scale for b in mass.breakpoints if 0.0 < b / scale < RHO_CUT)
 
     def integrand(rho: float) -> float:
         return float(mass(scale * rho)) * math.exp(kernel.log_abs_Rp(rho))
 
-    val, _ = quad(integrand, 0.0, _RHO_CUT, points=pts or None, limit=400, epsabs=0.0, epsrel=1e-10)
+    val, _ = quad(integrand, 0.0, RHO_CUT, points=pts or None, limit=400, epsabs=0.0, epsrel=1e-10)
     # analytic remainder: M ~ tail_coefficient * r^p and |R'| ~ (d+alpha) c1 rho^(-d-1-alpha)
     p = mass.tail_exponent
     c1 = tail_coefficient(d, alpha, 1)
@@ -490,7 +649,7 @@ def semigroup_at_origin(
         * scale**p
         * (d + alpha)
         * c1
-        * _RHO_CUT ** (p - d - alpha)
+        * RHO_CUT ** (p - d - alpha)
         / (d + alpha - p)
     )
     val += tail

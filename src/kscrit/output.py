@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +53,7 @@ def to_jsonable(obj):
         return int(obj)
     if isinstance(obj, np.ndarray):
         return [to_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, dict):
+    if isinstance(obj, Mapping):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(v) for v in obj]

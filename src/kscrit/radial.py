@@ -114,6 +114,13 @@ def singular_coefficient(d: int, alpha: float = 2.0) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _check_finite(**params: float) -> None:
+    """Reject NaN and infinite profile parameters (NaN slips through every < test)."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ValidationError(f"parameter {name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class Chandrasekhar:
     """Scaled singular stationary density eta * s(gamma, d) / r^gamma.
@@ -129,6 +136,7 @@ class Chandrasekhar:
 
     def __post_init__(self):
         check_dimension(self.d)
+        _check_finite(eta=self.eta)
         if self.eta <= 0:
             raise ValidationError("eta must be positive")
         # validates gamma against d as well
@@ -147,6 +155,9 @@ class TruncatedChandrasekhar:
 
     def __post_init__(self):
         check_dimension(self.d)
+        _check_finite(eta=self.eta, r_in=self.r_in)
+        if math.isnan(self.r_out):
+            raise ValidationError("parameter r_out must be a number, got nan")
         if self.eta <= 0:
             raise ValidationError("eta must be positive")
         if self.r_in < 0 or self.r_out <= self.r_in:
@@ -166,6 +177,7 @@ class Gaussian:
 
     def __post_init__(self):
         check_dimension(self.d)
+        _check_finite(mass=self.mass, width=self.width)
         if self.mass < 0 or self.width <= 0:
             raise ValidationError("need mass >= 0 and width > 0")
 
@@ -185,6 +197,7 @@ class ShellAtom:
 
     def __post_init__(self):
         check_dimension(self.d)
+        _check_finite(mass=self.mass, radius=self.radius)
         if self.mass < 0 or self.radius <= 0:
             raise ValidationError("need mass >= 0 and radius > 0")
 
@@ -204,6 +217,7 @@ class ExplicitBlowupDatum:
         check_dimension(self.d)
         if self.d < 3:
             raise ValidationError("the explicit blowing-up solution needs d >= 3")
+        _check_finite(T=self.T)
         if self.T <= 0:
             raise ValidationError("T must be positive")
 
@@ -226,8 +240,10 @@ class Tabulated:
         u = np.asarray(self.u, dtype=float)
         if r.ndim != 1 or r.shape != u.shape or r.size < 2:
             raise ValidationError("tabulated profile needs matching 1-d arrays of length >= 2")
-        if r[0] <= 0 or np.any(np.diff(r) <= 0):
-            raise ValidationError("tabulated radii must be strictly increasing and start at r > 0")
+        if not np.all(np.isfinite(r)) or r[0] <= 0 or np.any(np.diff(r) <= 0):
+            raise ValidationError(
+                "tabulated radii must be finite, strictly increasing and start at r > 0"
+            )
         if np.any(u < 0) or not np.all(np.isfinite(u)):
             raise ValidationError("tabulated density values must be finite and >= 0")
         object.__setattr__(self, "r", r)

@@ -89,6 +89,22 @@ class TestCli:
         assert code == 1
         assert "2*alpha < d" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "profile",
+        [
+            "gauss(mass=nan,width=1)",
+            "gauss(mass=1,width=inf)",
+            "chandrasekhar(eta=inf)",
+            "trunc_chandrasekhar(eta=0.8,rin=0.5,rout=nan)",
+            "shell(N=inf,R=1)",
+            "exact_datum(T=nan)",
+        ],
+    )
+    def test_non_finite_profile_parameter_exit_code(self, profile, capsys, tmp_path):
+        code = run_cli(["classify", "--profile", profile, "--d", "3", "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert "must be" in capsys.readouterr().err
+
     def test_simulate_outputs(self, tmp_path):
         out = tmp_path / "s"
         code = run_cli(
@@ -170,6 +186,11 @@ class TestCli:
         assert "AC-1: PASS" in captured
         payload = json.loads((out / "verify.json").read_text())
         assert all(item["passed"] for item in payload["items"])
+
+    def test_verify_unknown_criterion_exit_code(self, tmp_path, capsys):
+        code = run_cli(["verify", "--only", "AC-99", "--out", str(tmp_path / "v")])
+        assert code == 1
+        assert "unknown acceptance criterion 'AC-99'" in capsys.readouterr().err
 
     def test_verify_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         # a perturbed check must fail the run with exit code 3

@@ -152,6 +152,38 @@ class TestConstantsRecord:
             cc = criterion_constants(d, 2.0)
             assert 1.0 < cc.C < 2.0
 
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_smallest_alpha_sandwich(self, d):
+        # at (5, 0.05) the shell peak sits near rho = 2e-6, below any fixed scan start
+        cc = criterion_constants(d, 0.05)
+        assert all(math.isfinite(x) for x in (cc.C, cc.K, cc.L, cc.N_threshold))
+        assert cc.K <= cc.C <= 2.0 * d / (d - 2.0)
+
+    def test_records_quadrature_errors_read_only(self):
+        cc = criterion_constants(5, 1.5, cross_check=True)
+        assert 0.0 < cc.residuals["C_abserr"] <= 1e-10 * cc.C
+        assert cc.residuals["K_quadrature_abserr"] <= 1e-10 * cc.K
+        with pytest.raises(TypeError):
+            cc.residuals["C_abserr"] = 0.0
+
+    def test_repeated_classify_reuses_constants(self, monkeypatch):
+        import kscrit.criteria as criteria
+
+        calls = []
+        original = criteria.blowup_constant_fractional
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(criteria, "blowup_constant_fractional", counted)
+        criterion_constants.cache_clear()
+        datum = Gaussian(5, 10.0)
+        first = classify(datum, 5, 1.5)
+        second = classify(datum, 5, 1.5)
+        assert len(calls) == 1
+        assert second.constants is first.constants
+
 
 class TestCriterionCurve:
     def test_scaled_singular_datum_constant_curve(self):
