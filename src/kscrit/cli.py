@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -67,7 +66,6 @@ def _load_config(args, defaults: dict | None = None) -> RunConfig:
             sub = getattr(base, section)
             for name in sub.__dataclass_fields__:
                 overrides[f"{section}.{name}"] = getattr(sub, name)
-        overrides["threads"] = base.threads
     for flag, path in (
         ("d", "problem.d"),
         ("alpha", "problem.alpha"),
@@ -82,7 +80,6 @@ def _load_config(args, defaults: dict | None = None) -> RunConfig:
         ("stride", "output.stride"),
         ("format", "output.format"),
         ("out", "output.path"),
-        ("threads", "threads"),
     ):
         val = getattr(args, flag, None)
         if val is not None:
@@ -104,16 +101,7 @@ def _cmd_constants(args) -> int:
     alphas = _parse_alpha_list(args.alpha_list)
     cases = [(d, a) for d in ds for a in alphas if a == 2.0 or 2.0 * a < d]
     skipped = [(d, a) for d in ds for a in alphas if not (a == 2.0 or 2.0 * a < d)]
-
-    def one(case):
-        d, a = case
-        return criterion_constants(d, a)
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            rows = list(pool.map(one, cases))
-    else:
-        rows = [one(c) for c in cases]
+    rows = [criterion_constants(d, a) for d, a in cases]
     header = ["d", "alpha", "sigma_d", "C", "K", "L", "N_threshold", "upper_bound"]
     table = [
         (
@@ -296,7 +284,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="INI config file")
         p.add_argument("--out", help="output directory (default: out)")
-        p.add_argument("--threads", type=int, help="worker pool size for sweeps")
         p.add_argument("--format", choices=("csv", "json"), help="tabular output format")
 
     p = sub.add_parser("constants", help="criterion constants over a (d, alpha) grid")

@@ -53,9 +53,6 @@ class RunConfig:
     grid: GridConfig = field(default_factory=GridConfig)
     time: TimeConfig = field(default_factory=TimeConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
-    threads: int = 1
-    #: reserved; every computation is deterministic
-    seed: int = 0
 
 
 _SECTIONS = {
@@ -65,7 +62,6 @@ _SECTIONS = {
     "time": TimeConfig,
     "output": OutputConfig,
 }
-_TOP_LEVEL = {"threads": int, "seed": int}
 
 _OPTIONAL_FLOATS = {"T_target", "density_cap", "dt_floor"}
 
@@ -121,8 +117,6 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ValidationError("output.stride must be >= 1")
     if o.format not in ("csv", "json"):
         raise ValidationError("output.format must be 'csv' or 'json'")
-    if cfg.threads < 1:
-        raise ValidationError("threads must be >= 1")
     return cfg
 
 
@@ -155,9 +149,6 @@ def parse_config(text: str | None = None, overrides: dict | None = None) -> RunC
                 setattr(sub, key, _convert(section, key, raw, types[key]))
     for path, value in (overrides or {}).items():
         if value is None:
-            continue
-        if path in _TOP_LEVEL:
-            setattr(cfg, path, _TOP_LEVEL[path](value))
             continue
         if "." not in path:
             raise ValidationError(f"unknown config key {path!r}")

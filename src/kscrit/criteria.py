@@ -40,11 +40,12 @@ from .kernels import (
     RHO_CUT,
     RadialKernel,
     check_integrability,
+    gradient_nodes,
     log_quad,
     log_window,
     radial_kernel,
-    semigroup_at_origin,
     tail_coefficient,
+    tail_moment,
 )
 from .radial import (
     Chandrasekhar,
@@ -52,12 +53,12 @@ from .radial import (
     MassProfile,
     RadialProfile,
     TruncatedChandrasekhar,
-    _golden_max,
     check_alpha,
     check_dimension,
     density,
     mass_profile,
     radial_concentration,
+    refine_max,
     singular_coefficient,
     sphere_area,
 )
@@ -200,10 +201,7 @@ def singular_semigroup_quadrature(
 
     (log_body,), (err,) = log_quad(log_integrand)
     body = math.exp(log_body)
-    tail = sum(
-        tail_coefficient(d, alpha, k) * RHO_CUT ** (-alpha * (k + 1)) / (alpha * (k + 1))
-        for k in range(1, 9)
-    )
+    tail = tail_moment(d, alpha, d - alpha, False)
     scale = singular_coefficient(d, alpha) * sphere_area(d)
     return (scale * (body + tail), scale * float(err)) if with_error else scale * (body + tail)
 
@@ -240,16 +238,14 @@ def shell_semigroup_peak(
     n = round(48 * (x_hi - x_lo) / math.log(10.0)) + 1
     grid = np.geomspace(math.exp(x_lo), math.exp(x_hi), n)
     logvals = (d - alpha) * np.log(grid) + kernel.log_R(grid)
-    k = int(np.argmax(logvals))
-    if k == 0 or k == len(grid) - 1:
+    if int(np.argmax(logvals)) in (0, len(grid) - 1):
         raise NumericsError("shell peak maximizer at scan boundary; extend the rho range")
 
     def logval(s: float) -> float:
         return (d - alpha) * s + float(kernel.log_R(np.array([math.exp(s)]))[0])
 
-    s_best, v_best = _golden_max(logval, math.log(grid[k - 1]), math.log(grid[k + 1]))
-    rho_star = math.exp(s_best)
-    return math.exp(v_best), rho_star**-alpha
+    rho_star, log_l = refine_max(logval, grid, logvals)
+    return math.exp(log_l), rho_star**-alpha
 
 
 def shell_mass_threshold(d: int, alpha: float = 2.0, kernel: RadialKernel | None = None) -> float:
@@ -354,10 +350,14 @@ def _discretely_unimodal(vals: np.ndarray) -> bool:
 
 
 class _CurveEvaluator:
-    """Vectorized T * W0(T) over a shared log-rho quadrature grid.
+    """Vectorized T * W0(T) on the kernel's trapezoid nodes.
 
-    W0(T) = T^(-d/alpha) int M(T^(1/alpha) rho) |R'(rho)| rho dlog(rho), with
-    the algebraic tail of |R'| added analytically for alpha < 2.
+    W0(T) = T^(-d/alpha) int M(T^(1/alpha) rho) |R'(rho)| rho dlog(rho) over
+    ``gradient_nodes``.  For alpha < 2 the mass past the last node RHO_CUT is
+    continued as M(s RHO_CUT) (rho/RHO_CUT)^p with p the datum's tail
+    exponent, which ``tail_moment`` integrates against |R'|, and the
+    trapezoid sum gets the Euler-Maclaurin end term of that power law.
+    Point masses are split off and added in closed form.
     """
 
     def __init__(self, mass: MassProfile, alpha: float, kernel: RadialKernel):
@@ -365,39 +365,25 @@ class _CurveEvaluator:
         self.alpha = alpha
         self.d = mass.d
         self.kernel = kernel
-        self.rho = np.geomspace(1e-6, 1e4, 64 * 10 + 1)
-        self.log_rho = np.log(self.rho)
-        self.weight = np.exp(kernel.log_abs_Rp(self.rho) + self.log_rho)
+        self.rho, self.h, self.weight = gradient_nodes(kernel)
         self.atoms = mass.atoms
-        # continuous remainder after point masses are split off
-        self._cont_tail_coef = mass.tail_coefficient
-        if self.atoms and mass.tail_exponent == 0.0:
-            self._cont_tail_coef = max(
-                mass.tail_coefficient - sum(m for _, m in self.atoms), 0.0
-            )
         if alpha < 2.0:
-            self._c_tail = (self.d + alpha) * tail_coefficient(self.d, alpha, 1)
-        else:
-            self._c_tail = 0.0
+            p = max(mass.tail_exponent, 0.0)
+            self._tail = RHO_CUT**-p * tail_moment(self.d, alpha, p + 1.0, True)
+            self._end = self.h**2 / 12.0 * (p - self.d - alpha)
 
     def values(self, T: np.ndarray) -> np.ndarray:
-        scale = T ** (1.0 / self.alpha)
-        r_matrix = scale[:, None] * self.rho[None, :]
-        mvals = self.mass.fn(r_matrix)
-        for r_atom, m_atom in self.atoms:
-            mvals = mvals - m_atom * (r_matrix >= r_atom)
-        integral = np.trapezoid(mvals * self.weight[None, :], self.log_rho, axis=1)
-        if self._c_tail and self._cont_tail_coef:
-            p = self.mass.tail_exponent
-            rmax = self.rho[-1]
-            integral += (
-                self._cont_tail_coef
-                * scale**p
-                * self._c_tail
-                * rmax ** (p - self.d - self.alpha)
-                / (self.d + self.alpha - p)
-            )
-        with np.errstate(over="ignore"):
+        # overflow at extreme T shows up as a non-finite value, which criterion_curve rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = T ** (1.0 / self.alpha)
+            r_matrix = scale[:, None] * self.rho[None, :]
+            mvals = self.mass.fn(r_matrix)
+            for r_atom, m_atom in self.atoms:
+                mvals = mvals - m_atom * (r_matrix >= r_atom)
+            f = mvals * self.weight[None, :]
+            integral = np.trapezoid(f, dx=self.h, axis=1)
+            if self.alpha < 2.0:
+                integral += mvals[:, -1] * self._tail - self._end * f[:, -1]
             out = T ** (1.0 - self.d / self.alpha) * integral
             # point masses in closed form: N * t^(1-d/alpha) R(R0 t^(-1/alpha))
             for r_atom, m_atom in self.atoms:
@@ -434,14 +420,12 @@ def criterion_curve(
     T = np.geomspace(T_range[0], T_range[1], max(n, 2))
     ev = _CurveEvaluator(mass, alpha, kernel)
     vals = ev.values(T)
-
-    k = int(np.argmax(vals))
-    lo = math.log(T[max(k - 1, 0)])
-    hi = math.log(T[min(k + 1, len(T) - 1)])
-    s_best, v_best = _golden_max(lambda s: ev.value(math.exp(s)), lo, hi, tol=1e-6)
-    sup, t_at = (float(v_best), math.exp(s_best))
-    if vals[k] > sup:
-        sup, t_at = float(vals[k]), float(T[k])
+    t_at, sup = refine_max(lambda s: ev.value(math.exp(s)), T, vals, tol=1e-6)
+    if not (np.all(np.isfinite(vals)) and math.isfinite(sup)):
+        raise NumericsError(
+            f"criterion curve is not finite on T in [{T[0]:.3g}, {T[-1]:.3g}] "
+            f"(d={mass.d}, alpha={alpha})"
+        )
 
     t_star = None
     if threshold is not None:
@@ -512,13 +496,9 @@ def weighted_density_sup(profile: RadialProfile, alpha: float) -> float:
     u = np.asarray(density(profile, grid), dtype=float)
     u = np.where(np.isfinite(u), u, 0.0)
     vals = grid**alpha * u
-    k = int(np.argmax(vals))
-    s_best, v_best = _golden_max(
-        lambda s: math.exp(s * alpha) * float(density(profile, math.exp(s))),
-        math.log(grid[max(k - 1, 0)]),
-        math.log(grid[min(k + 1, len(grid) - 1)]),
-    )
-    return max(float(vals[k]), v_best)
+    return refine_max(
+        lambda s: math.exp(s * alpha) * float(density(profile, math.exp(s))), grid, vals
+    )[1]
 
 
 def classify(

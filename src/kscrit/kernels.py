@@ -50,6 +50,8 @@ __all__ = [
     "validate_kernel",
     "log_window",
     "log_quad",
+    "tail_moment",
+    "gradient_nodes",
     "semigroup_at_origin",
     "tail_coefficient",
 ]
@@ -61,6 +63,8 @@ RHO_CUT = 1.0e3
 _CHUNK_ELEMENTS = 1_000_000
 _TAIL_TERMS = 12
 _WARN_DIMENSION = 60
+#: rho up to which the s-grid resolves the kernel
+_RHO_SUPPORT = 4.0e3
 
 
 def gauss_kernel(d: int, rho) -> np.ndarray | float:
@@ -131,7 +135,7 @@ class SubordinatedKernel:
     over that grid.
     """
 
-    def __init__(self, d: int, alpha: float, rho_support: float = 4.0e3):
+    def __init__(self, d: int, alpha: float):
         self.d = check_dimension(d)
         if d > _WARN_DIMENSION:
             warnings.warn(
@@ -147,14 +151,19 @@ class SubordinatedKernel:
         self.log_R0 = (
             gammaln(1.0 + d / alpha) - gammaln(1.0 + 0.5 * d) - 0.5 * d * math.log(4.0 * math.pi)
         )
-        self.R0 = math.exp(self.log_R0)
-        self._build_grid(rho_support)
+        try:
+            self.R0 = math.exp(self.log_R0)
+        except OverflowError:
+            raise NumericsError(
+                f"R(0) = exp({self.log_R0:.6g}) overflows a float at d={d}, alpha={alpha}"
+            ) from None
+        self._build_grid()
 
     def _rho0_log_integrand(self, s: np.ndarray) -> np.ndarray:
         logf = self.subordinator.log_pdf(np.exp(s))
         return logf + s - 0.5 * self.d * (math.log(4.0 * math.pi) + s)
 
-    def _build_grid(self, rho_support: float) -> None:
+    def _build_grid(self) -> None:
         sub, d = self.subordinator, self.d
         # left start: beyond the peak of f(lam) lam^(-d/2), located where
         # a0*c*s_zol = d/2 in the left-tail regime
@@ -174,7 +183,7 @@ class SubordinatedKernel:
                 hi += 5.0
         else:
             raise NumericsError("could not window the subordination integral")
-        hi = max(hi, 2.0 * math.log(rho_support) + 170.0 / (self.beta + 0.5 * d))
+        hi = max(hi, 2.0 * math.log(_RHO_SUPPORT) + 170.0 / (self.beta + 0.5 * d))
         # f_beta concentrates near lam = 1 with log-width ~ (1-beta) as beta -> 1
         spacing = min(_SGRID_SPACING, (1.0 - self.beta) / 6.0)
         n = int(math.ceil((hi - lo) / spacing)) + 1
@@ -429,39 +438,71 @@ def log_quad(log_f):
     )
 
 
-def _tail_remainder_log(d: int, alpha: float, rho_cut: float, moment: float) -> float:
-    """int_{rho_cut}^inf R(rho) rho^(moment-1) drho from the algebraic tail series.
+def tail_moment(d: int, alpha: float, moment: float, derivative: bool) -> float:
+    """int_{RHO_CUT}^inf rho^(moment-1) R(rho) drho, or the same against |R'| with ``derivative``.
 
-    Needs moment < d + alpha (first tail term integrable).  Returns the value
-    (not its log); the alternating series is summed term by term.
+    Sums the algebraic tail series R ~ sum_k c_k rho^(-d-alpha k) term by term
+    until two terms in a row no longer move the total (c_k vanishes wherever
+    alpha k is an even integer, so one small term proves nothing); term k of
+    the |R'| series carries the factor (d + alpha k) and one more power of
+    1/rho.  Raises IntegrabilityError when the first term diverges.
     """
-    total = 0.0
+    total, small = 0.0, 0
     for k in range(1, _TAIL_TERMS + 1):
-        p = d + alpha * k - moment
+        a = d + alpha * k
+        p = a + int(derivative) - moment
         if p <= 0:
             raise IntegrabilityError("tail remainder diverges: moment too large")
-        term = tail_coefficient(d, alpha, k) * rho_cut ** (-p) / p
+        term = tail_coefficient(d, alpha, k) * RHO_CUT ** (-p) / p
+        if derivative:
+            term *= a
         total += term
-        if abs(term) < 1e-16 * max(abs(total), 1e-300):
+        small = small + 1 if abs(term) < 1e-16 * max(abs(total), 1e-300) else 0
+        if small == 2:
             break
     return total
 
 
-def build_kernel_table(
-    d: int,
-    alpha: float,
-    rho_min: float = 1.0e-4,
-    rho_max: float = 1.0e3,
-    points_per_decade: int = 48,
-) -> KernelTable:
+#: trapezoid nodes per decade of rho in ``gradient_nodes``
+_NODES_PER_DECADE = 64
+
+
+def gradient_nodes(kernel: RadialKernel) -> tuple[np.ndarray, float, np.ndarray]:
+    """Trapezoid nodes in x = log(rho) for int M(s rho) |R'(rho)| rho dx.
+
+    The nodes are uniform, 64 per decade, over the window ``log_window``
+    finds for the two weights |R'(rho)| rho^2 and |R'(rho)| rho^(d+2).  On
+    the left every datum's M(r) vanishes at least like r, so no integrand
+    decays slower than the first.  On the right M(r) <= c r^(d-alpha), c the
+    datum's d/alpha-radial concentration, so no integrand grows faster than
+    |R'| rho^(d+1); the second weight bounds it with room to spare and ends
+    the nodes for alpha = 2.  For alpha < 2 they end at RHO_CUT instead, past
+    which ``tail_moment`` carries the integral.  Returns (rho, h, |R'(rho)| rho).
+    """
+    powers = np.array([[2.0], [kernel.d + 2.0]])
+    x_lo, x_hi, _ = log_window(lambda x: kernel.log_abs_Rp(np.exp(x)) + powers * x)
+    if kernel.alpha < 2.0:
+        x_hi = math.log(RHO_CUT)
+    n = round(_NODES_PER_DECADE * (x_hi - x_lo) / math.log(10.0)) + 1
+    x = np.linspace(x_lo, x_hi, n)
+    rho = np.exp(x)
+    return rho, float(x[1] - x[0]), np.exp(kernel.log_abs_Rp(rho) + x)
+
+
+#: geometric rho grid of the exported kernel table, up to RHO_CUT
+_TABLE_RHO_MIN = 1.0e-4
+_TABLE_PER_DECADE = 48
+
+
+def build_kernel_table(d: int, alpha: float) -> KernelTable:
     """Build the exportable kernel table with tail fits and residuals."""
     alpha = check_alpha(alpha)
     kernel = radial_kernel(d, alpha)
-    n = int(round(points_per_decade * math.log10(rho_max / rho_min))) + 1
-    rho = np.geomspace(rho_min, rho_max, n)
+    n = int(round(_TABLE_PER_DECADE * math.log10(RHO_CUT / _TABLE_RHO_MIN))) + 1
+    rho = np.geomspace(_TABLE_RHO_MIN, RHO_CUT, n)
     log_R, log_abs_Rp, Rpp = kernel.derivatives(rho)
 
-    last_decade = rho >= rho_max / 10.0
+    last_decade = rho >= RHO_CUT / 10.0
     lr = np.log(rho[last_decade])
     fits = {
         "R": _tail_fit(lr, log_R[last_decade]),
@@ -480,14 +521,8 @@ def build_kernel_table(
     i1 = math.exp(math.log(sig) + log_i1)
     i2 = math.exp(math.log(sig) - math.log(d) + log_i2)
     if alpha < 2.0:
-        i1 += sig * _tail_remainder_log(d, alpha, RHO_CUT, d)
-        # |R'| tail: term k carries the extra factor (d + alpha k)
-        rem = 0.0
-        for k in range(1, _TAIL_TERMS + 1):
-            rem += tail_coefficient(d, alpha, k) * (d + alpha * k) * RHO_CUT ** (
-                -alpha * k
-            ) / (alpha * k)
-        i2 += sig / d * rem
+        i1 += sig * tail_moment(d, alpha, d, False)
+        i2 += sig / d * tail_moment(d, alpha, d + 1, True)
 
     residuals = {
         "norm_R": i1 - 1.0,
@@ -526,11 +561,16 @@ class KernelValidation:
         return [name for name, ok, _ in self.checks if not ok]
 
 
-def validate_kernel(table: KernelTable, tol_norm: float = 1e-6, tol_tail: float = 0.02) -> KernelValidation:
+#: validate_kernel tolerances: normalization residuals, relative tail-exponent error
+_TOL_NORM = 1e-6
+_TOL_TAIL = 0.02
+
+
+def validate_kernel(table: KernelTable) -> KernelValidation:
     """Run the structural checks on a built table.
 
-    (i) both normalization identities within ``tol_norm``; (ii) fitted tail
-    exponents of R, R', R'' within ``tol_tail`` relative of -d-alpha,
+    (i) both normalization identities within 1e-6; (ii) fitted tail
+    exponents of R, R', R'' within 2% relative of -d-alpha,
     -d-1-alpha, -d-2-alpha; (iii) R' < 0 and rho R'' - R' >= 0 on the grid;
     (iv) rho^(1-d) |R'| strictly decreasing along the grid.
     """
@@ -539,14 +579,14 @@ def validate_kernel(table: KernelTable, tol_norm: float = 1e-6, tol_tail: float 
     checks.append(
         (
             "normalization_R",
-            abs(table.residuals["norm_R"]) <= tol_norm,
+            abs(table.residuals["norm_R"]) <= _TOL_NORM,
             f"residual {table.residuals['norm_R']:.3e}",
         )
     )
     checks.append(
         (
             "normalization_Rp",
-            abs(table.residuals["norm_Rp"]) <= tol_norm,
+            abs(table.residuals["norm_Rp"]) <= _TOL_NORM,
             f"residual {table.residuals['norm_Rp']:.3e}",
         )
     )
@@ -557,7 +597,7 @@ def validate_kernel(table: KernelTable, tol_norm: float = 1e-6, tol_tail: float 
             checks.append((f"tail_exponent_{key}", True, "n/a (gaussian decay)"))
             continue
         _, got = table.tail_fits[key]
-        ok = abs(got - target) <= tol_tail * abs(target)
+        ok = abs(got - target) <= _TOL_TAIL * abs(target)
         checks.append((f"tail_exponent_{key}", ok, f"fit {got:.4f}, expected {target}"))
     # Rp underflows to -0.0 in the far gaussian tail; the sign check lives on
     # the log representation wherever the linear value is representable

@@ -44,6 +44,7 @@ __all__ = [
     "density",
     "mass_profile",
     "radial_concentration",
+    "refine_max",
     "morrey_estimate",
     "potential_gradient",
     "scale_profile",
@@ -507,8 +508,8 @@ def _limit_value(exponent: float, coefficient: float, shift: float, at_infinity:
     return 0.0 if vanishes else math.inf
 
 
-def _golden_max(f: Callable[[float], float], a: float, b: float, tol: float = 1e-10) -> tuple[float, float]:
-    """Golden-section maximization on [a, b] (log-scaled bracket expected)."""
+def _golden_max(f: Callable[[float], float], a: float, b: float, tol: float) -> tuple[float, float]:
+    """Golden-section maximization on [a, b]."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
@@ -523,6 +524,25 @@ def _golden_max(f: Callable[[float], float], a: float, b: float, tol: float = 1e
             x1 = b - invphi * (b - a)
             f1 = f(x1)
     return (x1, f1) if f1 >= f2 else (x2, f2)
+
+
+def refine_max(
+    f: Callable[[float], float], grid: np.ndarray, vals: np.ndarray, tol: float = 1e-10
+) -> tuple[float, float]:
+    """Refine the maximum of a function scanned on a positive geometric grid.
+
+    ``vals`` holds its values on ``grid`` and ``f`` evaluates it at log(r).
+    Golden section runs in log(r) between the grid neighbours of the scanned
+    argmax; the larger of the refined and the scanned maximum is returned as
+    (r, value), since kinks at breakpoints can push the refinement off it.
+    """
+    k = int(np.argmax(vals))
+    lo = math.log(grid[max(k - 1, 0)])
+    hi = math.log(grid[min(k + 1, len(grid) - 1)])
+    s_best, v_best = _golden_max(f, lo, hi, tol)
+    if vals[k] > v_best:
+        return float(grid[k]), float(vals[k])
+    return math.exp(s_best), v_best
 
 
 def radial_concentration(mass: MassProfile, alpha: float) -> ConcentrationValue:
@@ -549,20 +569,12 @@ def radial_concentration(mass: MassProfile, alpha: float) -> ConcentrationValue:
     radii = np.geomspace(lo, hi, n)
     radii = np.unique(np.concatenate([radii, [b for b in mass.breakpoints if lo < b < hi]]))
     vals = radii**shift * mass(radii)
-    k = int(np.argmax(vals))
 
     def fneg(s: float) -> float:
         r = math.exp(s)
         return r**shift * float(mass(r))
 
-    a = math.log(radii[max(k - 1, 0)])
-    b = math.log(radii[min(k + 1, len(radii) - 1)])
-    s_best, v_best = _golden_max(fneg, a, b)
-    r_best = math.exp(s_best)
-    # breakpoints can be kinks the golden bracket slides off of
-    if vals[k] > v_best:
-        r_best, v_best = float(radii[k]), float(vals[k])
-
+    r_best, v_best = refine_max(fneg, radii, vals)
     best = max((v_best, r_best), (lim0, 0.0), (liminf, math.inf))
     return ConcentrationValue(float(best[0]), float(best[1]))
 

@@ -45,7 +45,12 @@ _STAB_SAFETY = 0.9
 _RK_STABLE_REAL = 2.5  # real-axis stability reach of the BS 3(2) pair
 _GROWTH_MAX = 5.0
 _SHRINK_MIN = 0.2
-_DEFAULT_PROBE_FACTORS = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
+#: local error control: relative tolerance, and absolute tolerance per unit of max M
+_RTOL = 1e-6
+_ATOL_FACTOR = 1e-9
+_MAX_STEPS = 50_000_000
+#: M is recorded at these multiples of the datum's characteristic radius
+_PROBE_FACTORS = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,24 +113,14 @@ class SolverControls:
     density_cap: float | None = None
     #: None = 1e-12 * t_end
     dt_floor: float | None = None
-    rtol: float = 1e-6
-    atol_factor: float = 1e-9
     stride: int = 20
     #: target horizon for moment tracking (enables the W column)
     moment_target: float | None = None
-    probe_radii: tuple[float, ...] | None = None
-    advection: str = "centered"  # or "upwind"
-    outer_bc: str = "auto"  # "auto" | "noflux" | "pin"
     snapshot_times: tuple[float, ...] = ()
-    max_steps: int = 50_000_000
 
     def __post_init__(self):
         if self.t_end <= 0:
             raise ValidationError("t_end must be positive")
-        if self.advection not in ("centered", "upwind"):
-            raise ValidationError("advection must be 'centered' or 'upwind'")
-        if self.outer_bc not in ("auto", "noflux", "pin"):
-            raise ValidationError("outer_bc must be 'auto', 'noflux' or 'pin'")
 
 
 @dataclass(frozen=True)
@@ -171,11 +166,10 @@ class _Discretization:
     correction of sigma_d^(-1) r^(1-d).
     """
 
-    def __init__(self, grid: SolverGrid, d: int, advection: str, pinned: bool):
+    def __init__(self, grid: SolverGrid, d: int, pinned: bool):
         self.d = check_dimension(d)
         self.sigma = sphere_area(d)
         self.pinned = pinned
-        self.advection = advection
         r = grid.r
         if d * math.log(max(float(r[-1]), 1.0)) > 600.0 or d * math.log(float(r[0])) < -600.0:
             raise ValidationError("r^d overflows in this (grid, dimension) combination")
@@ -202,13 +196,9 @@ class _Discretization:
 
     def _gradient(self, M: np.ndarray, flux: np.ndarray) -> np.ndarray:
         flux_out = np.concatenate([flux[1:], [0.0]])
-        if self.advection == "centered":
-            # interface-flux average: exact on A + B r^d, the leading behavior
-            # of any smooth mass profile at the axis
-            grad = 0.5 * self.rpow * (flux + flux_out)
-        else:
-            # inflow from larger r (the advective speed of M is negative)
-            grad = np.concatenate([(M[1:] - M[:-1]) / self.hp[:-1], [0.0]])
+        # interface-flux average: exact on A + B r^d, the leading behavior
+        # of any smooth mass profile at the axis
+        grad = 0.5 * self.rpow * (flux + flux_out)
         grad[-1] = (M[-1] - M[-2]) / self.h[-1]
         return grad
 
@@ -274,22 +264,18 @@ def run(
     d = mass.d
 
     warnings_list: list[str] = []
-    pinned = controls.outer_bc == "pin" or (
-        controls.outer_bc == "auto" and not math.isfinite(mass.total_mass)
-    )
+    pinned = not math.isfinite(mass.total_mass)
     if pinned:
         warnings_list.append(
             "outer boundary pins M(r_max) at its initial value: finite-domain "
             "approximation of the whole-space problem for unbounded-mass data"
         )
-    disc = _Discretization(grid, d, controls.advection, pinned)
+    disc = _Discretization(grid, d, pinned)
     M, cap, floor = _resolve_controls(mass, disc, controls)
     if np.any(np.diff(M) < 0) or np.any(M < 0):
         raise ValidationError("initial mass profile is not nondecreasing and nonnegative")
 
-    probe_radii = controls.probe_radii
-    if probe_radii is None:
-        probe_radii = tuple(f * mass.r_char for f in _DEFAULT_PROBE_FACTORS)
+    probe_radii = tuple(f * mass.r_char for f in _PROBE_FACTORS)
     snapshots_due = sorted(set(controls.snapshot_times))
     snapshots: dict[float, np.ndarray] = {}
 
@@ -323,8 +309,8 @@ def run(
     record(0.0, dt)
 
     while t < controls.t_end and event is None:
-        if n_steps >= controls.max_steps:
-            raise NumericsError(f"exceeded max_steps={controls.max_steps}")
+        if n_steps >= _MAX_STEPS:
+            raise NumericsError(f"exceeded max_steps={_MAX_STEPS}")
         dt = min(dt, disc.dt_parabolic, disc.dt_advective(M), controls.t_end - t)
         while snapshots_due and snapshots_due[0] <= t:
             snapshots[snapshots_due.pop(0)] = M.copy()
@@ -338,7 +324,7 @@ def run(
         err = dt * (
             (5.0 / 72.0) * k1 - (1.0 / 12.0) * k2 - (1.0 / 9.0) * k3 + (1.0 / 8.0) * k4
         )
-        scale = controls.atol_factor * max(float(np.max(M)), 1e-14) + controls.rtol * np.maximum(
+        scale = _ATOL_FACTOR * max(float(np.max(M)), 1e-14) + _RTOL * np.maximum(
             np.abs(M), np.abs(y_new)
         )
         finite = bool(np.all(np.isfinite(y_new)))
@@ -391,7 +377,7 @@ def run(
         origin_density=np.array(rec["rho"]),
         W=np.array(rec["W"]),
         probes=np.array(rec["probes"]),
-        probe_radii=tuple(probe_radii),
+        probe_radii=probe_radii,
         M_final=M,
         t_final=t,
         event=event,

@@ -40,7 +40,7 @@ class TestConfig:
             parse_config("[problem]\nd = 3\nalpha = 1.5\n")
 
     def test_resolved_round_trip(self):
-        cfg = parse_config("[problem]\nd = 4\n[time]\nt_end = 2.5\n", {"threads": 2})
+        cfg = parse_config("[problem]\nd = 4\n[time]\nt_end = 2.5\n", {"grid.n": 800})
         again = config_from_resolved(resolved_json(cfg))
         assert again == cfg
 
@@ -104,6 +104,38 @@ class TestCli:
         code = run_cli(["classify", "--profile", profile, "--d", "3", "--out", str(tmp_path / "x")])
         assert code == 1
         assert "must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "profile,d,alpha,kind",
+        [
+            ("gauss(mass=30,width=1)", 6, 0.5, "global"),
+            ("gauss(mass=1,width=1)", 3, 0.6, "global"),
+            ("trunc_chandrasekhar(eta=0.8,rin=0.5,rout=20,alpha=0.6)", 3, 0.6, "global"),
+            # sup T W0(T) is about 0.4 C: past the cut the curve's tail must
+            # continue M from its value there, not from its asymptote at r -> inf
+            ("gauss(mass=60,width=1)", 6, 0.5, "indeterminate"),
+        ],
+    )
+    def test_small_alpha_verdicts(self, profile, d, alpha, kind, tmp_path):
+        out = tmp_path / "r"
+        args = ["classify", "--profile", profile, "--d", str(d), "--alpha", str(alpha)]
+        assert run_cli(args + ["--out", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["verdict"]["kind"] == kind
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            # T^(1-d/alpha) and M(T^(1/alpha) rho) overflow on the default T scan
+            (["classify", "--profile", "chandrasekhar(eta=0.5,alpha=0.05)", "--d", "5", "--alpha", "0.05"],
+             "criterion curve is not finite"),
+            # R(0) = Gamma(1 + d/alpha)/(Gamma(1 + d/2) (4 pi)^(d/2)) is beyond the float range
+            (["kernel", "--d", "3", "--alpha", "0.01"], "overflows a float"),
+        ],
+    )
+    def test_overflow_is_a_numerical_failure(self, args, message, capsys, tmp_path):
+        assert run_cli(args + ["--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and message in err
 
     def test_simulate_outputs(self, tmp_path):
         out = tmp_path / "s"
@@ -203,10 +235,3 @@ class TestCli:
         code = run_cli(["verify", "--only", "AC-1", "--out", str(tmp_path / "v")])
         assert code == 3
         assert "FAIL" in capsys.readouterr().out
-
-    def test_constants_threaded_sweep_is_deterministic(self, tmp_path):
-        out1, out2 = tmp_path / "t1", tmp_path / "t2"
-        args = ["constants", "--d-range", "4:8", "--alpha", "2.0,1.5", "--threads"]
-        assert run_cli(args + ["2", "--out", str(out1)]) == 0
-        assert run_cli(args + ["1", "--out", str(out2)]) == 0
-        assert (out1 / "constants.csv").read_text() == (out2 / "constants.csv").read_text()

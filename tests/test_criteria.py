@@ -159,6 +159,11 @@ class TestConstantsRecord:
         assert all(math.isfinite(x) for x in (cc.C, cc.K, cc.L, cc.N_threshold))
         assert cc.K <= cc.C <= 2.0 * d / (d - 2.0)
 
+    @pytest.mark.parametrize("d,alpha", [(4, 0.0997), (5, 0.05)])
+    def test_small_alpha_K_quadrature_matches_closed_form(self, d, alpha):
+        cc = criterion_constants(d, alpha, cross_check=True)
+        assert abs(cc.residuals["K_quadrature_vs_closed_form"]) <= 1e-10
+
     def test_records_quadrature_errors_read_only(self):
         cc = criterion_constants(5, 1.5, cross_check=True)
         assert 0.0 < cc.residuals["C_abserr"] <= 1e-10 * cc.C
@@ -191,6 +196,35 @@ class TestCriterionCurve:
         cur = criterion_curve(m, 2.0)
         np.testing.assert_allclose(cur.values, 2.5, rtol=1e-6)
         assert cur.sup == pytest.approx(2.5, rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "d,alpha,bound,T_range",
+        [
+            (5, 0.9, 1e-10, None),
+            (4, 1.2, 1e-10, None),
+            (5, 1.5, 1e-10, None),
+            (6, 0.5, 1e-8, None),
+            (3, 0.6, 1e-8, None),
+            (4, 0.0997, 1e-6, None),
+            # the integrand grows like rho^(d+1) up to its peak near
+            # rho = sqrt(2d); at d = 100 the default T scan overflows
+            # T^(1-d/2), so a narrower one is used
+            (60, 2.0, 1e-12, None),
+            (100, 2.0, 1e-12, (1e-2, 1e2)),
+        ],
+    )
+    def test_singular_datum_curve_is_K(self, d, alpha, bound, T_range):
+        # T W0(T) of the singular stationary density is K_alpha(d) at every T
+        cur = criterion_curve(mass_profile(Chandrasekhar(d, 1.0, alpha)), alpha, T_range=T_range)
+        k = singular_semigroup_value(d, alpha)
+        assert np.max(np.abs(cur.values / k - 1.0)) <= bound
+
+    def test_high_dimension_gaussian_verdict(self):
+        # sup T W0(T) (at T near width^2/(2d)) as a trapezoid rule on 641
+        # nodes over [1e-6, 1e4] gives it; the mass puts it 6% above C(40)
+        rep = classify(Gaussian(40, 2e12), 40, 2.0)
+        assert rep.verdict.kind == "blowup"
+        assert rep.curve.sup == pytest.approx(1.0756997192501836, rel=1e-12)
 
     def test_shell_maximizer_time(self):
         d = 3

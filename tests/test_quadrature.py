@@ -5,49 +5,54 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import gammaln, logsumexp
 
 from kscrit.criteria import (
     blowup_constant_fractional,
     shell_semigroup_peak,
     singular_semigroup_quadrature,
+    singular_semigroup_value,
 )
-from kscrit.errors import NumericsError
+from kscrit.errors import IntegrabilityError, NumericsError
 from kscrit.kernels import (
     GK15_GAUSS,
     GK15_KRONROD,
     GK15_NODES,
+    RHO_CUT,
     build_kernel_table,
     log_quad,
     radial_kernel,
+    tail_moment,
 )
 
 EPSREL = 1e-10
 
-# (d, alpha) -> (C, K by quadrature, L, norm_R residual, norm_Rp residual), as
+# (d, alpha) -> (C, L, norm_R residual, norm_Rp residual), as
 # scipy.integrate.quad (epsrel=1e-10, one scalar kernel call per point) gave
-# them before the batched path replaced it.  The first three pairs are the
-# fractional verdict pairs of the benchmark, the rest one alpha per sweep band.
+# them before the batched path replaced it.  K by quadrature is checked
+# against its closed form instead.  The first three pairs are the fractional
+# verdict pairs of the benchmark, the rest one alpha per sweep band.
 QUAD_REFERENCE = {
-    (5, 0.9): (1.0141116994816728, 0.6909615971356284, 0.009399147239226172,
+    (5, 0.9): (1.0141116994816728, 0.009399147239226172,
                1.2212453270876722e-14, 1.2878587085651816e-14),
-    (4, 1.2): (1.0484421172736007, 0.8165346737244236, 0.014094493174499057,
+    (4, 1.2): (1.0484421172736007, 0.014094493174499057,
                -1.5543122344752192e-15, -1.3322676295501878e-15),
-    (5, 1.5): (1.0579785510998594, 0.8749999999999596, 0.00843605413730764,
+    (5, 1.5): (1.0579785510998594, 0.00843605413730764,
                -5.329070518200751e-15, -5.329070518200751e-15),
-    (4, 0.0997): (1.122578932385286, 0.5142242933125175, 0.0025741245593819705,
+    (4, 0.0997): (1.122578932385286, 0.0025741245593819705,
                   -1.3211653993039363e-13, -1.4277468096679513e-13),
-    (9, 0.4175): (1.0040194030516307, 0.5490671624477831, 0.004909412555070341,
+    (9, 0.4175): (1.0040194030516307, 0.004909412555070341,
                   -2.5268676040468563e-13, 3.1530333899354446e-14),
-    (3, 0.7175): (1.0240943125397024, 0.700307976078649, 0.022128543991319704,
+    (3, 0.7175): (1.0240943125397024, 0.022128543991319704,
                   -6.439293542825908e-15, -6.217248937900877e-15),
-    (10, 1.0175): (1.0049411427003174, 0.6775566845905441, 0.007097003067161899,
+    (10, 1.0175): (1.0049411427003174, 0.007097003067161899,
                    -5.218048215738236e-15, -4.9960036108132044e-15),
-    (5, 1.2675): (1.0360371407458633, 0.8030202234060121, 0.009291063954663344,
+    (5, 1.2675): (1.0360371407458633, 0.009291063954663344,
                   -1.3877787807814457e-14, -1.3100631690576847e-14),
-    (6, 1.7675): (1.0703466802633603, 0.9363149638886351, 0.0053642443366835576,
+    (6, 1.7675): (1.0703466802633603, 0.0053642443366835576,
                   1.1102230246251565e-14, 1.1546319456101628e-14),
-    (8, 1.9075): (1.06148594459073, 0.969026218256572, 0.0037874649243719557,
+    (8, 1.9075): (1.06148594459073, 0.0037874649243719557,
                   -1.587618925213974e-14, -1.5654144647214707e-14),
 }
 # the edge bands cost the most; they run with -m slow
@@ -128,11 +133,11 @@ class TestFusedReduction:
 
 @pytest.mark.parametrize("d,alpha", PAIRS)
 def test_matches_quad_reference(d, alpha):
-    c_ref, k_ref, l_ref, norm_r_ref, norm_rp_ref = QUAD_REFERENCE[(d, alpha)]
+    c_ref, l_ref, norm_r_ref, norm_rp_ref = QUAD_REFERENCE[(d, alpha)]
     c, c_err = blowup_constant_fractional(d, alpha, with_error=True)
     k, k_err = singular_semigroup_quadrature(d, alpha, with_error=True)
     assert c == pytest.approx(c_ref, rel=1e-9)
-    assert k == pytest.approx(k_ref, rel=1e-9)
+    assert k == pytest.approx(singular_semigroup_value(d, alpha), rel=1e-9)
     assert shell_semigroup_peak(d, alpha)[0] == pytest.approx(l_ref, rel=1e-9)
     # the reported error estimates are within the requested tolerance: the
     # quadrature bodies are positive and below C, K and 1 respectively
@@ -156,3 +161,38 @@ def test_table_is_poisson_kernel_at_alpha_one(d):
     np.testing.assert_allclose(
         table.Rpp, R * ((d + 1) * (d + 3) * rho**2 / q**2 - (d + 1) / q), rtol=1e-10
     )
+
+
+@pytest.mark.parametrize("d,alpha", [(3, 1.0), (5, 0.5)])
+def test_normalization_tail_passes_vanishing_terms(d, alpha):
+    # c_k vanishes where alpha k is an even integer; a tail series that stops
+    # at the first small term leaves norm_R about 1e-9 off here
+    assert abs(build_kernel_table(d, alpha).residuals["norm_R"]) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "d,moment,derivative",
+    # per d: the two normalizations (d, d + 1), K's moment d - alpha, and the
+    # curve's tails for a datum with M ~ r^p past the cut, p = 0 and p = d - 1
+    [(d, m, der) for d in (3, 5)
+     for m, der in ((d, False), (d + 1, True), (d - 1, False), (1, True), (d, True))],
+)
+def test_tail_moment_of_poisson_kernel(d, moment, derivative):
+    # alpha = 1: R = c (1+rho^2)^(-(d+1)/2) and |R'| = (d+1) rho R/(1+rho^2)
+    c = math.exp(gammaln(0.5 * (d + 1)) - 0.5 * (d + 1) * math.log(math.pi))
+
+    def integrand(rho):
+        q = 1.0 + rho * rho
+        r = c * q ** (-0.5 * (d + 1))
+        return rho ** (moment - 1.0) * (r * (d + 1) * rho / q if derivative else r)
+
+    ref, _ = quad(integrand, RHO_CUT, math.inf, epsabs=0.0, epsrel=1e-13, limit=200)
+    assert tail_moment(d, 1.0, moment, derivative) == pytest.approx(ref, rel=1e-12)
+
+
+def test_tail_moment_rejects_divergent_tail():
+    # rho^(d+alpha-1) R decays like 1/rho: the tail diverges logarithmically
+    with pytest.raises(IntegrabilityError):
+        tail_moment(3, 1.0, 4.0, False)
+    with pytest.raises(IntegrabilityError):
+        tail_moment(3, 1.0, 5.0, True)

@@ -60,12 +60,12 @@ class TestGrid:
 class TestRhs:
     def test_zero_state_is_stationary(self):
         grid = build_grid(10.0, 300, 0.5)
-        disc = _Discretization(grid, D, "centered", pinned=False)
+        disc = _Discretization(grid, D, pinned=False)
         np.testing.assert_array_equal(disc.rhs(np.zeros(grid.n)), 0.0)
 
     def test_singular_steady_state_is_discrete_fixed_point(self):
         grid = build_grid(10.0, 300, 0.5)
-        disc = _Discretization(grid, D, "centered", pinned=True)
+        disc = _Discretization(grid, D, pinned=True)
         m_c = 2 * SIG * grid.r ** (D - 2)
         residual = disc.rhs(m_c)
         assert np.max(np.abs(residual)) <= 1e-10 * np.max(np.abs(m_c))
@@ -77,7 +77,7 @@ class TestRhs:
         errs = {}
         for n in (400, 800, 1600):
             grid = build_grid(20.0, n, 0.5)
-            disc = _Discretization(grid, D, "centered", pinned=True)
+            disc = _Discretization(grid, D, pinned=True)
             m = exact_mass(grid.r, t, T)
             dm_dt = 8 * SIG * grid.r**D / (grid.r**2 + 2 * (T - t)) ** 2
             window = (grid.r >= 0.1) & (grid.r <= 10.0)
