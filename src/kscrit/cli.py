@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .acceptance import run_acceptance
-from .config import RunConfig, config_from_resolved, parse_config, resolved_json
+from .config import RunConfig, check_singular_comparison, config_from_resolved, parse_config, resolved_json
 from .criteria import classify, criterion_constants
 from .errors import AcceptanceError, KscritError, NumericsError, ValidationError
 from .kernels import build_kernel_table
@@ -95,7 +95,7 @@ def _outdir(cfg: RunConfig) -> Path:
 
 
 def _cmd_constants(args) -> int:
-    cfg = _load_config(args)
+    cfg = check_singular_comparison(_load_config(args))
     out = _outdir(cfg)
     ds = _parse_d_range(args.d_range)
     alphas = _parse_alpha_list(args.alpha_list)
@@ -126,7 +126,7 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    cfg = _load_config(args)
+    cfg = check_singular_comparison(_load_config(args))
     out = _outdir(cfg)
     profile = parse_profile(cfg.initial.profile, cfg.problem.d)
     report = classify(profile, cfg.problem.d, cfg.problem.alpha)
@@ -212,6 +212,9 @@ def _cmd_simulate(args) -> int:
         "event": res.event,
         "n_steps": res.n_steps,
         "n_rejected": res.n_rejected,
+        "n_rhs": res.n_rhs,
+        "n_jac": res.n_jac,
+        "n_lu": res.n_lu,
         "probe_radii": res.probe_radii,
         "warnings": res.warnings,
         "grid": {"n": res.grid.n, "r_first": res.grid.r[0], "r_max": res.grid.r[-1]},

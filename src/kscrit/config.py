@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ValidationError
 
-__all__ = ["RunConfig", "parse_config", "resolved_json"]
+__all__ = ["RunConfig", "check_singular_comparison", "parse_config", "resolved_json"]
 
 
 @dataclass
@@ -101,10 +101,6 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ValidationError("problem.d must be >= 2")
     if not 0.0 < p.alpha <= 2.0:
         raise ValidationError("problem.alpha: alpha must be in (0,2]")
-    if p.alpha < 2.0 and 2.0 * p.alpha >= p.d:
-        raise ValidationError(
-            "problem.alpha: the fractional singular comparison requires 2*alpha < d"
-        )
     if g.r_max <= 0 or g.n < 16 or not 0 <= g.inner_fraction <= 1:
         raise ValidationError("grid: need r_max > 0, n >= 16, inner_fraction in [0,1]")
     if t.t_end <= 0:
@@ -117,6 +113,16 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ValidationError("output.stride must be >= 1")
     if o.format not in ("csv", "json"):
         raise ValidationError("output.format must be 'csv' or 'json'")
+    return cfg
+
+
+def check_singular_comparison(cfg: RunConfig) -> RunConfig:
+    """The fractional singular comparison (classify, constants) needs 2*alpha < d."""
+    p = cfg.problem
+    if p.alpha < 2.0 and 2.0 * p.alpha >= p.d:
+        raise ValidationError(
+            "problem.alpha: the fractional singular comparison requires 2*alpha < d"
+        )
     return cfg
 
 

@@ -26,7 +26,7 @@ class IntegrabilityError(NumericsError):
 
 
 class ResolutionError(NumericsError):
-    """The solver grid is too coarse: monotonicity failures persist at small dt."""
+    """The solver grid is too coarse: steps collapse without density growth."""
 
 
 class AcceptanceError(KscritError):

@@ -568,13 +568,16 @@ def radial_concentration(mass: MassProfile, alpha: float) -> ConcentrationValue:
     n = 2 * _CONC_DECADES * _CONC_PER_DECADE + 1
     radii = np.geomspace(lo, hi, n)
     radii = np.unique(np.concatenate([radii, [b for b in mass.breakpoints if lo < b < hi]]))
-    vals = radii**shift * mass(radii)
 
-    def fneg(s: float) -> float:
-        r = math.exp(s)
-        return r**shift * float(mass(r))
+    def scaled(r):
+        # r^shift alone overflows (to inf: r is a NumPy float) at high d, where
+        # M(r) ~ r^d is tiny; only there is the product formed in logs
+        m = mass(r)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            v = r**shift * m
+            return np.where(np.isfinite(v), v, np.exp(shift * np.log(r) + np.log(m)))
 
-    r_best, v_best = refine_max(fneg, radii, vals)
+    r_best, v_best = refine_max(lambda s: float(scaled(np.float64(math.exp(s)))), radii, scaled(radii))
     best = max((v_best, r_best), (lim0, 0.0), (liminf, math.inf))
     return ConcentrationValue(float(best[0]), float(best[1]))
 

@@ -8,13 +8,14 @@ The cumulative mass M(r, t) of a radial solution closes into the 1-D equation
 whose linear part is discretized in divergence form
 r^{d-1} d/dr (r^{1-d} dM/dr) (an M-matrix on any grid, so the scheme is
 monotone wherever advection is resolved) and whose nonlinear term uses a
-second-order centered gradient.  Time stepping is an explicit embedded
-Bogacki-Shampine 3(2) pair under a parabolic stability cap; steps that break
-nonnegativity or radial monotonicity of M are rejected and retried at dt/2.
+second-order centered gradient.  The stiff system is stepped one step at a
+time by scipy's BDF on the analytic tridiagonal Jacobian; a step that breaks
+nonnegativity or radial monotonicity of M restarts it at half the step.
 Blowup is witnessed discretely: either the origin density M(r_1) d/(sigma_d
-r_1^d) crosses a cap, or dt collapses to the floor under exploding local
-error.  Both thresholds are configurable and the detected time must be
-insensitive to them (that insensitivity is part of the test suite).
+r_1^d) crosses a cap, or the step collapses to the floor (or BDF fails) while
+that density has grown far past its initial scale.  Both thresholds are
+configurable and the detected time must be insensitive to them (that
+insensitivity is part of the test suite).
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import sparse
+from scipy.integrate import BDF
 
 from .errors import NumericsError, ResolutionError, ValidationError
 from .radial import MassProfile, RadialProfile, TruncatedChandrasekhar, check_dimension, mass_profile, sphere_area
@@ -41,10 +44,6 @@ __all__ = [
     "TruncationScalingResult",
 ]
 
-_STAB_SAFETY = 0.9
-_RK_STABLE_REAL = 2.5  # real-axis stability reach of the BS 3(2) pair
-_GROWTH_MAX = 5.0
-_SHRINK_MIN = 0.2
 #: local error control: relative tolerance, and absolute tolerance per unit of max M
 _RTOL = 1e-6
 _ATOL_FACTOR = 1e-9
@@ -144,7 +143,11 @@ class SimResult:
     event: BlowupEvent | None
     snapshots: dict
     n_steps: int
+    #: monotonicity restarts and BDF failures (its error-test rejections stay internal)
     n_rejected: int
+    n_rhs: int  # rhs evaluations, Jacobians and LU factorizations, summed over restarts
+    n_jac: int
+    n_lu: int
     warnings: tuple[str, ...]
 
     @property
@@ -184,11 +187,13 @@ class _Discretization:
             vol = (edge[:-1] ** (2 - d) - edge[1:] ** (2 - d)) / (d - 2)
         self.inv_vol = 1.0 / vol
         self.rpow = r ** (d - 1)
-        self.hp = np.concatenate([r[1:] - r[:-1], [r[-1] - r[-2]]])
         self.h = h
         self.adv_coef = self._calibrated_advection()
-        diag = (self.c_flux + np.concatenate([self.c_flux[1:], [0.0]])) * self.inv_vol
-        self.dt_parabolic = _STAB_SAFETY * _RK_STABLE_REAL / float(np.max(diag))
+        # constant bands (sub, main, super) of d div / dM and d grad / dM (one-sided last row)
+        c, c_out, half_rpow = self.c_flux, np.concatenate([self.c_flux[1:], [0.0]]), 0.5 * self.rpow
+        self.div_bands = (self.inv_vol * c, -self.inv_vol * (c + c_out), self.inv_vol * c_out)
+        self.grad_bands = (-half_rpow * c, half_rpow * (c - c_out), half_rpow * c_out)
+        self.grad_bands[0][-1], self.grad_bands[1][-1] = -1.0 / h[-1], 1.0 / h[-1]
 
     def _fluxes(self, M: np.ndarray) -> np.ndarray:
         # interface values of r^(1-d) M_r, index i between nodes i-1 and i
@@ -223,10 +228,14 @@ class _Discretization:
             out[-1] = 0.0
         return out
 
-    def dt_advective(self, M: np.ndarray) -> float:
-        speed = self.adv_coef * M
-        m = float(np.max(speed / np.minimum(self.h, self.hp)))
-        return 0.8 / m if m > 0 else math.inf
+    def jacobian(self, M: np.ndarray) -> sparse.csc_matrix:
+        """d rhs / dM: div + diag(a grad) + diag(a M) d grad, tridiagonal."""
+        am = self.adv_coef * M
+        lower, main, upper = (dv + am * dg for dv, dg in zip(self.div_bands, self.grad_bands))
+        main += self.adv_coef * self._gradient(M, self._fluxes(M))
+        if self.pinned:
+            lower[-1] = main[-1] = 0.0
+        return sparse.diags([lower[1:], main, upper[:-1]], [-1, 0, 1], format="csc")
 
     def origin_density(self, M: np.ndarray) -> float:
         return float(M[0]) * self.d / (self.sigma * self.r[0] ** self.d)
@@ -239,16 +248,6 @@ def gaussian_moment(r: np.ndarray, M: np.ndarray, d: int, t: float, target: floa
     tau = target - t
     g = (4.0 * math.pi * tau) ** (-0.5 * d) * np.exp(-(r**2) / (4.0 * tau))
     return float(np.trapezoid(M * r / (2.0 * tau) * g, r))
-
-
-def _resolve_controls(mass: MassProfile, disc: _Discretization, controls: SolverControls):
-    m0 = np.asarray(mass.fn(disc.r), dtype=float)
-    rho0 = disc.origin_density(m0)
-    cap = controls.density_cap
-    if cap is None:
-        cap = 1e8 * rho0 if rho0 > 0 else 1e8
-    floor = controls.dt_floor if controls.dt_floor is not None else 1e-12 * controls.t_end
-    return m0, cap, floor
 
 
 def run(
@@ -271,7 +270,11 @@ def run(
             "approximation of the whole-space problem for unbounded-mass data"
         )
     disc = _Discretization(grid, d, pinned)
-    M, cap, floor = _resolve_controls(mass, disc, controls)
+    M = np.asarray(mass.fn(disc.r), dtype=float)
+    rho0, cap = disc.origin_density(M), controls.density_cap
+    if cap is None:
+        cap = 1e8 * rho0 if rho0 > 0 else 1e8
+    floor = controls.dt_floor if controls.dt_floor is not None else 1e-12 * controls.t_end
     if np.any(np.diff(M) < 0) or np.any(M < 0):
         raise ValidationError("initial mass profile is not nondecreasing and nonnegative")
 
@@ -280,8 +283,8 @@ def run(
     snapshots: dict[float, np.ndarray] = {}
 
     mono_tol = 1e-11 * max(float(np.max(M)), 1.0)
-    # largest initial cell-average density; collapse is declared at the dt
-    # floor only when the origin density has grown far beyond it
+    # largest initial cell-average density; a step collapse witnesses blowup
+    # only when the origin density has grown far beyond it
     cell_density0 = (
         d * np.diff(M, prepend=0.0) / (disc.sigma * np.diff(disc.r**d, prepend=0.0))
     )
@@ -300,74 +303,66 @@ def run(
             rec["W"].append(math.nan)
         rec["probes"].append(np.interp(probe_radii, disc.r, M))
 
+    atol = _ATOL_FACTOR * max(float(np.max(M)), 1e-14)
+    counts = np.zeros(3, dtype=int)  # rhs evaluations, Jacobians, LU factorizations
+
+    def start(t0: float, y0: np.ndarray, first_step: float | None = None) -> BDF:
+        return BDF(lambda _t, y: disc.rhs(y), t0, y0, controls.t_end, rtol=_RTOL, atol=atol,
+                   jac=lambda _t, y: disc.jacobian(y), first_step=first_step)
+
+    def retire(solver: BDF) -> None:
+        counts[:] += (solver.nfev, solver.njev, solver.nlu)
+        vars(solver).clear()  # its closures refer back to it: free the LU factors now
+
+    def collapse_event(t: float) -> BlowupEvent | None:
+        rho = disc.origin_density(M)
+        return BlowupEvent(t, "step_floor", rho) if rho > 100.0 * density_scale0 else None
+
     t = 0.0
-    dt = disc.dt_parabolic
+    solver = start(t, M)
     event: BlowupEvent | None = None
-    k1 = disc.rhs(M)
     n_steps = n_rejected = 0
-    last_reason = ""
-    record(0.0, dt)
+    record(0.0, float(solver.h_abs))
 
     while t < controls.t_end and event is None:
         if n_steps >= _MAX_STEPS:
             raise NumericsError(f"exceeded max_steps={_MAX_STEPS}")
-        dt = min(dt, disc.dt_parabolic, disc.dt_advective(M), controls.t_end - t)
-        while snapshots_due and snapshots_due[0] <= t:
-            snapshots[snapshots_due.pop(0)] = M.copy()
-        if snapshots_due:
-            dt = min(dt, snapshots_due[0] - t)
-
-        k2 = disc.rhs(M + dt * 0.5 * k1)
-        k3 = disc.rhs(M + dt * 0.75 * k2)
-        y_new = M + dt * ((2.0 / 9.0) * k1 + (1.0 / 3.0) * k2 + (4.0 / 9.0) * k3)
-        k4 = disc.rhs(y_new)
-        err = dt * (
-            (5.0 / 72.0) * k1 - (1.0 / 12.0) * k2 - (1.0 / 9.0) * k3 + (1.0 / 8.0) * k4
-        )
-        scale = _ATOL_FACTOR * max(float(np.max(M)), 1e-14) + _RTOL * np.maximum(
-            np.abs(M), np.abs(y_new)
-        )
-        finite = bool(np.all(np.isfinite(y_new)))
-        err_norm = float(np.max(np.abs(err) / scale)) if finite else math.inf
-        monotone = finite and not (
-            np.any(np.diff(y_new) < -mono_tol) or np.any(y_new < -mono_tol)
-        )
-
-        if finite and err_norm <= 1.0 and monotone:
-            t += dt
-            M = np.maximum(y_new, 0.0)
-            k1 = k4  # FSAL
-            n_steps += 1
-            if n_steps % controls.stride == 0:
-                record(t, dt)
-            rho = disc.origin_density(M)
-            if rho > cap:
-                event = BlowupEvent(t, "origin_density_cap", rho)
-                break
-            growth = _GROWTH_MAX if err_norm == 0.0 else 0.9 * err_norm ** (-1.0 / 3.0)
-            dt = dt * min(_GROWTH_MAX, max(_SHRINK_MIN, growth))
-        else:
+        message = solver.step()
+        y = solver.y
+        if solver.status == "failed" or not (
+            np.all(np.isfinite(y)) and np.all(np.diff(y) >= -mono_tol) and np.all(y >= -mono_tol)
+        ):
+            # restart from the last accepted state at half the step
             n_rejected += 1
-            if not finite or err_norm > 1.0:
-                last_reason = "error"
-                shrink = 0.5 if not finite else max(_SHRINK_MIN, 0.9 * err_norm ** (-1.0 / 3.0))
-                dt = dt * min(shrink, 0.5)
-            else:
-                last_reason = "monotonicity"
-                dt = 0.5 * dt
+            dt = 0.0 if message else 0.5 * float(solver.step_size)
             if dt < floor:
-                rho_now = disc.origin_density(M)
-                collapsing = rho_now > 100.0 * density_scale0
-                if last_reason == "error" or collapsing:
-                    event = BlowupEvent(t, "step_floor", rho_now)
-                else:
+                event = collapse_event(t)
+                if event is None:
                     raise ResolutionError(
-                        f"monotonicity failures persist at dt={dt:.3e} (t={t:.6g}) "
+                        f"{message or 'monotonicity failures'} at t={t:.6g} below dt={floor:.3e} "
                         "without density growth; the grid is too coarse for this datum"
                     )
+                break
+            retire(solver)
+            solver = start(t, M, first_step=dt)
+            continue
 
-    while snapshots_due and snapshots_due[0] <= t:
-        snapshots[snapshots_due.pop(0)] = M.copy()
+        dt = float(solver.step_size)
+        while snapshots_due and snapshots_due[0] <= solver.t:
+            s = snapshots_due.pop(0)
+            snapshots[s] = M.copy() if s <= t else np.maximum(solver.dense_output()(s), 0.0)
+        t = float(solver.t)
+        M = np.maximum(y, 0.0)
+        n_steps += 1
+        if n_steps % controls.stride == 0:
+            record(t, dt)
+        rho = disc.origin_density(M)
+        if rho > cap:
+            event = BlowupEvent(t, "origin_density_cap", rho)
+        elif dt < floor:
+            event = collapse_event(t)
+
+    retire(solver)
     record(t, dt)
 
     return SimResult(
@@ -384,6 +379,9 @@ def run(
         snapshots=snapshots,
         n_steps=n_steps,
         n_rejected=n_rejected,
+        n_rhs=int(counts[0]),
+        n_jac=int(counts[1]),
+        n_lu=int(counts[2]),
         warnings=tuple(warnings_list),
     )
 

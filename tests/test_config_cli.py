@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kscrit.cli import main
-from kscrit.config import config_from_resolved, parse_config, resolved_json
+from kscrit.config import check_singular_comparison, config_from_resolved, parse_config, resolved_json
 from kscrit.errors import ValidationError
 
 
@@ -36,8 +36,10 @@ class TestConfig:
             parse_config("[problem]\nalpha = 2.5\n")
 
     def test_fractional_precondition(self):
+        # 2*alpha < d binds only the singular comparison, not every subcommand
+        cfg = parse_config("[problem]\nd = 3\nalpha = 1.5\n")
         with pytest.raises(ValidationError, match="2\\*alpha < d"):
-            parse_config("[problem]\nd = 3\nalpha = 1.5\n")
+            check_singular_comparison(cfg)
 
     def test_resolved_round_trip(self):
         cfg = parse_config("[problem]\nd = 4\n[time]\nt_end = 2.5\n", {"grid.n": 800})
@@ -88,6 +90,34 @@ class TestCli:
         )
         assert code == 1
         assert "2*alpha < d" in capsys.readouterr().err
+
+    def test_constants_fractional_precondition_exit_code(self, capsys, tmp_path):
+        conf = tmp_path / "c.ini"
+        conf.write_text("[problem]\nd = 3\nalpha = 1.5\n")
+        assert run_cli(["constants", "--config", str(conf), "--out", str(tmp_path / "x")]) == 1
+        assert "2*alpha < d" in capsys.readouterr().err
+
+    def test_kernel_needs_no_singular_comparison(self, tmp_path):
+        # the README example: a kernel table needs only 0 < alpha <= 2
+        out = tmp_path / "k"
+        assert run_cli(["kernel", "--d", "3", "--alpha", "1.5", "--out", str(out)]) == 0
+        assert json.loads((out / "kernel.json").read_text())["alpha"] == 1.5
+
+    @pytest.mark.parametrize("d", [60, 100])
+    def test_high_dimension_concentration(self, d, capsys, tmp_path):
+        # r^(alpha-d) overflows where M(r) ~ r^d underflows: a finite verdict
+        # or a numerical failure, never a traceback
+        out = tmp_path / "c"
+        code = run_cli(
+            ["classify", "--profile", "gauss(mass=1,width=1)", "--d", str(d), "--alpha", "2", "--out", str(out)]
+        )
+        if code == 2:
+            assert "numerical failure" in capsys.readouterr().err
+            return
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["verdict"]["kind"] in ("blowup", "global", "indeterminate")
+        assert np.isfinite(report["concentration"]["value"]) and np.isfinite(report["curve_sup"])
 
     @pytest.mark.parametrize(
         "profile",
@@ -156,6 +186,9 @@ class TestCli:
         assert lines[0].endswith("blowup_flag")
         summary = json.loads((out / "summary.json").read_text())
         assert summary["blew_up"] is False
+        # solver telemetry: every accepted step costs at least one rhs evaluation
+        assert summary["n_rhs"] >= summary["n_steps"] > 0
+        assert summary["n_lu"] >= summary["n_jac"] >= 1
         assert (out / "trajectory.svg").exists()
 
     def test_simulate_rejects_fractional(self, capsys, tmp_path):

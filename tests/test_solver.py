@@ -70,6 +70,25 @@ class TestRhs:
         residual = disc.rhs(m_c)
         assert np.max(np.abs(residual)) <= 1e-10 * np.max(np.abs(m_c))
 
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("pinned", [False, True])
+    def test_jacobian_matches_central_differences(self, d, pinned):
+        grid = build_grid(10.0, 120, 0.5)
+        disc = _Discretization(grid, d, pinned=pinned)
+        m = mass_profile(Gaussian(d, 3.0 * sphere_area(d), 1.0)).fn(grid.r)
+        jac = disc.jacobian(m).toarray()
+        eps = 1e-6 * np.max(m)
+        fd = np.empty_like(jac)
+        for j in range(grid.n):
+            e = np.zeros(grid.n)
+            e[j] = eps
+            fd[:, j] = (disc.rhs(m + e) - disc.rhs(m - e)) / (2.0 * eps)
+        # rhs is quadratic in M, so central differences are exact up to rounding
+        assert np.max(np.abs(jac - fd)) <= 1e-9 * np.max(np.abs(jac))
+        assert np.count_nonzero(np.triu(jac, 2)) == np.count_nonzero(np.tril(jac, -2)) == 0
+        if pinned:
+            np.testing.assert_array_equal(jac[-1], 0.0)
+
     def test_exact_solution_residual_second_order(self):
         # rhs must match the analytic time derivative of the closed-form mass
         # at second order on the trusted window [0.1, 10]
@@ -96,12 +115,14 @@ class TestRun:
         np.testing.assert_array_equal(res.M_final, 0.0)
 
     def test_singular_steady_state_drift(self):
+        # the well-balanced fixed point must hold over a horizon of many
+        # diffusion times of the inner grid, however few steps that takes
         grid = build_grid(20.0, 2000, 0.5)
         m = mass_profile(Chandrasekhar(D, 1.0))
-        res = run(m, grid, SolverControls(t_end=0.02))
+        res = run(m, grid, SolverControls(t_end=1.0))
+        assert res.t_final == 1.0 and res.event is None
         drift = np.max(np.abs(res.M_final - m.fn(grid.r)))
         assert drift <= 1e-4 * 2 * SIG
-        assert res.n_steps >= 100
 
     def test_exact_solution_oracle(self):
         grid = build_grid(30.0, 1500, 0.5)
@@ -122,11 +143,12 @@ class TestRun:
         assert res.event.detected_time == pytest.approx(T, rel=0.05)
 
     def test_moment_differential_inequality_along_blowup(self):
-        # discrete dW/dt >= W^2/C(d) within 5% along a blowing-up run
+        # discrete dW/dt >= W^2/C(d) within 5% along a blowing-up run, with
+        # secants over every integrator step
         grid = build_grid(30.0, 1000, 0.5)
         T = 1.0
         controls = SolverControls(
-            t_end=0.9, moment_target=T, stride=20, density_cap=D / grid.r[0] ** 2
+            t_end=0.9, moment_target=T, stride=1, density_cap=D / grid.r[0] ** 2
         )
         res = run(ExplicitBlowupDatum(D, T), grid, controls)
         c3 = blowup_constant(3)
