@@ -37,9 +37,7 @@ from .kernels import (
     KernelTable,
     SubordinatedKernel,
     build_kernel_table,
-    gauss_kernel,
     radial_kernel,
-    semigroup_at_origin,
     validate_kernel,
 )
 from .radial import (
@@ -54,9 +52,7 @@ from .radial import (
     TruncatedChandrasekhar,
     density,
     mass_profile,
-    morrey_estimate,
     parse_profile,
-    potential_gradient,
     radial_concentration,
     scale_profile,
     singular_coefficient,
@@ -73,6 +69,6 @@ from .solver import (
     run,
     truncation_scaling,
 )
-from .subordinator import StableSubordinator, stable_density
+from .subordinator import StableSubordinator
 
 __all__ = [name for name in dir() if not name.startswith("_")]

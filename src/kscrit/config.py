@@ -42,7 +42,7 @@ class TimeConfig:
 @dataclass
 class OutputConfig:
     path: str = "out"
-    stride: int = 20
+    stride: int = 1
     format: str = "csv"
 
 

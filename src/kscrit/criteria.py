@@ -35,11 +35,9 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammaln
 
-from .errors import NumericsError, ValidationError
+from .errors import IntegrabilityError, NumericsError, ValidationError
 from .kernels import (
     RHO_CUT,
-    RadialKernel,
-    check_integrability,
     gradient_nodes,
     log_quad,
     log_window,
@@ -114,22 +112,19 @@ def blowup_constant(d: int) -> float:
     return 16.0 * val
 
 
-def blowup_constant_fractional(
-    d: int, alpha: float, kernel: RadialKernel | None = None, with_error: bool = False
-) -> float | tuple[float, float]:
+def blowup_constant_fractional(d: int, alpha: float) -> tuple[float, float]:
     """C_alpha(d) = 2 sigma_d int rho^(d-1) R'^2 / ((d-1)|R'|/rho + R'') drho.
 
     The denominator is the expanded form of |d/drho(rho^(1-d) R')|; its
     positivity (equivalent to rho R'' - R' >= 0 plus d >= 2) is asserted on a
-    400-point probe and at every quadrature node.  With ``with_error`` the
-    quadrature's error estimate for C is returned too, as (C, abserr).
+    400-point probe and at every quadrature node.  Returns (C, abserr) with
+    the quadrature's error estimate for C.
     """
     d = check_dimension(d)
     alpha = check_alpha(alpha)
     if alpha >= 2.0:
         raise ValidationError("blowup_constant_fractional needs alpha < 2")
-    if kernel is None:
-        kernel = radial_kernel(d, alpha)
+    kernel = radial_kernel(d, alpha)
 
     probe = np.geomspace(1e-6, RHO_CUT, 400)
     _check_denominator((d - 1) / probe + kernel.curvature_ratio(probe))
@@ -146,8 +141,7 @@ def blowup_constant_fractional(
     # tail: integrand -> c_Rp rho^(-1-alpha)/(2d+alpha) with c_Rp = (d+alpha) c1
     c_rp = (d + alpha) * tail_coefficient(d, alpha, 1)
     tail = scale * c_rp * RHO_CUT**-alpha / ((2.0 * d + alpha) * alpha)
-    c = scale * math.exp(log_body) + tail
-    return (c, scale * float(err)) if with_error else c
+    return scale * math.exp(log_body) + tail, scale * float(err)
 
 
 def _check_denominator(denom: np.ndarray) -> None:
@@ -181,20 +175,17 @@ def singular_semigroup_value(d: int, alpha: float = 2.0) -> float:
     )
 
 
-def singular_semigroup_quadrature(
-    d: int, alpha: float, kernel: RadialKernel | None = None, with_error: bool = False
-) -> float | tuple[float, float]:
+def singular_semigroup_quadrature(d: int, alpha: float) -> tuple[float, float]:
     """K_alpha(d) by direct quadrature s(alpha,d) sigma_d int R rho^(d-1-alpha) drho.
 
     Independent evaluation route used to cross-check the Gamma-product form.
-    With ``with_error`` returns (K, abserr) with the quadrature's error estimate.
+    Returns (K, abserr) with the quadrature's error estimate.
     """
     d = check_dimension(d)
     alpha = check_alpha(alpha)
     if 2.0 * alpha >= d:
         raise ValidationError("singular datum needs 2*alpha < d")
-    if kernel is None:
-        kernel = radial_kernel(d, alpha)
+    kernel = radial_kernel(d, alpha)
 
     def log_integrand(rho: np.ndarray) -> np.ndarray:
         return kernel.log_sums(rho, (0,))[0] + (d - 1.0 - alpha) * np.log(rho)
@@ -203,12 +194,10 @@ def singular_semigroup_quadrature(
     body = math.exp(log_body)
     tail = tail_moment(d, alpha, d - alpha, False)
     scale = singular_coefficient(d, alpha) * sphere_area(d)
-    return (scale * (body + tail), scale * float(err)) if with_error else scale * (body + tail)
+    return scale * (body + tail), scale * float(err)
 
 
-def shell_semigroup_peak(
-    d: int, alpha: float = 2.0, kernel: RadialKernel | None = None
-) -> tuple[float, float]:
+def shell_semigroup_peak(d: int, alpha: float = 2.0) -> tuple[float, float]:
     """L_alpha(d) = sup_t t P_t(unit shell)(0) = sup_rho rho^(d-alpha) R(rho).
 
     Returns (value, maximizing time); the time for a unit-radius shell is
@@ -231,8 +220,7 @@ def shell_semigroup_peak(
             - 0.5 * d
         )
         return math.exp(log_l), 1.0 / (2.0 * (d - 2))
-    if kernel is None:
-        kernel = radial_kernel(d, alpha)
+    kernel = radial_kernel(d, alpha)
     # scan 48 points per decade over the window that holds the peak
     x_lo, x_hi, _ = log_window(lambda x: (d - alpha) * x + kernel.log_R(np.exp(x)))
     n = round(48 * (x_hi - x_lo) / math.log(10.0)) + 1
@@ -248,7 +236,7 @@ def shell_semigroup_peak(
     return math.exp(log_l), rho_star**-alpha
 
 
-def shell_mass_threshold(d: int, alpha: float = 2.0, kernel: RadialKernel | None = None) -> float:
+def shell_mass_threshold(d: int, alpha: float = 2.0) -> float:
     """C/L: shells of mass above this necessarily blow up (sufficient bound).
 
     This is the implementable upper bound for the infimal blowup shell mass;
@@ -258,8 +246,8 @@ def shell_mass_threshold(d: int, alpha: float = 2.0, kernel: RadialKernel | None
     if alpha == 2.0:
         c = blowup_constant(d)
     else:
-        c = blowup_constant_fractional(d, alpha, kernel)
-    return c / shell_semigroup_peak(d, alpha, kernel)[0]
+        c, _ = blowup_constant_fractional(d, alpha)
+    return c / shell_semigroup_peak(d, alpha)[0]
 
 
 @dataclass(frozen=True)
@@ -278,12 +266,10 @@ class CriterionConstants:
 
 
 @lru_cache(maxsize=32)
-def criterion_constants(
-    d: int, alpha: float = 2.0, kernel: RadialKernel | None = None, cross_check: bool = False
-) -> CriterionConstants:
+def criterion_constants(d: int, alpha: float = 2.0) -> CriterionConstants:
     """All criterion constants for (d, alpha) in one immutable record.
 
-    Memoized per (d, alpha, kernel, cross_check), like ``radial_kernel``.
+    Memoized per (d, alpha), like ``radial_kernel``.
     """
     d = check_dimension(d)
     alpha = check_alpha(alpha)
@@ -295,17 +281,10 @@ def criterion_constants(
     else:
         if 2.0 * alpha >= d:
             raise ValidationError("fractional criteria require 2*alpha < d")
-        if kernel is None:
-            kernel = radial_kernel(d, alpha)
-        c, residuals["C_abserr"] = blowup_constant_fractional(d, alpha, kernel, with_error=True)
+        c, residuals["C_abserr"] = blowup_constant_fractional(d, alpha)
         k = singular_semigroup_value(d, alpha)
         upper = 2.0 * d / (d - 2.0)
-        if cross_check:
-            kq, residuals["K_quadrature_abserr"] = singular_semigroup_quadrature(
-                d, alpha, kernel, with_error=True
-            )
-            residuals["K_quadrature_vs_closed_form"] = kq / k - 1.0
-    l_val, _ = shell_semigroup_peak(d, alpha, kernel)
+    l_val, _ = shell_semigroup_peak(d, alpha)
     return CriterionConstants(
         d=d,
         alpha=alpha,
@@ -360,12 +339,12 @@ class _CurveEvaluator:
     Point masses are split off and added in closed form.
     """
 
-    def __init__(self, mass: MassProfile, alpha: float, kernel: RadialKernel):
+    def __init__(self, mass: MassProfile, alpha: float):
         self.mass = mass
         self.alpha = alpha
         self.d = mass.d
-        self.kernel = kernel
-        self.rho, self.h, self.weight = gradient_nodes(kernel)
+        self.kernel = radial_kernel(mass.d, alpha)
+        self.rho, self.h, self.weight = gradient_nodes(self.kernel)
         self.atoms = mass.atoms
         if alpha < 2.0:
             p = max(mass.tail_exponent, 0.0)
@@ -396,10 +375,17 @@ class _CurveEvaluator:
         return float(self.values(np.array([T]))[0])
 
 
+def check_integrability(mass: MassProfile, alpha: float) -> None:
+    """Gate int u0 (1+|x|)^(-d-alpha) dx < inf, i.e. M(r) = o(r^(d+alpha))."""
+    if mass.tail_exponent >= mass.d + alpha:
+        raise IntegrabilityError(
+            f"datum grows like r^{mass.tail_exponent}, too fast for alpha={alpha}"
+        )
+
+
 def criterion_curve(
     mass: MassProfile,
     alpha: float = 2.0,
-    kernel: RadialKernel | None = None,
     T_range: tuple[float, float] | None = None,
     threshold: float | None = None,
 ) -> CriterionCurve:
@@ -411,14 +397,12 @@ def criterion_curve(
     """
     alpha = check_alpha(alpha)
     check_integrability(mass, alpha)
-    if kernel is None:
-        kernel = radial_kernel(mass.d, alpha)
     if T_range is None:
         t_char = mass.r_char**alpha
         T_range = (10.0 ** _T_DECADES[0] * t_char, 10.0 ** _T_DECADES[1] * t_char)
     n = int(round(_T_PER_DECADE * math.log10(T_range[1] / T_range[0]))) + 1
     T = np.geomspace(T_range[0], T_range[1], max(n, 2))
-    ev = _CurveEvaluator(mass, alpha, kernel)
+    ev = _CurveEvaluator(mass, alpha)
     vals = ev.values(T)
     t_at, sup = refine_max(lambda s: ev.value(math.exp(s)), T, vals, tol=1e-6)
     if not (np.all(np.isfinite(vals)) and math.isfinite(sup)):
@@ -501,12 +485,7 @@ def weighted_density_sup(profile: RadialProfile, alpha: float) -> float:
     )[1]
 
 
-def classify(
-    datum: RadialProfile | MassProfile,
-    d: int,
-    alpha: float = 2.0,
-    kernel: RadialKernel | None = None,
-) -> CriterionReport:
+def classify(datum: RadialProfile | MassProfile, d: int, alpha: float = 2.0) -> CriterionReport:
     """Render the global/blowup/indeterminate verdict for a radial datum.
 
     Blowup branch: the scanned supremum of T*W0(T) exceeds C.  Global branch:
@@ -528,10 +507,8 @@ def classify(
         raise ValidationError("fractional classification requires 2*alpha < d")
 
     warnings_list: list[str] = []
-    if kernel is None and alpha < 2.0:
-        kernel = radial_kernel(d, alpha)
-    constants = criterion_constants(d, alpha, kernel)
-    curve = criterion_curve(mass, alpha, kernel, threshold=constants.C)
+    constants = criterion_constants(d, alpha)
+    curve = criterion_curve(mass, alpha, threshold=constants.C)
     conc = radial_concentration(mass, alpha)
     if not curve.unimodal:
         warnings_list.append(
@@ -556,7 +533,7 @@ def classify(
             t_hi = float(curve.T[-1])
             while t_star is None and t_hi < 1e16 * mass.r_char**alpha:
                 ext = criterion_curve(
-                    mass, alpha, kernel, T_range=(t_hi, t_hi * 1e4), threshold=constants.C
+                    mass, alpha, T_range=(t_hi, t_hi * 1e4), threshold=constants.C
                 )
                 t_star, t_hi = ext.T_star, float(ext.T[-1])
             verdict = Verdict(

@@ -32,15 +32,13 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gammaln
 
 from .errors import IntegrabilityError, NumericsError, ValidationError
-from .radial import MassProfile, check_alpha, check_dimension, sphere_area
+from .radial import check_alpha, check_dimension, sphere_area
 from .subordinator import StableSubordinator
 
 __all__ = [
-    "gauss_kernel",
     "GaussianKernel",
     "SubordinatedKernel",
     "radial_kernel",
@@ -52,7 +50,6 @@ __all__ = [
     "log_quad",
     "tail_moment",
     "gradient_nodes",
-    "semigroup_at_origin",
     "tail_coefficient",
 ]
 
@@ -65,13 +62,6 @@ _TAIL_TERMS = 12
 _WARN_DIMENSION = 60
 #: rho up to which the s-grid resolves the kernel
 _RHO_SUPPORT = 4.0e3
-
-
-def gauss_kernel(d: int, rho) -> np.ndarray | float:
-    """Unit-time Gauss-Weierstrass kernel (4 pi)^(-d/2) exp(-rho^2/4)."""
-    check_dimension(d)
-    rho_arr = np.asarray(rho, dtype=float)
-    return np.exp(-0.5 * d * math.log(4.0 * math.pi) - 0.25 * rho_arr**2)
 
 
 def tail_coefficient(d: int, alpha: float, k: int = 1) -> float:
@@ -616,89 +606,3 @@ def validate_kernel(table: KernelTable) -> KernelValidation:
         )
     )
     return KernelValidation(tuple(checks), all(ok for _, ok, _ in checks))
-
-
-# ---------------------------------------------------------------------------
-# Semigroup evaluation at the origin
-# ---------------------------------------------------------------------------
-
-
-def check_integrability(mass: MassProfile, alpha: float) -> None:
-    """Gate int u0 (1+|x|)^(-d-alpha) dx < inf, i.e. M(r) = o(r^(d+alpha))."""
-    if mass.tail_exponent >= mass.d + alpha:
-        raise IntegrabilityError(
-            f"datum grows like r^{mass.tail_exponent}, too fast for alpha={alpha}"
-        )
-
-
-def semigroup_at_origin(
-    mass: MassProfile, t: float, alpha: float, kernel: RadialKernel | None = None
-) -> float:
-    """(e^{-t(-Lap)^{alpha/2}} u0)(0) in the measure-friendly form.
-
-    Integrating the radial kernel against dM gives
-    t^{-(d+1)/alpha} int_0^inf M(r) |R'(r t^{-1/alpha})| dr, which handles
-    shell atoms and singular densities uniformly.
-    """
-    if t <= 0:
-        raise ValidationError("time must be positive")
-    alpha = check_alpha(alpha)
-    d = mass.d
-    check_integrability(mass, alpha)
-    if mass.total_mass == 0.0:
-        return 0.0
-    if kernel is None:
-        kernel = radial_kernel(d, alpha)
-
-    if mass.atoms and sum(m for _, m in mass.atoms) >= mass.total_mass:
-        # pure point-mass datum: integrating |R'| from the atom is R itself
-        log_t = math.log(t)
-        return float(
-            sum(
-                m * math.exp(-d / alpha * log_t + kernel.log_R(r0 * t ** (-1.0 / alpha)))
-                for r0, m in mass.atoms
-            )
-        )
-
-    if alpha == 2.0:
-        # rho = r/(2 sqrt(t)):  W = (4 pi t)^(-d/2) * 2 * int M(2 sqrt(t) rho) rho e^(-rho^2) drho
-        root = 2.0 * math.sqrt(t)
-        upper = math.sqrt(3.0 * d) + 30.0
-        pts = sorted(b / root for b in mass.breakpoints if 0.0 < b / root < upper)
-
-        def integrand(rho: float) -> float:
-            return float(mass(root * rho)) * rho * math.exp(-rho * rho)
-
-        val, _ = quad(integrand, 0.0, upper, points=pts or None, limit=400, epsabs=0.0, epsrel=1e-11)
-        log_pref = -0.5 * d * math.log(4.0 * math.pi * t) + math.log(2.0)
-        return math.exp(log_pref + math.log(val)) if val > 0 else 0.0
-
-    # W = t^(-d/alpha) int M(t^(1/alpha) rho) |R'(rho)| drho
-    scale = t ** (1.0 / alpha)
-    pts = sorted(b / scale for b in mass.breakpoints if 0.0 < b / scale < RHO_CUT)
-
-    def integrand(rho: float) -> float:
-        return float(mass(scale * rho)) * math.exp(kernel.log_abs_Rp(rho))
-
-    val, _ = quad(integrand, 0.0, RHO_CUT, points=pts or None, limit=400, epsabs=0.0, epsrel=1e-10)
-    # analytic remainder: M ~ tail_coefficient * r^p and |R'| ~ (d+alpha) c1 rho^(-d-1-alpha)
-    p = mass.tail_exponent
-    c1 = tail_coefficient(d, alpha, 1)
-    tail = (
-        mass.tail_coefficient
-        * scale**p
-        * (d + alpha)
-        * c1
-        * RHO_CUT ** (p - d - alpha)
-        / (d + alpha - p)
-    )
-    val += tail
-    return math.exp(-d / alpha * math.log(t) + math.log(val)) if val > 0 else 0.0
-
-
-def kernel_value(kernel: RadialKernel, t: float, r) -> np.ndarray | float:
-    """Full space-time kernel P_t(r) = t^(-d/alpha) R(r t^(-1/alpha))."""
-    if t <= 0:
-        raise ValidationError("time must be positive")
-    scale = t ** (1.0 / kernel.alpha)
-    return np.exp(-kernel.d / kernel.alpha * math.log(t) + kernel.log_R(np.asarray(r) / scale))

@@ -8,13 +8,9 @@ distribution function
 
 which is the object the mass equation evolves and the only representation in
 which shell atoms (mass N concentrated on a sphere) make sense.  The key
-scalar functionals are the d/alpha-radial concentration
+scalar functional is the d/alpha-radial concentration
 
-    sup_{R>0} R^(alpha-d) M(R),
-
-its all-centers Morrey relaxation (estimated by sampling centers on a ray),
-and the radial potential-gradient identity grad v(x).x = -r^(2-d) M(r)/sigma_d
-for the Poisson coupling.
+    sup_{R>0} R^(alpha-d) M(R).
 """
 
 from __future__ import annotations
@@ -25,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import betainc, gammainc, gammaln
+from scipy.special import gammainc, gammaln
 
 from .errors import DivergenceError, MeasureDataError, ValidationError
 
@@ -45,8 +41,6 @@ __all__ = [
     "mass_profile",
     "radial_concentration",
     "refine_max",
-    "morrey_estimate",
-    "potential_gradient",
     "scale_profile",
     "parse_profile",
 ]
@@ -472,13 +466,6 @@ def mass_profile(profile: RadialProfile) -> MassProfile:
     raise ValidationError(f"unknown profile kind {type(profile).__name__}")
 
 
-def potential_gradient(mass: MassProfile, r: float) -> float:
-    """grad v(x).x for the Poisson potential of the datum: -r^(2-d) M(r)/sigma_d."""
-    if r <= 0:
-        raise ValidationError("radius must be positive")
-    return -float(mass(r)) * r ** (2 - mass.d) / sphere_area(mass.d)
-
-
 # ---------------------------------------------------------------------------
 # Concentrations
 # ---------------------------------------------------------------------------
@@ -580,85 +567,6 @@ def radial_concentration(mass: MassProfile, alpha: float) -> ConcentrationValue:
     r_best, v_best = refine_max(lambda s: float(scaled(np.float64(math.exp(s)))), radii, scaled(radii))
     best = max((v_best, r_best), (lim0, 0.0), (liminf, math.inf))
     return ConcentrationValue(float(best[0]), float(best[1]))
-
-
-def _cap_fraction(s: np.ndarray, a: float, R: float, d: int) -> np.ndarray:
-    """Fraction of the sphere {|y| = s} lying inside the ball {|y - x| <= R}, |x| = a."""
-    s = np.asarray(s, dtype=float)
-    if a == 0.0:
-        return (s <= R).astype(float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cstar = (s**2 + a**2 - R**2) / (2.0 * a * np.maximum(s, 1e-300))
-    out = np.empty_like(s)
-    out[cstar >= 1.0] = 0.0
-    out[cstar <= -1.0] = 1.0
-    mid = (cstar > -1.0) & (cstar < 1.0)
-    if np.any(mid):
-        c = cstar[mid]
-        z = 1.0 - c**2
-        half = 0.5 * betainc(0.5 * (d - 1), 0.5, z)
-        out[mid] = np.where(c >= 0.0, half, 1.0 - half)
-    out[s == 0.0] = 1.0 if a <= R else 0.0
-    return out
-
-
-def morrey_estimate(profile: RadialProfile, alpha: float, center_samples: int = 16) -> float:
-    """Lower estimate of the full (all centers) Morrey norm.
-
-    Samples ball centers on a ray through the origin (radial symmetry makes
-    the ray direction irrelevant) and radii on a geometric grid, and returns
-    the largest R^(alpha-d) * mass(ball).  The origin is always among the
-    centers, with the centered concentration's refined maximizer in the radius
-    grid, so the result is >= radial_concentration.  This is an estimate only:
-    it can only under-shoot the true sup over all centers.
-    """
-    alpha = check_alpha(alpha)
-    if center_samples < 1:
-        raise ValidationError("center_samples must be >= 1")
-    d = profile.d
-    sig = sphere_area(d)
-    mass = mass_profile(profile)
-    conc = radial_concentration(mass, alpha)
-
-    rc = mass.r_char
-    radii = np.geomspace(rc * 1e-3, rc * 1e3, 73)
-    extra = [b for b in mass.breakpoints if b > 0]
-    if math.isfinite(conc.attained_radius) and conc.attained_radius > 0:
-        extra.append(conc.attained_radius)
-    radii = np.unique(np.concatenate([radii, extra])) if extra else radii
-    centers = np.concatenate([[0.0], np.geomspace(rc * 1e-2, rc * 1e2, center_samples)])
-
-    if isinstance(profile, ShellAtom):
-        r0, m = profile.radius, profile.mass
-
-        def ball_mass(a: float, R: float) -> float:
-            return m * float(_cap_fraction(np.array([r0]), a, R, d)[0])
-
-    else:
-        # one shared integration grid; the weight sig*u*s^(d-1) is reused
-        s_lo = min(rc * 1e-4, min(extra) * 1e-2 if extra else rc * 1e-4)
-        s_grid = np.geomspace(max(s_lo, 1e-12), rc * 1e4, 1500)
-        u_vals = density(profile, s_grid)
-        u_vals = np.where(np.isfinite(u_vals), u_vals, 0.0)
-        weight = sig * u_vals * s_grid ** (d - 1)
-
-        def ball_mass(a: float, R: float) -> float:
-            frac = _cap_fraction(s_grid, a, R, d)
-            # mass below the integration grid counts only when the ball
-            # swallows the whole core; neglecting partial overlap keeps the
-            # lower-estimate semantics
-            inner = float(mass(s_grid[0])) if R - a >= s_grid[0] else 0.0
-            return float(np.trapezoid(weight * frac, s_grid)) + inner
-
-    best = conc.value if math.isfinite(conc.value) else math.inf
-    if math.isinf(best):
-        return math.inf
-    for a in centers[1:]:
-        for R in radii:
-            v = R ** (alpha - d) * ball_mass(float(a), float(R))
-            if v > best:
-                best = v
-    return float(best)
 
 
 # ---------------------------------------------------------------------------

@@ -112,7 +112,7 @@ class SolverControls:
     density_cap: float | None = None
     #: None = 1e-12 * t_end
     dt_floor: float | None = None
-    stride: int = 20
+    stride: int = 1
     #: target horizon for moment tracking (enables the W column)
     moment_target: float | None = None
     snapshot_times: tuple[float, ...] = ()
@@ -254,12 +254,9 @@ def run(
     datum: RadialProfile | MassProfile,
     grid: SolverGrid,
     controls: SolverControls,
-    d: int | None = None,
 ) -> SimResult:
     """Integrate the mass equation from the datum until t_end or blowup."""
     mass = datum if isinstance(datum, MassProfile) else mass_profile(datum)
-    if d is not None and d != mass.d:
-        raise ValidationError(f"datum dimension {mass.d} != requested {d}")
     d = mass.d
 
     warnings_list: list[str] = []
@@ -400,13 +397,12 @@ def comparison_check(
     datum_high: RadialProfile | MassProfile,
     grid: SolverGrid,
     controls: SolverControls,
-    n_checkpoints: int = 20,
 ) -> ComparisonReport:
     """Co-integrate an ordered pair and verify M_low <= M_high stays true.
 
-    Orderedness is checked at shared checkpoint times on the shared grid with
-    tolerance 1e-6 * max M; if either run blows up, only checkpoints before
-    the first blowup are compared.
+    Orderedness is checked at 20 evenly spaced checkpoint times on the shared
+    grid with tolerance 1e-6 * max M; if either run blows up, only checkpoints
+    before the first blowup are compared.
     """
     mass_low = datum_low if isinstance(datum_low, MassProfile) else mass_profile(datum_low)
     mass_high = datum_high if isinstance(datum_high, MassProfile) else mass_profile(datum_high)
@@ -415,7 +411,7 @@ def comparison_check(
     if np.any(m0_low > m0_high + 1e-12 * max(float(np.max(m0_high)), 1.0)):
         raise ValidationError("data are not ordered at t = 0")
 
-    times = tuple(np.linspace(0.0, controls.t_end, n_checkpoints + 1)[1:])
+    times = tuple(np.linspace(0.0, controls.t_end, 21)[1:])
     ctl = replace(controls, snapshot_times=times)
     res_low = run(mass_low, grid, ctl)
     res_high = run(mass_high, grid, ctl)

@@ -32,7 +32,7 @@ from scipy.special import gammaln, logsumexp
 
 from .errors import ValidationError
 
-__all__ = ["StableSubordinator", "stable_density"]
+__all__ = ["StableSubordinator"]
 
 _SERIES_SWITCH = 2.0  # lam above which the power series converges fast
 _LEFT_SWITCH = 500.0  # a0*s above which the saddle-point tail takes over
@@ -181,7 +181,3 @@ class StableSubordinator:
             raise ValidationError("neg_moment takes p >= 0")
         return math.exp(gammaln(1.0 + p / self.beta) - gammaln(1.0 + p))
 
-
-def stable_density(beta: float, lam) -> np.ndarray | float:
-    """Density at ``lam`` of the one-sided stable law with transform e^(-a^beta)."""
-    return StableSubordinator(beta).pdf(lam)

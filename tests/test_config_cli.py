@@ -191,6 +191,27 @@ class TestCli:
         assert summary["n_lu"] >= summary["n_jac"] >= 1
         assert (out / "trajectory.svg").exists()
 
+    def test_readme_simulate_writes_every_step(self, tmp_path):
+        # the default stride records the initial state and every accepted step
+        out = tmp_path / "sim"
+        code = run_cli(
+            [
+                "simulate",
+                "--profile", "exact_datum(T=1.0)",
+                "--d", "3",
+                "--t-end", "1.2",
+                "--r-max", "40",
+                "--n", "4000",
+                "--t-target", "1.0",
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        rows = (out / "trajectory.csv").read_text().strip().splitlines()[1:]
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["n_steps"] > 100
+        assert len(rows) == summary["n_steps"] + 1
+
     def test_simulate_rejects_fractional(self, capsys, tmp_path):
         code = run_cli(
             [

@@ -57,7 +57,7 @@ class TestBlowupConstant:
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_fractional_continuity_at_alpha_two(self):
-        assert blowup_constant_fractional(5, 1.95) == pytest.approx(
+        assert blowup_constant_fractional(5, 1.95)[0] == pytest.approx(
             blowup_constant(5), rel=0.15
         )
 
@@ -70,7 +70,7 @@ class TestSingularSemigroupValue:
     def test_two_routes_agree(self):
         for d, alpha in ((3, 1.0), (5, 1.5), (6, 0.5)):
             closed = singular_semigroup_value(d, alpha)
-            quadrature = singular_semigroup_quadrature(d, alpha)
+            quadrature, _ = singular_semigroup_quadrature(d, alpha)
             assert quadrature == pytest.approx(closed, rel=1e-6)
 
     def test_d3_alpha1_closed_form(self):
@@ -161,13 +161,14 @@ class TestConstantsRecord:
 
     @pytest.mark.parametrize("d,alpha", [(4, 0.0997), (5, 0.05)])
     def test_small_alpha_K_quadrature_matches_closed_form(self, d, alpha):
-        cc = criterion_constants(d, alpha, cross_check=True)
-        assert abs(cc.residuals["K_quadrature_vs_closed_form"]) <= 1e-10
+        k, _ = singular_semigroup_quadrature(d, alpha)
+        assert abs(k / singular_semigroup_value(d, alpha) - 1.0) <= 1e-10
 
     def test_records_quadrature_errors_read_only(self):
-        cc = criterion_constants(5, 1.5, cross_check=True)
+        cc = criterion_constants(5, 1.5)
         assert 0.0 < cc.residuals["C_abserr"] <= 1e-10 * cc.C
-        assert cc.residuals["K_quadrature_abserr"] <= 1e-10 * cc.K
+        _, k_err = singular_semigroup_quadrature(5, 1.5)
+        assert k_err <= 1e-10 * cc.K
         with pytest.raises(TypeError):
             cc.residuals["C_abserr"] = 0.0
 
@@ -188,6 +189,13 @@ class TestConstantsRecord:
         second = classify(datum, 5, 1.5)
         assert len(calls) == 1
         assert second.constants is first.constants
+
+        # a direct call and classify share one cache entry per (d, alpha)
+        calls.clear()
+        criterion_constants.cache_clear()
+        direct = criterion_constants(5, 1.5)
+        assert classify(datum, 5, 1.5).constants is direct
+        assert len(calls) == 1
 
 
 class TestCriterionCurve:
@@ -244,11 +252,30 @@ class TestCriterionCurve:
         m = mass_profile(ExplicitBlowupDatum(3, T))
         cur = criterion_curve(m, 2.0, threshold=blowup_constant(3))
         from kscrit.criteria import _CurveEvaluator
-        from kscrit.kernels import radial_kernel
 
-        ev = _CurveEvaluator(m, 2.0, radial_kernel(3, 2.0))
+        ev = _CurveEvaluator(m, 2.0)
         assert ev.value(T) == pytest.approx(blowup_constant(3), rel=1e-5)
         assert cur.T_star == pytest.approx(T, rel=0.08)  # first grid node past T
+
+    @pytest.mark.parametrize(
+        "profile,alpha",
+        [
+            (Gaussian(3, 5.0, 1.0), 2.0),
+            (Gaussian(5, 5.0, 1.3), 1.5),
+            (ShellAtom(3, 1.0, 2.0), 1.5),
+            (ExplicitBlowupDatum(3, 1.0), 2.0),
+            (Chandrasekhar(5, 1.0, 1.0), 1.0),
+        ],
+        ids=["gauss-d3", "gauss-d5", "shell-d3", "exact-d3", "chandrasekhar-d5"],
+    )
+    def test_matches_quadrature_oracle(self, profile, alpha):
+        # adaptive quad per T, independent of the curve's fixed trapezoid nodes
+        from semigroup_oracle import semigroup_at_origin
+
+        m = mass_profile(profile)
+        cur = criterion_curve(m, alpha, T_range=(1e-2, 1e2))
+        for t, value in zip(cur.T[::4], cur.values[::4]):
+            assert value == pytest.approx(t * semigroup_at_origin(m, t, alpha), rel=1e-10)
 
     def test_monotone_in_datum(self):
         m1 = mass_profile(ShellAtom(3, 75.0, 1.0))

@@ -3,14 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from kscrit.criteria import criterion_curve
 from kscrit.errors import IntegrabilityError, ValidationError
 from kscrit.kernels import (
     GaussianKernel,
     build_kernel_table,
-    gauss_kernel,
-    kernel_value,
     radial_kernel,
-    semigroup_at_origin,
     tail_coefficient,
     validate_kernel,
 )
@@ -28,14 +26,16 @@ FRACTIONAL_CASES = [(3, 0.5), (3, 1.0), (3, 1.5), (5, 0.5), (5, 1.0), (5, 1.5)]
 
 class TestGaussKernel:
     def test_point_values(self):
-        assert gauss_kernel(3, 0.0) == pytest.approx((4 * math.pi) ** -1.5, rel=1e-14)
-        assert gauss_kernel(3, 2.0) == pytest.approx((4 * math.pi) ** -1.5 * math.exp(-1), rel=1e-14)
+        k = GaussianKernel(3)
+        assert k.R(0.0) == pytest.approx((4 * math.pi) ** -1.5, rel=1e-14)
+        assert k.R(2.0) == pytest.approx((4 * math.pi) ** -1.5 * math.exp(-1), rel=1e-14)
 
     def test_normalization_any_d(self):
         from scipy.integrate import quad
 
         for d in (2, 3, 6):
-            val, _ = quad(lambda r: gauss_kernel(d, r) * r ** (d - 1), 0, 40)
+            k = GaussianKernel(d)
+            val, _ = quad(lambda r: k.R(r) * r ** (d - 1), 0, 40)
             assert sphere_area(d) * val == pytest.approx(1.0, abs=1e-10)
 
 
@@ -44,7 +44,8 @@ class TestSubordinatedKernel:
         k = radial_kernel(3, 2.0)
         assert isinstance(k, GaussianKernel)
         rho = np.linspace(0, 10, 50)
-        np.testing.assert_allclose(k.R(rho), gauss_kernel(3, rho), rtol=1e-12)
+        gauss = (4 * math.pi) ** -1.5 * np.exp(-(rho**2) / 4)
+        np.testing.assert_allclose(k.R(rho), gauss, rtol=1e-12)
 
     def test_poisson_kernel_pin(self):
         k = radial_kernel(3, 1.0)
@@ -76,15 +77,6 @@ class TestSubordinatedKernel:
         h = 1e-3
         fd = (k.R(rho + h) - 2 * k.R(rho) + k.R(rho - h)) / h**2
         np.testing.assert_allclose(k.Rpp(rho), fd, rtol=1e-4)
-
-    def test_self_similarity_ratio(self):
-        # P_t(r) = t^(-d/alpha) R(r t^(-1/alpha)): scaling (t, r) -> (lam^alpha t, lam r)
-        # multiplies the value by lam^-d
-        k = radial_kernel(3, 1.5)
-        for lam in (0.3, 2.0, 11.0):
-            v1 = kernel_value(k, 1.7, 0.9)
-            v2 = kernel_value(k, lam**1.5 * 1.7, lam * 0.9)
-            assert v2 == pytest.approx(v1 * lam**-3.0, rel=1e-12)
 
     def test_rejects_alpha_two(self):
         from kscrit.kernels import SubordinatedKernel
@@ -125,52 +117,51 @@ class TestKernelTable:
 
 
 class TestSemigroupAtOrigin:
+    """Closed forms of T * W0(T), W0(T) the semigroup at the origin, through ``criterion_curve``."""
+
     def test_singular_datum_identity_alpha2(self):
         for d in (3, 5, 10):
-            mass = mass_profile(Chandrasekhar(d, 1.0))
-            for t in (1e-3, 1.0, 1e3):
-                assert t * semigroup_at_origin(mass, t, 2.0) == pytest.approx(1.0, abs=1e-8)
+            cur = criterion_curve(mass_profile(Chandrasekhar(d, 1.0)), 2.0, T_range=(1e-3, 1e3))
+            np.testing.assert_allclose(cur.values, 1.0, rtol=0, atol=1e-8)
 
     def test_plain_inverse_square_datum(self):
         # t e^{tL}(|x|^-2)(0) = 1/(2(d-2)): the u_C identity divided by its coefficient
         d = 5
         mass = mass_profile(Chandrasekhar(d, 1.0 / (2 * (d - 2))))
-        assert 1.0 * semigroup_at_origin(mass, 1.0, 2.0) == pytest.approx(
-            1.0 / (2 * (d - 2)), rel=1e-10
-        )
+        cur = criterion_curve(mass, 2.0, T_range=(1e-2, 1e2))
+        np.testing.assert_allclose(cur.values, 1.0 / (2 * (d - 2)), rtol=1e-10)
 
     def test_shell_closed_form_alpha2(self):
         d = 3
-        mass = mass_profile(ShellAtom(d, 1.0, 1.0))
-        for t in (0.1, 0.5, 2.0):
-            expected = (4 * math.pi * t) ** (-d / 2) * math.exp(-1.0 / (4 * t))
-            assert semigroup_at_origin(mass, t, 2.0) == pytest.approx(expected, rel=1e-10)
+        cur = criterion_curve(mass_profile(ShellAtom(d, 1.0, 1.0)), 2.0, T_range=(0.1, 2.0))
+        t = cur.T
+        expected = t * (4 * math.pi * t) ** (-d / 2) * np.exp(-1.0 / (4 * t))
+        np.testing.assert_allclose(cur.values, expected, rtol=1e-10)
 
     def test_shell_fractional_equals_kernel_value(self):
-        # for a unit shell, W(t) = P_t(R0) exactly
+        # for a shell of unit mass at radius r0, W(t) = P_t(r0) = t^(-d/alpha) R(r0 t^(-1/alpha))
         d, alpha = 3, 1.5
         k = radial_kernel(d, alpha)
-        mass = mass_profile(ShellAtom(d, 1.0, 2.0))
-        for t in (0.2, 1.0, 5.0):
-            assert semigroup_at_origin(mass, t, alpha) == pytest.approx(
-                float(kernel_value(k, t, 2.0)), rel=1e-8
-            )
+        cur = criterion_curve(mass_profile(ShellAtom(d, 1.0, 2.0)), alpha, T_range=(0.2, 5.0))
+        t = cur.T
+        expected = t ** (1 - d / alpha) * k.R(2.0 * t ** (-1 / alpha))
+        np.testing.assert_allclose(cur.values, expected, rtol=1e-8)
 
     def test_fractional_singular_datum_invariance(self):
         d, alpha = 5, 1.0
         mass = mass_profile(Chandrasekhar(d, 1.0, alpha))
-        vals = [t * semigroup_at_origin(mass, t, alpha) for t in (0.01, 1.0, 100.0)]
-        assert vals[0] == pytest.approx(vals[1], rel=1e-9)
-        assert vals[2] == pytest.approx(vals[1], rel=1e-9)
+        cur = criterion_curve(mass, alpha, T_range=(0.01, 100.0))
+        np.testing.assert_allclose(cur.values, cur.values[0], rtol=1e-9)
 
     def test_zero_datum(self):
-        assert semigroup_at_origin(mass_profile(Gaussian(3, 0.0)), 1.0, 2.0) == 0.0
+        for alpha in (2.0, 1.5):
+            assert np.all(criterion_curve(mass_profile(Gaussian(3, 0.0)), alpha).values == 0.0)
 
     def test_monotone_in_datum(self):
         m1 = mass_profile(ShellAtom(3, 5.0, 1.0))
         m2 = mass_profile(ShellAtom(3, 9.0, 1.0))
         for alpha in (2.0, 1.5):
-            assert semigroup_at_origin(m1, 0.7, alpha) <= semigroup_at_origin(m2, 0.7, alpha)
+            assert np.all(criterion_curve(m1, alpha).values <= criterion_curve(m2, alpha).values)
 
     def test_integrability_gate(self):
         d = 3
@@ -185,7 +176,7 @@ class TestSemigroupAtOrigin:
             head_coefficient=1.0,
         )
         with pytest.raises(IntegrabilityError):
-            semigroup_at_origin(too_fat, 1.0, 1.5)
+            criterion_curve(too_fat, 1.5)
 
 
 def test_dimension_warning_above_sixty():

@@ -134,8 +134,8 @@ class TestFusedReduction:
 @pytest.mark.parametrize("d,alpha", PAIRS)
 def test_matches_quad_reference(d, alpha):
     c_ref, l_ref, norm_r_ref, norm_rp_ref = QUAD_REFERENCE[(d, alpha)]
-    c, c_err = blowup_constant_fractional(d, alpha, with_error=True)
-    k, k_err = singular_semigroup_quadrature(d, alpha, with_error=True)
+    c, c_err = blowup_constant_fractional(d, alpha)
+    k, k_err = singular_semigroup_quadrature(d, alpha)
     assert c == pytest.approx(c_ref, rel=1e-9)
     assert k == pytest.approx(singular_semigroup_value(d, alpha), rel=1e-9)
     assert shell_semigroup_peak(d, alpha)[0] == pytest.approx(l_ref, rel=1e-9)

@@ -13,12 +13,9 @@ from kscrit.radial import (
     ShellAtom,
     Tabulated,
     TruncatedChandrasekhar,
-    _cap_fraction,
     density,
     mass_profile,
-    morrey_estimate,
     parse_profile,
-    potential_gradient,
     radial_concentration,
     scale_profile,
     singular_coefficient,
@@ -160,26 +157,6 @@ class TestMassProfile:
             Chandrasekhar(3, 1.0, gamma=1.9)  # 2*gamma >= d
 
 
-class TestPotentialGradient:
-    def test_chandrasekhar_cancellation(self):
-        m = mass_profile(Chandrasekhar(3, 1.0))
-        for r in (0.2, 1.0, 30.0):
-            assert potential_gradient(m, r) == pytest.approx(-2.0, rel=1e-13)
-
-    def test_shell_inside_and_outside(self):
-        m = mass_profile(ShellAtom(3, 5.0, 1.0))
-        assert potential_gradient(m, 0.5) == 0.0
-        assert potential_gradient(m, 2.0) == pytest.approx(-5.0 / (2.0 * SIG3), rel=1e-13)
-
-    def test_nonpositive_and_monotone_in_datum(self):
-        m1 = mass_profile(ShellAtom(3, 5.0, 1.0))
-        m2 = mass_profile(ShellAtom(3, 9.0, 1.0))
-        for r in np.geomspace(0.1, 10, 17):
-            g1, g2 = potential_gradient(m1, r), potential_gradient(m2, r)
-            assert g1 <= 0.0
-            assert g2 <= g1
-
-
 class TestRadialConcentration:
     def test_chandrasekhar_constant_in_radius(self):
         m = mass_profile(Chandrasekhar(3, 1.0))
@@ -242,32 +219,6 @@ class TestScalingInvariance:
         c1 = radial_concentration(mass_profile(prof), 1.5)
         c2 = radial_concentration(mass_profile(scale_profile(prof, 37.0, 1.5)), 1.5)
         assert c2.value == pytest.approx(c1.value, rel=1e-12)
-
-
-class TestMorreyEstimate:
-    def test_cap_fraction_d3_closed_form(self):
-        # d=3 cap fraction is (1-c*)/2
-        s = np.array([0.5, 1.0, 1.5])
-        a, R = 1.0, 0.8
-        got = _cap_fraction(s, a, R, 3)
-        cstar = np.clip((s**2 + a**2 - R**2) / (2 * a * s), -1, 1)
-        np.testing.assert_allclose(got, (1 - cstar) / 2, rtol=1e-12)
-
-    def test_lower_bound_on_centered_value(self):
-        for prof in (Chandrasekhar(3, 1.0), ShellAtom(3, 6.0, 1.0), Gaussian(3, 9.0, 1.0)):
-            conc = radial_concentration(mass_profile(prof), 2.0)
-            est = morrey_estimate(prof, 2.0, center_samples=6)
-            assert est >= conc.value * (1 - 1e-12)
-
-    def test_shell_center_zero_radius_one(self):
-        est = morrey_estimate(ShellAtom(3, 6.0, 1.0), 2.0, center_samples=4)
-        assert est >= 6.0 * (1 - 1e-12)
-
-    def test_monotone_in_center_samples(self):
-        prof = Gaussian(3, 25.13, 1.0)
-        vals = [morrey_estimate(prof, 2.0, center_samples=k) for k in (1, 4, 16)]
-        assert vals[0] <= vals[1] * (1 + 1e-12)
-        assert vals[1] <= vals[2] * (1 + 1e-12)
 
 
 class TestProfileGrammar:

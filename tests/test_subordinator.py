@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from kscrit.errors import ValidationError
-from kscrit.subordinator import StableSubordinator, stable_density
+from kscrit.subordinator import StableSubordinator
 
 BETAS = (0.25, 0.5, 0.75, 0.9)
 
@@ -13,7 +13,7 @@ BETAS = (0.25, 0.5, 0.75, 0.9)
 def test_explicit_levy_value():
     # beta = 1/2, lam = 1/4: (2 sqrt(pi))^-1 * 8 * e^-1
     expected = 8.0 * math.exp(-1.0) / (2.0 * math.sqrt(math.pi))
-    assert stable_density(0.5, 0.25) == pytest.approx(expected, rel=1e-14)
+    assert StableSubordinator(0.5).pdf(0.25) == pytest.approx(expected, rel=1e-14)
 
 
 @pytest.mark.parametrize("beta", BETAS)
