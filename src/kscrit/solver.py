@@ -9,8 +9,10 @@ whose linear part is discretized in divergence form
 r^{d-1} d/dr (r^{1-d} dM/dr) (an M-matrix on any grid, so the scheme is
 monotone wherever advection is resolved) and whose nonlinear term uses a
 second-order centered gradient.  The stiff system is stepped one step at a
-time by scipy's BDF on the analytic tridiagonal Jacobian; a step that breaks
-nonnegativity or radial monotonicity of M restarts it at half the step.
+time by scipy's BDF on the analytic tridiagonal Jacobian, with its Newton
+matrices I - c J factored by LAPACK's tridiagonal LU (gttrf/gttrs) in place of
+BDF's SuperLU; a step that breaks nonnegativity or radial monotonicity of M
+restarts it at half the step.
 Blowup is witnessed discretely: either the origin density M(r_1) d/(sigma_d
 r_1^d) crosses a cap, or the step collapses to the floor (or BDF fails) while
 that density has grown far past its initial scale.  Both thresholds are
@@ -26,6 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import sparse
 from scipy.integrate import BDF
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import NumericsError, ResolutionError, ValidationError
 from .radial import MassProfile, RadialProfile, TruncatedChandrasekhar, check_dimension, mass_profile, sphere_area
@@ -186,44 +189,45 @@ class _Discretization:
         else:
             vol = (edge[:-1] ** (2 - d) - edge[1:] ** (2 - d)) / (d - 2)
         self.inv_vol = 1.0 / vol
-        self.rpow = r ** (d - 1)
+        self.half_rpow = 0.5 * r ** (d - 1)
         self.h = h
+        self._flux = np.zeros(r.size + 1)
         self.adv_coef = self._calibrated_advection()
         # constant bands (sub, main, super) of d div / dM and d grad / dM (one-sided last row)
-        c, c_out, half_rpow = self.c_flux, np.concatenate([self.c_flux[1:], [0.0]]), 0.5 * self.rpow
+        c, c_out, half_rpow = self.c_flux, np.concatenate([self.c_flux[1:], [0.0]]), self.half_rpow
         self.div_bands = (self.inv_vol * c, -self.inv_vol * (c + c_out), self.inv_vol * c_out)
         self.grad_bands = (-half_rpow * c, half_rpow * (c - c_out), half_rpow * c_out)
         self.grad_bands[0][-1], self.grad_bands[1][-1] = -1.0 / h[-1], 1.0 / h[-1]
 
-    def _fluxes(self, M: np.ndarray) -> np.ndarray:
-        # interface values of r^(1-d) M_r, index i between nodes i-1 and i
-        return self.c_flux * np.diff(M, prepend=0.0)
-
-    def _gradient(self, M: np.ndarray, flux: np.ndarray) -> np.ndarray:
-        flux_out = np.concatenate([flux[1:], [0.0]])
+    def _div_grad(self, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Divergence term and node gradient from one pass over the interface fluxes."""
+        # flux[i] = r^(1-d) M_r at the interface between nodes i-1 and i; flux[n] = 0
+        flux = self._flux
+        flux[0] = M[0]
+        np.subtract(M[1:], M[:-1], out=flux[1:-1])
+        flux[:-1] *= self.c_flux
+        div = (flux[1:] - flux[:-1]) * self.inv_vol
         # interface-flux average: exact on A + B r^d, the leading behavior
         # of any smooth mass profile at the axis
-        grad = 0.5 * self.rpow * (flux + flux_out)
+        grad = self.half_rpow * (flux[:-1] + flux[1:])
         grad[-1] = (M[-1] - M[-2]) / self.h[-1]
-        return grad
+        return div, grad
 
     def _calibrated_advection(self) -> np.ndarray:
         base = self.r ** (1 - self.d) / self.sigma
         if self.d < 3:
             return base
         m_c = 2.0 * self.sigma * self.r ** (self.d - 2)
-        flux = self._fluxes(m_c)
-        lin = (np.concatenate([flux[1:], [0.0]]) - flux) * self.inv_vol
-        prod = m_c * self._gradient(m_c, flux)
+        lin, grad = self._div_grad(m_c)
+        prod = m_c * grad
         with np.errstate(divide="ignore", invalid="ignore"):
             kappa = np.where(prod > 0.0, -lin / np.maximum(prod, 1e-300), base)
         bad = ~np.isfinite(kappa) | (kappa <= 0.0)
         return np.where(bad, base, kappa)
 
     def rhs(self, M: np.ndarray) -> np.ndarray:
-        flux = self._fluxes(M)
-        div = (np.concatenate([flux[1:], [0.0]]) - flux) * self.inv_vol
-        out = div + self.adv_coef * M * self._gradient(M, flux)
+        div, grad = self._div_grad(M)
+        out = div + self.adv_coef * M * grad
         if self.pinned:
             out[-1] = 0.0
         return out
@@ -232,13 +236,26 @@ class _Discretization:
         """d rhs / dM: div + diag(a grad) + diag(a M) d grad, tridiagonal."""
         am = self.adv_coef * M
         lower, main, upper = (dv + am * dg for dv, dg in zip(self.div_bands, self.grad_bands))
-        main += self.adv_coef * self._gradient(M, self._fluxes(M))
+        main += self.adv_coef * self._div_grad(M)[1]
         if self.pinned:
             lower[-1] = main[-1] = 0.0
         return sparse.diags([lower[1:], main, upper[:-1]], [-1, 0, 1], format="csc")
 
     def origin_density(self, M: np.ndarray) -> float:
         return float(M[0]) * self.d / (self.sigma * self.r[0] ** self.d)
+
+
+def _factor_tridiagonal(A: sparse.spmatrix) -> tuple:
+    """LAPACK gttrf LU of a tridiagonal matrix, in the form ``_solve_tridiagonal`` takes."""
+    *lu, info = dgttrf(A.diagonal(-1), A.diagonal(0), A.diagonal(1),
+                       overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+    if info > 0:
+        raise NumericsError(f"BDF Newton matrix is singular (zero pivot in row {info})")
+    return tuple(lu)
+
+
+def _solve_tridiagonal(lu: tuple, b: np.ndarray) -> np.ndarray:
+    return dgttrs(*lu, b)[0]
 
 
 def gaussian_moment(r: np.ndarray, M: np.ndarray, d: int, t: float, target: float) -> float:
@@ -304,8 +321,16 @@ def run(
     counts = np.zeros(3, dtype=int)  # rhs evaluations, Jacobians, LU factorizations
 
     def start(t0: float, y0: np.ndarray, first_step: float | None = None) -> BDF:
-        return BDF(lambda _t, y: disc.rhs(y), t0, y0, controls.t_end, rtol=_RTOL, atol=atol,
-                   jac=lambda _t, y: disc.jacobian(y), first_step=first_step)
+        solver = BDF(lambda _t, y: disc.rhs(y), t0, y0, controls.t_end, rtol=_RTOL, atol=atol,
+                     jac=lambda _t, y: disc.jacobian(y), first_step=first_step)
+
+        def lu(A: sparse.spmatrix) -> tuple:
+            solver.nlu += 1
+            return _factor_tridiagonal(A)
+
+        # the Newton matrix I - c J is tridiagonal: LAPACK's banded LU, not BDF's SuperLU
+        solver.lu, solver.solve_lu = lu, _solve_tridiagonal
+        return solver
 
     def retire(solver: BDF) -> None:
         counts[:] += (solver.nfev, solver.njev, solver.nlu)

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate._ivp.bdf as scipy_bdf
+from scipy import sparse
+from scipy.linalg.lapack import dgttrf
 
+import kscrit.solver as solver_module
 from kscrit.criteria import blowup_constant
-from kscrit.errors import NumericsError, ValidationError
+from kscrit.errors import NumericsError, ResolutionError, ValidationError
 from kscrit.radial import (
     Chandrasekhar,
     ExplicitBlowupDatum,
@@ -17,6 +21,7 @@ from kscrit.radial import (
 from kscrit.solver import (
     SolverControls,
     _Discretization,
+    _factor_tridiagonal,
     build_grid,
     comparison_check,
     gaussian_moment,
@@ -242,13 +247,59 @@ class TestRun:
 
 
 def test_resolution_error_on_hopeless_grid():
-    from kscrit.errors import ResolutionError
-
     # violent advection at a step the grid cannot represent: the solver must
     # report a resolution problem, not fake a blowup
     grid = build_grid(8.0, 24, 0.5, breakpoints=(1.0,))
     with pytest.raises(ResolutionError):
         run(ShellAtom(D, 1e5, 1.0), grid, SolverControls(t_end=0.5, density_cap=1e30))
+
+
+class TestStepFloor:
+    """A step below ``dt_floor`` witnesses blowup only where the origin density has grown."""
+
+    GRID = build_grid(10.0, 40, 0.5)
+    CONTROLS = SolverControls(t_end=0.5, dt_floor=1e-2)
+
+    def test_small_steps_without_growth_run_to_the_end(self):
+        # the decaying bump takes most of its steps below the floor (85 of 97)
+        res = run(Gaussian(D, 1.0, 0.2), self.GRID, self.CONTROLS)
+        assert np.count_nonzero(res.dt[1:] < self.CONTROLS.dt_floor) > res.n_steps // 2
+        assert np.max(res.origin_density) <= res.origin_density[0]
+        assert res.event is None
+        assert res.t_final == self.CONTROLS.t_end
+
+    def test_restart_below_floor_without_growth_is_a_resolution_error(self):
+        # a monotonicity restart halves the step below the floor at t ~ 2e-3
+        with pytest.raises(ResolutionError, match="without density growth"):
+            run(Gaussian(D, 50.0, 0.2), self.GRID, self.CONTROLS)
+
+
+class TestNewtonFactorization:
+    def test_restarting_blowup_factors_with_lapack_only(self, monkeypatch):
+        # BDF builds a fresh SuperLU path on every restart; each one must be replaced
+        def no_splu(_A):
+            raise AssertionError("BDF fell back to SuperLU")
+
+        calls = []
+
+        def counting_dgttrf(*args, **kwargs):
+            calls.append(args[1].size)
+            return dgttrf(*args, **kwargs)
+
+        monkeypatch.setattr(scipy_bdf, "splu", no_splu)
+        monkeypatch.setattr(solver_module, "dgttrf", counting_dgttrf)
+        grid = build_grid(8.0, 800, 0.6, breakpoints=(1.0,))
+        res = run(ShellAtom(D, 100.0, 1.0), grid, SolverControls(t_end=1.0))
+        assert res.blew_up
+        assert res.n_rejected >= 10
+        assert res.n_lu == len(calls) > 0
+        assert set(calls) == {grid.n}
+
+    def test_singular_factor_is_a_numerics_error(self):
+        singular = sparse.diags([[1.0, 0.0], [1.0, 1.0, 1.0], [1.0, 0.0]], [-1, 0, 1], format="csc")
+        assert np.linalg.matrix_rank(singular.toarray()) < 3
+        with pytest.raises(NumericsError, match="singular"):
+            _factor_tridiagonal(singular)
 
 
 class TestMoment:
