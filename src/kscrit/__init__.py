@@ -13,7 +13,6 @@ from .criteria import (
     CriterionConstants,
     CriterionReport,
     Verdict,
-    blowup_constant,
     blowup_constant_fractional,
     blowup_rate_bound,
     classify,

@@ -22,7 +22,7 @@ from .criteria import classify, criterion_constants
 from .errors import AcceptanceError, KscritError, NumericsError, ValidationError
 from .kernels import build_kernel_table
 from .output import write_csv, write_json, write_svg_lineplot
-from .radial import parse_profile
+from .radial import mass_profile, parse_profile
 from .solver import SolverControls, build_grid, run as run_sim
 
 __all__ = ["main"]
@@ -169,8 +169,6 @@ def _cmd_simulate(args) -> int:
             "fractional diffusion is covered at the kernel/criterion level"
         )
     profile = parse_profile(cfg.initial.profile, cfg.problem.d)
-    from .radial import mass_profile  # local import to keep CLI import light
-
     mass = mass_profile(profile)
     grid = build_grid(
         cfg.grid.r_max,

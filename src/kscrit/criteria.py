@@ -7,7 +7,9 @@ Cauchy-inequality constant
     C(d)      = 16/Gamma(d/2) int rho^(d+1) (2(d-2)+4 rho^2)^(-1) e^(-rho^2) drho
     C_alpha(d) = 2 sigma_d int |R'|^2 / |d/drho (rho^(1-d) R'(rho))| drho,
 
-with C(2) = 2 and C(d) in [1, 2) for d >= 3.  Against it stand two test data:
+with C(2) = 2 and C(d) in [1, 2) for d >= 3.  The Gauss-Weierstrass kernel
+R = (4 pi)^(-d/2) e^(-rho^2/4) turns the second form into the first, so one
+quadrature gives C_alpha for every 0 < alpha <= 2.  Against it stand two test data:
 the singular stationary density s(alpha,d)/r^alpha, whose criterion value is
 
     K_alpha(d) = s(alpha,d) sigma_d int R(rho) rho^(d-1-alpha) drho
@@ -32,7 +34,6 @@ from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gammaln
 
 from .errors import IntegrabilityError, NumericsError, ValidationError
@@ -62,10 +63,8 @@ from .radial import (
 )
 
 __all__ = [
-    "blowup_constant",
     "blowup_constant_fractional",
     "singular_semigroup_value",
-    "singular_semigroup_quadrature",
     "shell_semigroup_peak",
     "shell_mass_threshold",
     "CriterionConstants",
@@ -83,47 +82,17 @@ _T_PER_DECADE = 32
 _MASS_2D_THRESHOLD = 8.0 * math.pi
 
 
-def blowup_constant(d: int) -> float:
-    """The explicit constant C(d); C(2) = 2 and C(d) in [1, 2) for d >= 3.
-
-    The integrand is evaluated with the Gamma factor folded into the
-    exponent so that the rho^(d+1) e^(-rho^2) peak never overflows.
-    """
-    d = check_dimension(d)
-    lg = float(gammaln(0.5 * d))
-
-    def integrand(rho: float) -> float:
-        if rho <= 0.0:
-            return 0.0
-        return math.exp((d + 1) * math.log(rho) - rho * rho - lg) / (
-            2.0 * (d - 2) + 4.0 * rho * rho
-        )
-
-    peak = math.sqrt(0.5 * (d + 1))
-    val, _ = quad(
-        integrand,
-        0.0,
-        peak + 15.0,
-        points=[peak],
-        limit=200,
-        epsabs=1e-14,
-        epsrel=1e-12,
-    )
-    return 16.0 * val
-
-
 def blowup_constant_fractional(d: int, alpha: float) -> tuple[float, float]:
     """C_alpha(d) = 2 sigma_d int rho^(d-1) R'^2 / ((d-1)|R'|/rho + R'') drho.
 
-    The denominator is the expanded form of |d/drho(rho^(1-d) R')|; its
-    positivity (equivalent to rho R'' - R' >= 0 plus d >= 2) is asserted on a
-    400-point probe and at every quadrature node.  Returns (C, abserr) with
-    the quadrature's error estimate for C.
+    For alpha = 2 this is the classical C(d), with C(2) = 2 and C(d) in
+    [1, 2) for d >= 3.  The denominator is the expanded form of
+    |d/drho(rho^(1-d) R')|; its positivity (equivalent to rho R'' - R' >= 0
+    plus d >= 2) is asserted on a 400-point probe and at every quadrature
+    node.  Returns (C, abserr) with the quadrature's error estimate for C.
     """
     d = check_dimension(d)
     alpha = check_alpha(alpha)
-    if alpha >= 2.0:
-        raise ValidationError("blowup_constant_fractional needs alpha < 2")
     kernel = radial_kernel(d, alpha)
 
     probe = np.geomspace(1e-6, RHO_CUT, 400)
@@ -138,10 +107,12 @@ def blowup_constant_fractional(d: int, alpha: float) -> tuple[float, float]:
 
     (log_body,), (err,) = log_quad(log_integrand)
     scale = 2.0 * sphere_area(d)
-    # tail: integrand -> c_Rp rho^(-1-alpha)/(2d+alpha) with c_Rp = (d+alpha) c1
-    c_rp = (d + alpha) * tail_coefficient(d, alpha, 1)
-    tail = scale * c_rp * RHO_CUT**-alpha / ((2.0 * d + alpha) * alpha)
-    return scale * math.exp(log_body) + tail, scale * float(err)
+    c = scale * math.exp(log_body)
+    if alpha < 2.0:
+        # tail: integrand -> c_Rp rho^(-1-alpha)/(2d+alpha) with c_Rp = (d+alpha) c1
+        c_rp = (d + alpha) * tail_coefficient(d, alpha, 1)
+        c += scale * c_rp * RHO_CUT**-alpha / ((2.0 * d + alpha) * alpha)
+    return c, scale * float(err)
 
 
 def _check_denominator(denom: np.ndarray) -> None:
@@ -173,28 +144,6 @@ def singular_semigroup_value(d: int, alpha: float = 2.0) -> float:
         - gammaln(0.5 * d - alpha + 1.0)
         - gammaln(0.5 * d)
     )
-
-
-def singular_semigroup_quadrature(d: int, alpha: float) -> tuple[float, float]:
-    """K_alpha(d) by direct quadrature s(alpha,d) sigma_d int R rho^(d-1-alpha) drho.
-
-    Independent evaluation route used to cross-check the Gamma-product form.
-    Returns (K, abserr) with the quadrature's error estimate.
-    """
-    d = check_dimension(d)
-    alpha = check_alpha(alpha)
-    if 2.0 * alpha >= d:
-        raise ValidationError("singular datum needs 2*alpha < d")
-    kernel = radial_kernel(d, alpha)
-
-    def log_integrand(rho: np.ndarray) -> np.ndarray:
-        return kernel.log_sums(rho, (0,))[0] + (d - 1.0 - alpha) * np.log(rho)
-
-    (log_body,), (err,) = log_quad(log_integrand)
-    body = math.exp(log_body)
-    tail = tail_moment(d, alpha, d - alpha, False)
-    scale = singular_coefficient(d, alpha) * sphere_area(d)
-    return scale * (body + tail), scale * float(err)
 
 
 def shell_semigroup_peak(d: int, alpha: float = 2.0) -> tuple[float, float]:
@@ -242,12 +191,7 @@ def shell_mass_threshold(d: int, alpha: float = 2.0) -> float:
     This is the implementable upper bound for the infimal blowup shell mass;
     at (d, alpha) = (2, 2) it equals exactly 8 pi.
     """
-    alpha = check_alpha(alpha)
-    if alpha == 2.0:
-        c = blowup_constant(d)
-    else:
-        c, _ = blowup_constant_fractional(d, alpha)
-    return c / shell_semigroup_peak(d, alpha)[0]
+    return blowup_constant_fractional(d, alpha)[0] / shell_semigroup_peak(d, alpha)[0]
 
 
 @dataclass(frozen=True)
@@ -260,7 +204,7 @@ class CriterionConstants:
     L: float
     N_threshold: float
     upper_bound: float | None
-    #: quadrature diagnostics: error estimates and cross-check residuals,
+    #: quadrature diagnostics (C_abserr, the error estimate for C),
     #: read-only because the record is shared through the cache
     residuals: Mapping = field(default_factory=lambda: MappingProxyType({}))
 
@@ -273,17 +217,15 @@ def criterion_constants(d: int, alpha: float = 2.0) -> CriterionConstants:
     """
     d = check_dimension(d)
     alpha = check_alpha(alpha)
-    residuals: dict = {}
     if alpha == 2.0:
-        c = blowup_constant(d)
         k = 1.0 if d >= 3 else None
         upper = None
     else:
         if 2.0 * alpha >= d:
             raise ValidationError("fractional criteria require 2*alpha < d")
-        c, residuals["C_abserr"] = blowup_constant_fractional(d, alpha)
         k = singular_semigroup_value(d, alpha)
         upper = 2.0 * d / (d - 2.0)
+    c, c_abserr = blowup_constant_fractional(d, alpha)
     l_val, _ = shell_semigroup_peak(d, alpha)
     return CriterionConstants(
         d=d,
@@ -294,7 +236,7 @@ def criterion_constants(d: int, alpha: float = 2.0) -> CriterionConstants:
         L=l_val,
         N_threshold=c / l_val,
         upper_bound=upper,
-        residuals=MappingProxyType(residuals),
+        residuals=MappingProxyType({"C_abserr": c_abserr}),
     )
 
 

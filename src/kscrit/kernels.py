@@ -106,6 +106,11 @@ class GaussianKernel:
         rho = np.asarray(rho, dtype=float)
         return (0.25 * rho**2 - 0.5) * self.R(rho)
 
+    def curvature_ratio(self, rho):
+        """R''(rho)/|R'(rho)| = rho/2 - 1/rho."""
+        rho = np.asarray(rho, dtype=float)
+        return 0.5 * rho - 1.0 / rho
+
     def log_sums(self, rho, orders=(0, 1, 2)) -> np.ndarray:
         """The subordinated sums for a point mass at lam = 1: every order is R."""
         log_r = self.log_R(rho)

@@ -26,8 +26,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import sparse
-from scipy.integrate import BDF
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import NumericsError, ResolutionError, ValidationError
@@ -232,8 +230,10 @@ class _Discretization:
             out[-1] = 0.0
         return out
 
-    def jacobian(self, M: np.ndarray) -> sparse.csc_matrix:
-        """d rhs / dM: div + diag(a grad) + diag(a M) d grad, tridiagonal."""
+    def jacobian(self, M: np.ndarray):
+        """d rhs / dM: div + diag(a grad) + diag(a M) d grad, tridiagonal, in CSC form."""
+        from scipy import sparse
+
         am = self.adv_coef * M
         lower, main, upper = (dv + am * dg for dv, dg in zip(self.div_bands, self.grad_bands))
         main += self.adv_coef * self._div_grad(M)[1]
@@ -245,7 +245,7 @@ class _Discretization:
         return float(M[0]) * self.d / (self.sigma * self.r[0] ** self.d)
 
 
-def _factor_tridiagonal(A: sparse.spmatrix) -> tuple:
+def _factor_tridiagonal(A) -> tuple:
     """LAPACK gttrf LU of a tridiagonal matrix, in the form ``_solve_tridiagonal`` takes."""
     *lu, info = dgttrf(A.diagonal(-1), A.diagonal(0), A.diagonal(1),
                        overwrite_dl=1, overwrite_d=1, overwrite_du=1)
@@ -273,6 +273,8 @@ def run(
     controls: SolverControls,
 ) -> SimResult:
     """Integrate the mass equation from the datum until t_end or blowup."""
+    from scipy.integrate import BDF  # here, so importing kscrit loads no scipy.integrate
+
     mass = datum if isinstance(datum, MassProfile) else mass_profile(datum)
     d = mass.d
 
@@ -324,7 +326,7 @@ def run(
         solver = BDF(lambda _t, y: disc.rhs(y), t0, y0, controls.t_end, rtol=_RTOL, atol=atol,
                      jac=lambda _t, y: disc.jacobian(y), first_step=first_step)
 
-        def lu(A: sparse.spmatrix) -> tuple:
+        def lu(A) -> tuple:
             solver.nlu += 1
             return _factor_tridiagonal(A)
 

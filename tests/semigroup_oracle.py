@@ -1,18 +1,43 @@
-"""Independent W0(t) = (e^{-t(-Lap)^{alpha/2}} u0)(0) for checking the criterion curve.
+"""Independent oracles for the semigroup quantities the criterion side computes.
 
 ``kscrit.criteria.criterion_curve`` evaluates T * W0(T) on fixed trapezoid
-nodes.  This oracle integrates the same quantity point by point with scipy's
-adaptive ``quad``, passing the datum's breakpoints to it, so it resolves kinks
-in M(r) that fixed nodes can miss.
+nodes.  ``semigroup_at_origin`` integrates the same quantity point by point
+with scipy's adaptive ``quad``, passing the datum's breakpoints to it, so it
+resolves kinks in M(r) that fixed nodes can miss.  ``singular_semigroup_quadrature``
+integrates K_alpha(d), which the package takes in closed form.
 """
 
 import math
 
+import numpy as np
 from scipy.integrate import quad
 
 from kscrit.criteria import check_integrability
-from kscrit.kernels import RHO_CUT, radial_kernel, tail_coefficient
-from kscrit.radial import MassProfile, check_alpha
+from kscrit.errors import ValidationError
+from kscrit.kernels import RHO_CUT, log_quad, radial_kernel, tail_coefficient, tail_moment
+from kscrit.radial import MassProfile, check_alpha, check_dimension, singular_coefficient, sphere_area
+
+
+def singular_semigroup_quadrature(d: int, alpha: float) -> tuple[float, float]:
+    """K_alpha(d) by direct quadrature s(alpha,d) sigma_d int R rho^(d-1-alpha) drho.
+
+    Independent of the Gamma-product form in ``singular_semigroup_value``.
+    Returns (K, abserr) with the quadrature's error estimate.
+    """
+    d = check_dimension(d)
+    alpha = check_alpha(alpha)
+    if 2.0 * alpha >= d:
+        raise ValidationError("singular datum needs 2*alpha < d")
+    kernel = radial_kernel(d, alpha)
+
+    def log_integrand(rho: np.ndarray) -> np.ndarray:
+        return kernel.log_sums(rho, (0,))[0] + (d - 1.0 - alpha) * np.log(rho)
+
+    (log_body,), (err,) = log_quad(log_integrand)
+    body = math.exp(log_body)
+    tail = tail_moment(d, alpha, d - alpha, False)
+    scale = singular_coefficient(d, alpha) * sphere_area(d)
+    return scale * (body + tail), scale * float(err)
 
 
 def semigroup_at_origin(mass: MassProfile, t: float, alpha: float) -> float:

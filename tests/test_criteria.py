@@ -1,10 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from semigroup_oracle import singular_semigroup_quadrature
 
 from kscrit.criteria import (
-    blowup_constant,
     blowup_constant_fractional,
     blowup_rate_bound,
     classify,
@@ -12,7 +13,6 @@ from kscrit.criteria import (
     criterion_curve,
     shell_mass_threshold,
     shell_semigroup_peak,
-    singular_semigroup_quadrature,
     singular_semigroup_value,
 )
 from kscrit.errors import ValidationError
@@ -32,12 +32,36 @@ from kscrit.radial import (
 C3_GOLDEN = 1.3113590848375973
 
 
+def mpmath_blowup_constant(d):
+    """C(d) = 16/Gamma(d/2) int rho^(d+1) e^(-rho^2) / (2(d-2) + 4 rho^2) drho at 30 digits."""
+    with mpmath.workdps(30):
+        peak = mpmath.sqrt(mpmath.mpf(d + 1) / 2)
+        body = mpmath.quad(
+            lambda r: r ** (d + 1) * mpmath.exp(-r * r) / (2 * (d - 2) + 4 * r * r),
+            [0, peak, peak + 40],
+        )
+        return float(16 * body / mpmath.gamma(mpmath.mpf(d) / 2))
+
+
+def _gap_to_classical(d, alpha):
+    return abs(blowup_constant_fractional(d, alpha)[0] / blowup_constant_fractional(d, 2.0)[0] - 1.0)
+
+
 class TestBlowupConstant:
     def test_two_dimensions_exact(self):
-        assert abs(blowup_constant(2) - 2.0) <= 1e-10
+        assert abs(blowup_constant_fractional(2, 2.0)[0] - 2.0) <= 1e-10
 
     def test_d3_frozen_golden_value(self):
-        assert blowup_constant(3) == pytest.approx(C3_GOLDEN, abs=1e-10)
+        assert blowup_constant_fractional(3, 2.0)[0] == pytest.approx(C3_GOLDEN, abs=1e-10)
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 10, 30, 60, 100, 200])
+    def test_matches_mpmath_oracle(self, d):
+        assert abs(blowup_constant_fractional(d, 2.0)[0] / mpmath_blowup_constant(d) - 1.0) <= 1e-13
+
+    @pytest.mark.parametrize("d", [2, 3, 6, 10, 30])
+    def test_classical_error_estimate_recorded(self, d):
+        cc = criterion_constants(d, 2.0)
+        assert 0.0 < cc.residuals["C_abserr"] <= 1e-10 * cc.C
 
     def test_d3_against_midpoint_oracle(self):
         # lighter in-test version of the frozen oracle
@@ -49,17 +73,23 @@ class TestBlowupConstant:
             * np.sum(r**4 / (2.0 + 4.0 * r**2) * np.exp(-(r**2)))
             * (50.0 / n)
         )
-        assert blowup_constant(3) == pytest.approx(oracle, abs=1e-8)
+        assert blowup_constant_fractional(3, 2.0)[0] == pytest.approx(oracle, abs=1e-8)
 
     def test_range_and_monotone_trend(self):
-        vals = [blowup_constant(d) for d in range(3, 31)]
+        vals = [blowup_constant_fractional(d, 2.0)[0] for d in range(3, 31)]
         assert all(1.0 <= v < 2.0 for v in vals)
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_fractional_continuity_at_alpha_two(self):
-        assert blowup_constant_fractional(5, 1.95)[0] == pytest.approx(
-            blowup_constant(5), rel=0.15
-        )
+        # |C_alpha(5)/C(5) - 1| is 2.0e-2, 1.1e-2 and 2.3e-3 at these alpha
+        gaps = [_gap_to_classical(5, a) for a in (1.9, 1.95, 1.99)]
+        assert gaps[-1] <= 5e-3
+        assert all(a > b for a, b in zip(gaps, gaps[1:]))
+
+    @pytest.mark.slow
+    def test_continuity_gap_keeps_shrinking(self):
+        # the alpha = 1.995 kernel needs 1.7e5 subordinator nodes
+        assert _gap_to_classical(5, 1.995) < _gap_to_classical(5, 1.99)
 
 
 class TestSingularSemigroupValue:
@@ -250,11 +280,11 @@ class TestCriterionCurve:
         # exactly at its blowup time
         T = 1.0
         m = mass_profile(ExplicitBlowupDatum(3, T))
-        cur = criterion_curve(m, 2.0, threshold=blowup_constant(3))
+        cur = criterion_curve(m, 2.0, threshold=blowup_constant_fractional(3, 2.0)[0])
         from kscrit.criteria import _CurveEvaluator
 
         ev = _CurveEvaluator(m, 2.0)
-        assert ev.value(T) == pytest.approx(blowup_constant(3), rel=1e-5)
+        assert ev.value(T) == pytest.approx(blowup_constant_fractional(3, 2.0)[0], rel=1e-5)
         assert cur.T_star == pytest.approx(T, rel=0.08)  # first grid node past T
 
     @pytest.mark.parametrize(
@@ -280,7 +310,7 @@ class TestCriterionCurve:
     def test_monotone_in_datum(self):
         m1 = mass_profile(ShellAtom(3, 75.0, 1.0))
         m2 = mass_profile(ShellAtom(3, 150.0, 1.0))
-        c = blowup_constant(3)
+        c = blowup_constant_fractional(3, 2.0)[0]
         cur1 = criterion_curve(m1, 2.0, threshold=c)
         cur2 = criterion_curve(m2, 2.0, threshold=c)
         assert np.all(cur2.values >= cur1.values)

@@ -1,7 +1,11 @@
-"""Every exported name resolves, so ``from kscrit.<module> import *`` works."""
+"""Every exported name resolves, so ``from kscrit.<module> import *`` works, and
+importing the CLI stays off the scipy subpackages only the solver needs."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -19,3 +23,13 @@ def test_all_names_resolve(name):
     namespace: dict = {}
     exec(f"from {name} import *", namespace)
     assert set(exported) <= set(namespace)
+
+
+def test_cli_import_loads_no_integrator_stack():
+    # scipy.integrate (which pulls in scipy.optimize) and scipy.sparse load on
+    # the first simulation, not on import
+    heavy = ("scipy.integrate", "scipy.optimize", "scipy.sparse")
+    code = f"import sys, kscrit.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"

@@ -7,13 +7,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import gammaln, logsumexp
+from semigroup_oracle import singular_semigroup_quadrature
 
-from kscrit.criteria import (
-    blowup_constant_fractional,
-    shell_semigroup_peak,
-    singular_semigroup_quadrature,
-    singular_semigroup_value,
-)
+from kscrit.criteria import blowup_constant_fractional, shell_semigroup_peak, singular_semigroup_value
 from kscrit.errors import IntegrabilityError, NumericsError
 from kscrit.kernels import (
     GK15_GAUSS,

@@ -7,7 +7,7 @@ from scipy import sparse
 from scipy.linalg.lapack import dgttrf
 
 import kscrit.solver as solver_module
-from kscrit.criteria import blowup_constant
+from kscrit.criteria import blowup_constant_fractional
 from kscrit.errors import NumericsError, ResolutionError, ValidationError
 from kscrit.radial import (
     Chandrasekhar,
@@ -156,7 +156,7 @@ class TestRun:
             t_end=0.9, moment_target=T, stride=1, density_cap=D / grid.r[0] ** 2
         )
         res = run(ExplicitBlowupDatum(D, T), grid, controls)
-        c3 = blowup_constant(3)
+        c3 = blowup_constant_fractional(3, 2.0)[0]
         t, w = res.t, res.W
         ok = np.isfinite(w)
         t, w = t[ok], w[ok]
@@ -318,7 +318,7 @@ class TestMoment:
         grid = build_grid(40.0, 4000, 0.5)
         m = mass_profile(ExplicitBlowupDatum(D, T)).fn(grid.r)
         w0 = gaussian_moment(grid.r, m, D, 0.0, T)
-        assert w0 == pytest.approx(blowup_constant(3) / T, rel=1e-4)
+        assert w0 == pytest.approx(blowup_constant_fractional(3, 2.0)[0] / T, rel=1e-4)
 
 
 class TestComparison:
