@@ -32,7 +32,6 @@ from .errors import (
     ValidationError,
 )
 from .kernels import (
-    GaussianKernel,
     KernelTable,
     SubordinatedKernel,
     build_kernel_table,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -83,7 +84,15 @@ def ac2() -> list[CheckItem]:
     return items
 
 
-_FRACTIONAL_TABLE_CASES = [(d, a) for a in (0.5, 1.0, 1.5) for d in (3, 5)]
+@lru_cache(maxsize=1)
+def _fractional_tables() -> tuple:
+    """(d, alpha, table, validation) for each AC-3/AC-4 case, built once for both."""
+    rows = []
+    for a in (0.5, 1.0, 1.5):
+        for d in (3, 5):
+            tab = build_kernel_table(d, a)
+            rows.append((d, a, tab, validate_kernel(tab)))
+    return tuple(rows)
 
 
 def ac3() -> list[CheckItem]:
@@ -94,11 +103,10 @@ def ac3() -> list[CheckItem]:
     poisson = (1.0 / math.pi**2) * (1.0 + rho**2) ** -2.0
     err = float(np.max(np.abs(k.R(rho) - poisson) / poisson))
     items.append(_item("AC-3", "alpha=1, d=3 vs Poisson kernel", "0", f"{err:.2e}", "1e-6", err <= 1e-6))
-    for d, a in _FRACTIONAL_TABLE_CASES:
-        tab = build_kernel_table(d, a)
+    for d, a, tab, val in _fractional_tables():
         r1 = abs(tab.residuals["norm_R"])
         r2 = abs(tab.residuals["norm_Rp"])
-        checks = {name: ok for name, ok, _ in validate_kernel(tab).checks}
+        checks = {name: ok for name, ok, _ in val.checks}
         items.append(
             _item(
                 "AC-3",
@@ -115,9 +123,7 @@ def ac3() -> list[CheckItem]:
 def ac4() -> list[CheckItem]:
     """Kernel structure: algebraic tails, sign and convexity relations."""
     items = []
-    for d, a in _FRACTIONAL_TABLE_CASES:
-        tab = build_kernel_table(d, a)
-        val = validate_kernel(tab)
+    for d, a, tab, val in _fractional_tables():
         structural = {name: ok for name, ok, _ in val.checks}
         fits = {k: tab.tail_fits[k][1] for k in ("R", "Rp", "Rpp")}
         expect = (-(d + a), -(d + 1 + a), -(d + 2 + a))

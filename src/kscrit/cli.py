@@ -20,7 +20,7 @@ from .acceptance import run_acceptance
 from .config import RunConfig, check_singular_comparison, config_from_resolved, parse_config, resolved_json
 from .criteria import classify, criterion_constants
 from .errors import AcceptanceError, KscritError, NumericsError, ValidationError
-from .kernels import build_kernel_table
+from .kernels import build_kernel_table, radial_kernel
 from .output import write_csv, write_json, write_svg_lineplot
 from .radial import mass_profile, parse_profile
 from .solver import SolverControls, build_grid, run as run_sim
@@ -230,6 +230,8 @@ def _cmd_kernel(args) -> int:
     cfg = _load_config(args)
     out = _outdir(cfg)
     table = build_kernel_table(cfg.problem.d, cfg.problem.alpha)
+    for warning in radial_kernel(cfg.problem.d, cfg.problem.alpha).warnings:
+        print(f"warning: {warning}", file=sys.stderr)
     path = write_csv(
         out / "kernel.csv",
         ["rho", "R", "Rp", "Rpp"],

@@ -448,10 +448,10 @@ def classify(datum: RadialProfile | MassProfile, d: int, alpha: float = 2.0) -> 
     if alpha < 2.0 and 2.0 * alpha >= d:
         raise ValidationError("fractional classification requires 2*alpha < d")
 
-    warnings_list: list[str] = []
     constants = criterion_constants(d, alpha)
     curve = criterion_curve(mass, alpha, threshold=constants.C)
     conc = radial_concentration(mass, alpha)
+    warnings_list = list(radial_kernel(d, alpha).warnings)
     if not curve.unimodal:
         warnings_list.append(
             "criterion curve is not discretely unimodal over the scan; the refined "

@@ -5,12 +5,14 @@ variable rho = |x| t^(-1/alpha) is
 
     R(rho) = int_0^inf f_beta(lam) (4 pi lam)^(-d/2) exp(-rho^2/(4 lam)) dlam,
 
-the Gaussian mixed by the one-sided stable subordinator with beta = alpha/2
-(alpha = 2 bypasses to the Gauss-Weierstrass kernel (4 pi)^(-d/2) e^(-rho^2/4)).
+the Gaussian mixed by the one-sided stable subordinator with beta = alpha/2.
+At alpha = 2 (beta = 1) the subordinator is the point mass at lam = 1, and R
+is the Gauss-Weierstrass kernel (4 pi)^(-d/2) e^(-rho^2/4).
 Differentiation under the integral gives R' and R'' with closed-form
 lambda-integrands.  The lambda-integral is evaluated on a fixed trapezoid grid
-in s = log(lam), windowed analytically so the integrand is dead at both ends;
-everything is accumulated in log space so large d is no worse than small d.
+in s = log(lam), windowed analytically so the integrand is dead at both ends
+(at alpha = 2 the grid is the one node s = 0 with weight 1); everything is
+accumulated in log space so large d is no worse than small d.
 
 Facts used as validation anchors:
 
@@ -27,19 +29,17 @@ Gamma((d+1)/2) pi^(-(d+1)/2) (1+rho^2)^(-(d+1)/2).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import IntegrabilityError, NumericsError, ValidationError
+from .errors import IntegrabilityError, NumericsError
 from .radial import check_alpha, check_dimension, sphere_area
 from .subordinator import StableSubordinator
 
 __all__ = [
-    "GaussianKernel",
     "SubordinatedKernel",
     "radial_kernel",
     "KernelTable",
@@ -78,71 +78,21 @@ def tail_coefficient(d: int, alpha: float, k: int = 1) -> float:
     return (-1.0) ** (k + 1) * math.exp(mag) * s
 
 
-class GaussianKernel:
-    """Closed-form radial kernel for alpha = 2."""
-
-    def __init__(self, d: int):
-        self.d = check_dimension(d)
-        self.alpha = 2.0
-        self.log_R0 = -0.5 * d * math.log(4.0 * math.pi)
-        self.R0 = math.exp(self.log_R0)
-
-    def log_R(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        return self.log_R0 - 0.25 * rho**2
-
-    def R(self, rho):
-        return np.exp(self.log_R(rho))
-
-    def log_abs_Rp(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        return self.log_R(rho) + np.log(np.maximum(rho, 1e-300)) - math.log(2.0)
-
-    def Rp(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        return -0.5 * rho * self.R(rho)
-
-    def Rpp(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        return (0.25 * rho**2 - 0.5) * self.R(rho)
-
-    def curvature_ratio(self, rho):
-        """R''(rho)/|R'(rho)| = rho/2 - 1/rho."""
-        rho = np.asarray(rho, dtype=float)
-        return 0.5 * rho - 1.0 / rho
-
-    def log_sums(self, rho, orders=(0, 1, 2)) -> np.ndarray:
-        """The subordinated sums for a point mass at lam = 1: every order is R."""
-        log_r = self.log_R(rho)
-        return np.broadcast_to(log_r, (len(orders),) + np.shape(log_r))
-
-    def derivatives(self, rho):
-        """(log R, log|R'|, R'') in closed form."""
-        return self.log_R(rho), self.log_abs_Rp(rho), self.Rpp(rho)
-
-
 class SubordinatedKernel:
-    """Bochner-subordinated radial kernel for 0 < alpha < 2.
+    """Bochner-subordinated radial kernel for 0 < alpha <= 2.
 
     Construction evaluates log f_beta once on an s = log(lam) trapezoid grid
-    whose window is found by probing the rho = 0 integrand; every evaluator
-    is then a view over ``log_sums``, one vectorized log-sum-exp reduction
-    over that grid.
+    whose window is found by probing the rho = 0 integrand.  At alpha = 2
+    (beta = 1) the subordinator is the point mass at lam = 1, so the grid is
+    the single node s = 0 with weight 1 and the kernel is Gauss-Weierstrass.
+    Every evaluator is a view over ``log_sums``, one vectorized log-sum-exp
+    reduction over the grid.
     """
 
     def __init__(self, d: int, alpha: float):
         self.d = check_dimension(d)
-        if d > _WARN_DIMENSION:
-            warnings.warn(
-                f"kernel accuracy degrades slowly above d={_WARN_DIMENSION}; d={d} requested",
-                stacklevel=2,
-            )
-        alpha = check_alpha(alpha)
-        if alpha == 2.0:
-            raise ValidationError("use GaussianKernel for alpha = 2")
-        self.alpha = alpha
+        self.alpha = alpha = check_alpha(alpha)
         self.beta = 0.5 * alpha
-        self.subordinator = StableSubordinator(self.beta)
         self.log_R0 = (
             gammaln(1.0 + d / alpha) - gammaln(1.0 + 0.5 * d) - 0.5 * d * math.log(4.0 * math.pi)
         )
@@ -152,13 +102,26 @@ class SubordinatedKernel:
             raise NumericsError(
                 f"R(0) = exp({self.log_R0:.6g}) overflows a float at d={d}, alpha={alpha}"
             ) from None
-        self._build_grid()
+        if alpha == 2.0:
+            # beta = 1: the point mass at lam = 1, one node of weight 1
+            self._set_grid(np.zeros(1), np.zeros(1))
+        else:
+            self.subordinator = StableSubordinator(self.beta)
+            self._set_grid(*self._build_grid())
+        #: accuracy caveats, reported by every result built on this kernel; the
+        #: one above d = 60 concerns the s-grid, which alpha = 2 does not have
+        self.warnings: tuple[str, ...] = ()
+        if alpha < 2.0 and d > _WARN_DIMENSION:
+            self.warnings = (
+                f"kernel accuracy degrades slowly above d={_WARN_DIMENSION}; d={d} requested",
+            )
 
-    def _rho0_log_integrand(self, s: np.ndarray) -> np.ndarray:
-        logf = self.subordinator.log_pdf(np.exp(s))
-        return logf + s - 0.5 * self.d * (math.log(4.0 * math.pi) + s)
+    def _log_mix_weight(self, log_f: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """log of f(lam) lam (4 pi lam)^(-d/2) at s = log(lam), given log f."""
+        return log_f + s - 0.5 * self.d * (math.log(4.0 * math.pi) + s)
 
-    def _build_grid(self) -> None:
+    def _build_grid(self) -> tuple[np.ndarray, np.ndarray]:
+        """The s-grid and log(trapezoid weight * f_beta(e^s)) on it."""
         sub, d = self.subordinator, self.d
         # left start: beyond the peak of f(lam) lam^(-d/2), located where
         # a0*c*s_zol = d/2 in the left-tail regime
@@ -168,7 +131,7 @@ class SubordinatedKernel:
         hi = 80.0 / (self.beta + 0.5 * d) + 5.0
         for _ in range(60):
             probe = np.linspace(lo, hi, 200)
-            vals = self._rho0_log_integrand(probe)
+            vals = self._log_mix_weight(sub.log_pdf(np.exp(probe)), probe)
             vmax = np.max(vals)
             if vals[0] < vmax - 170.0 and vals[-1] < vmax - 170.0:
                 break
@@ -187,12 +150,14 @@ class SubordinatedKernel:
         logw = np.full(n, math.log(h))
         logw[0] += math.log(0.5)
         logw[-1] += math.log(0.5)
-        logf = self.subordinator.log_pdf(np.exp(s))
+        return s, logw + sub.log_pdf(np.exp(s))
+
+    def _set_grid(self, s: np.ndarray, log_wf: np.ndarray) -> None:
         self._s = s
         self._neg_s = -s
         self._quarter_inv_lam = 0.25 * np.exp(-s)
         #: log of f(lam) lam (4 pi lam)^(-d/2) times the trapezoid weight
-        self._logw = logw + logf + s - 0.5 * d * (math.log(4.0 * math.pi) + s)
+        self._logw = self._log_mix_weight(log_wf, s)
 
     def log_sums(self, rho, orders=(0, 1, 2)) -> np.ndarray:
         """log sum_j w_j exp(-rho^2/(4 lam_j)) lam_j^(-k) for each k in ``orders``.
@@ -275,14 +240,10 @@ def _scalar_if(rho, out: np.ndarray):
     return out if np.ndim(rho) else float(out)
 
 
-RadialKernel = GaussianKernel | SubordinatedKernel
-
-
 @lru_cache(maxsize=32)
-def radial_kernel(d: int, alpha: float) -> RadialKernel:
+def radial_kernel(d: int, alpha: float) -> SubordinatedKernel:
     """Shared immutable kernel evaluator for (d, alpha)."""
-    alpha = check_alpha(alpha)
-    return GaussianKernel(d) if alpha == 2.0 else SubordinatedKernel(d, alpha)
+    return SubordinatedKernel(d, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +423,7 @@ def tail_moment(d: int, alpha: float, moment: float, derivative: bool) -> float:
 _NODES_PER_DECADE = 64
 
 
-def gradient_nodes(kernel: RadialKernel) -> tuple[np.ndarray, float, np.ndarray]:
+def gradient_nodes(kernel: SubordinatedKernel) -> tuple[np.ndarray, float, np.ndarray]:
     """Trapezoid nodes in x = log(rho) for int M(s rho) |R'(rho)| rho dx.
 
     The nodes are uniform, 64 per decade, over the window ``log_window``

@@ -23,3 +23,22 @@ def test_acceptance_criterion(criterion):
         f"{i.name}: expected {i.expected}, actual {i.actual} (tol {i.tolerance})"
         for i in failures
     )
+
+
+def test_ac3_and_ac4_build_each_kernel_table_once(monkeypatch):
+    from kscrit import acceptance, kernels
+
+    builds = []
+
+    def counting_build(d, alpha):
+        builds.append((d, alpha))
+        return kernels.build_kernel_table(d, alpha)
+
+    monkeypatch.setattr(acceptance, "build_kernel_table", counting_build)
+    acceptance._fractional_tables.cache_clear()
+    try:
+        items = acceptance.ac3() + acceptance.ac4()
+    finally:
+        acceptance._fractional_tables.cache_clear()
+    assert all(item.passed for item in items)
+    assert len(builds) == 6 and len(set(builds)) == 6

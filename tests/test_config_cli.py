@@ -119,6 +119,16 @@ class TestCli:
         assert report["verdict"]["kind"] in ("blowup", "global", "indeterminate")
         assert np.isfinite(report["concentration"]["value"]) and np.isfinite(report["curve_sup"])
 
+    def test_kernel_caveat_reaches_every_report(self, capsys, tmp_path):
+        # the kernel is cached after the first run; its caveat must not be lost with the cache
+        args = ["classify", "--profile", "gauss(mass=60,width=1)", "--d", "70", "--alpha", "1.5"]
+        for run in ("a", "b"):
+            assert run_cli(args + ["--out", str(tmp_path / run)]) == 0
+            report = json.loads((tmp_path / run / "report.json").read_text())
+            assert any("above d=60" in w for w in report["warnings"])
+        assert run_cli(["kernel", "--d", "70", "--alpha", "1.5", "--out", str(tmp_path / "k")]) == 0
+        assert "warning: kernel accuracy degrades slowly above d=60" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "profile",
         [

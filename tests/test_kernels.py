@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from kscrit.criteria import criterion_curve
-from kscrit.errors import IntegrabilityError, ValidationError
+from kscrit.errors import IntegrabilityError
 from kscrit.kernels import (
-    GaussianKernel,
+    SubordinatedKernel,
     build_kernel_table,
     radial_kernel,
     tail_coefficient,
@@ -26,7 +26,7 @@ FRACTIONAL_CASES = [(3, 0.5), (3, 1.0), (3, 1.5), (5, 0.5), (5, 1.0), (5, 1.5)]
 
 class TestGaussKernel:
     def test_point_values(self):
-        k = GaussianKernel(3)
+        k = radial_kernel(3, 2.0)
         assert k.R(0.0) == pytest.approx((4 * math.pi) ** -1.5, rel=1e-14)
         assert k.R(2.0) == pytest.approx((4 * math.pi) ** -1.5 * math.exp(-1), rel=1e-14)
 
@@ -34,15 +34,43 @@ class TestGaussKernel:
         from scipy.integrate import quad
 
         for d in (2, 3, 6):
-            k = GaussianKernel(d)
+            k = radial_kernel(d, 2.0)
             val, _ = quad(lambda r: k.R(r) * r ** (d - 1), 0, 40)
             assert sphere_area(d) * val == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("d", [2, 3, 10, 60, 200])
+    def test_point_mass_subordinator_is_the_closed_form(self, d):
+        # beta = 1: one s-node at lam = 1 of weight 1, so every sum S_k is R
+        k = radial_kernel(d, 2.0)
+        rho = np.geomspace(1e-4, 1e3, 337)
+        log_r = k.log_R(rho)
+        assert np.array_equal(log_r, k.log_R0 - rho**2 / 4)
+        assert np.array_equal(k.log_abs_Rp(rho), log_r + np.log(rho) - math.log(2.0))
+        assert np.array_equal(k.log_sums(rho), np.broadcast_to(log_r, (3, rho.size)))
+        coef = rho**2 / 4 - 0.5
+        closed = np.sign(coef) * np.exp(np.log(np.abs(coef)) + log_r)
+        normal = np.abs(closed) >= np.finfo(float).tiny
+        assert normal.sum() > 50
+        np.testing.assert_allclose(k.Rpp(rho)[normal], closed[normal], rtol=1e-12, atol=0)
+
+    def test_rpp_against_mpmath(self):
+        import mpmath
+
+        d = 3
+        rho = np.geomspace(1e-4, 1e3, 337)
+        rpp = radial_kernel(d, 2.0).Rpp(rho)
+        with mpmath.workdps(30):
+            for r, got in zip(rho, rpp):
+                x = mpmath.mpf(float(r))
+                ref = (x**2 / 4 - 0.5) * (4 * mpmath.pi) ** (-d / 2) * mpmath.exp(-(x**2) / 4)
+                if abs(ref) >= np.finfo(float).tiny:
+                    assert abs(got - ref) <= 2e-13 * abs(ref)
+
 
 class TestSubordinatedKernel:
-    def test_alpha2_bypasses_to_gaussian(self):
+    def test_alpha2_is_gauss_weierstrass(self):
         k = radial_kernel(3, 2.0)
-        assert isinstance(k, GaussianKernel)
+        assert isinstance(k, SubordinatedKernel)
         rho = np.linspace(0, 10, 50)
         gauss = (4 * math.pi) ** -1.5 * np.exp(-(rho**2) / 4)
         np.testing.assert_allclose(k.R(rho), gauss, rtol=1e-12)
@@ -78,11 +106,12 @@ class TestSubordinatedKernel:
         fd = (k.R(rho + h) - 2 * k.R(rho) + k.R(rho - h)) / h**2
         np.testing.assert_allclose(k.Rpp(rho), fd, rtol=1e-4)
 
-    def test_rejects_alpha_two(self):
-        from kscrit.kernels import SubordinatedKernel
-
-        with pytest.raises(ValidationError):
-            SubordinatedKernel(3, 2.0)
+    def test_alpha_two_builds_directly(self):
+        k, shared = SubordinatedKernel(3, 2.0), radial_kernel(3, 2.0)
+        rho = np.geomspace(1e-3, 30.0, 40)
+        for name in ("log_R", "log_abs_Rp", "Rpp", "curvature_ratio"):
+            assert np.array_equal(getattr(k, name)(rho), getattr(shared, name)(rho))
+        assert (k.log_R0, k.R0) == (shared.log_R0, shared.R0)
 
 
 class TestKernelTable:
@@ -180,7 +209,8 @@ class TestSemigroupAtOrigin:
 
 
 def test_dimension_warning_above_sixty():
-    from kscrit.kernels import SubordinatedKernel
-
-    with pytest.warns(UserWarning):
-        SubordinatedKernel(61, 1.0)
+    assert SubordinatedKernel(60, 1.0).warnings == ()
+    (caveat,) = SubordinatedKernel(61, 1.0).warnings
+    assert "above d=60" in caveat
+    # the caveat concerns the s-grid, which alpha = 2 does not have
+    assert radial_kernel(70, 2.0).warnings == ()
