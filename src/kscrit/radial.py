@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import gammainc, gammaln
 
-from .errors import DivergenceError, MeasureDataError, ValidationError
+from .errors import DivergenceError, MeasureDataError, NumericsError, ValidationError
 
 __all__ = [
     "sphere_area",
@@ -281,8 +281,10 @@ def density(profile: RadialProfile, r):
         vals = np.where((r_arr == 0) & inside, np.inf, vals)
         out = np.where(inside, vals, 0.0)
     elif isinstance(profile, Gaussian):
-        w = profile.width
-        out = profile.mass * np.exp(-((r_arr / w) ** 2)) / (math.pi ** (d / 2) * w**d)
+        # in logs: the normalization pi^(d/2) w^d overflows a float at high d
+        w, m = profile.width, profile.mass
+        log_scale = (math.log(m) if m > 0 else -math.inf) - 0.5 * d * math.log(math.pi) - d * math.log(w)
+        out = np.exp(log_scale - (r_arr / w) ** 2)
     elif isinstance(profile, ExplicitBlowupDatum):
         b = 2.0 * (d - 2) * profile.T
         out = 4.0 * (d - 2) * (r_arr**2 + d * b / (d - 2)) / (r_arr**2 + b) ** 2
@@ -358,13 +360,16 @@ def mass_profile(profile: RadialProfile) -> MassProfile:
         c = profile.eta * singular_coefficient(d, g) * sig / (d - g)
         p = d - g
         rin, rout = profile.r_in, profile.r_out
-        base = c * rin**p
+        try:
+            base = c * rin**p
+            total = math.inf if math.isinf(rout) else c * rout**p - base
+        except OverflowError:
+            raise NumericsError(f"the mass c r^p at r_out={rout:g}, p={p:g} overflows a float") from None
 
         def fn(r, c=c, p=p, rin=rin, rout=rout, base=base):
             clipped = np.clip(r, rin, rout)
             return c * clipped**p - base
 
-        total = math.inf if math.isinf(rout) else c * rout**p - base
         bps = tuple(x for x in (rin, rout) if 0 < x < math.inf)
         if rin > 0:
             head_exp, head_c = math.inf, 0.0

@@ -9,9 +9,10 @@ whose linear part is discretized in divergence form
 r^{d-1} d/dr (r^{1-d} dM/dr) (an M-matrix on any grid, so the scheme is
 monotone wherever advection is resolved) and whose nonlinear term uses a
 second-order centered gradient.  The stiff system is stepped one step at a
-time by scipy's BDF on the analytic tridiagonal Jacobian, with its Newton
-matrices I - c J factored by LAPACK's tridiagonal LU (gttrf/gttrs) in place of
-BDF's SuperLU; a step that breaks nonnegativity or radial monotonicity of M
+time by scipy's BDF on the analytic tridiagonal Jacobian.  The Jacobian and
+BDF's Newton matrices I - c J are kept as their three bands, so no sparse
+matrix is built, and LAPACK's tridiagonal LU (gttrf/gttrs) replaces BDF's
+SuperLU; a step that breaks nonnegativity or radial monotonicity of M
 restarts it at half the step.
 Blowup is witnessed discretely: either the origin density M(r_1) d/(sigma_d
 r_1^d) crosses a cap, or the step collapses to the floor (or BDF fails) while
@@ -191,11 +192,13 @@ class _Discretization:
         self.h = h
         self._flux = np.zeros(r.size + 1)
         self.adv_coef = self._calibrated_advection()
-        # constant bands (sub, main, super) of d div / dM and d grad / dM (one-sided last row)
+        # constant bands (sub, main, super) of d div / dM and d grad / dM (one-sided last row),
+        # laid out as ``jacobian`` returns them
         c, c_out, half_rpow = self.c_flux, np.concatenate([self.c_flux[1:], [0.0]]), self.half_rpow
-        self.div_bands = (self.inv_vol * c, -self.inv_vol * (c + c_out), self.inv_vol * c_out)
-        self.grad_bands = (-half_rpow * c, half_rpow * (c - c_out), half_rpow * c_out)
-        self.grad_bands[0][-1], self.grad_bands[1][-1] = -1.0 / h[-1], 1.0 / h[-1]
+        self.div_bands = np.array([self.inv_vol * c, -self.inv_vol * (c + c_out), self.inv_vol * c_out])
+        self.grad_bands = np.array([-half_rpow * c, half_rpow * (c - c_out), half_rpow * c_out])
+        self.grad_bands[:2, -1] = -1.0 / h[-1], 1.0 / h[-1]
+        self.div_bands[0, 0] = self.grad_bands[0, 0] = 0.0
 
     def _div_grad(self, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Divergence term and node gradient from one pass over the interface fluxes."""
@@ -230,25 +233,25 @@ class _Discretization:
             out[-1] = 0.0
         return out
 
-    def jacobian(self, M: np.ndarray):
-        """d rhs / dM: div + diag(a grad) + diag(a M) d grad, tridiagonal, in CSC form."""
-        from scipy import sparse
+    def jacobian(self, M: np.ndarray) -> np.ndarray:
+        """d rhs / dM: div + diag(a grad) + diag(a M) d grad, as a (3, n) array of its bands.
 
-        am = self.adv_coef * M
-        lower, main, upper = (dv + am * dg for dv, dg in zip(self.div_bands, self.grad_bands))
-        main += self.adv_coef * self._div_grad(M)[1]
+        Row i of the tridiagonal matrix is ``J[0, i], J[1, i], J[2, i]`` in columns
+        i-1, i, i+1; the corners ``J[0, 0]`` and ``J[2, -1]`` lie outside it and are 0.
+        """
+        J = self.div_bands + self.adv_coef * M * self.grad_bands
+        J[1] += self.adv_coef * self._div_grad(M)[1]
         if self.pinned:
-            lower[-1] = main[-1] = 0.0
-        return sparse.diags([lower[1:], main, upper[:-1]], [-1, 0, 1], format="csc")
+            J[:2, -1] = 0.0
+        return J
 
     def origin_density(self, M: np.ndarray) -> float:
         return float(M[0]) * self.d / (self.sigma * self.r[0] ** self.d)
 
 
-def _factor_tridiagonal(A) -> tuple:
-    """LAPACK gttrf LU of a tridiagonal matrix, in the form ``_solve_tridiagonal`` takes."""
-    *lu, info = dgttrf(A.diagonal(-1), A.diagonal(0), A.diagonal(1),
-                       overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+def _factor_tridiagonal(A: np.ndarray) -> tuple:
+    """LAPACK gttrf LU, in place, of bands laid out as ``jacobian``'s, for ``_solve_tridiagonal``."""
+    *lu, info = dgttrf(A[0, 1:], A[1], A[2, :-1], overwrite_dl=1, overwrite_d=1, overwrite_du=1)
     if info > 0:
         raise NumericsError(f"BDF Newton matrix is singular (zero pivot in row {info})")
     return tuple(lu)
@@ -273,7 +276,9 @@ def run(
     controls: SolverControls,
 ) -> SimResult:
     """Integrate the mass equation from the datum until t_end or blowup."""
-    from scipy.integrate import BDF  # here, so importing kscrit loads no scipy.integrate
+    # here, so importing kscrit loads neither scipy.integrate nor scipy.sparse
+    from scipy.integrate import BDF
+    from scipy.sparse import csc_matrix
 
     mass = datum if isinstance(datum, MassProfile) else mass_profile(datum)
     d = mass.d
@@ -322,15 +327,26 @@ def run(
     atol = _ATOL_FACTOR * max(float(np.max(M)), 1e-14)
     counts = np.zeros(3, dtype=int)  # rhs evaluations, Jacobians, LU factorizations
 
+    # BDF only checks the shape of this empty stand-in; start swaps in the banded Jacobian
+    placeholder_jac = csc_matrix((grid.n, grid.n))
+    identity_bands = np.array([[0.0], [1.0], [0.0]])
+
     def start(t0: float, y0: np.ndarray, first_step: float | None = None) -> BDF:
         solver = BDF(lambda _t, y: disc.rhs(y), t0, y0, controls.t_end, rtol=_RTOL, atol=atol,
-                     jac=lambda _t, y: disc.jacobian(y), first_step=first_step)
+                     jac=placeholder_jac, first_step=first_step)
 
-        def lu(A) -> tuple:
+        def jac(_t, y: np.ndarray) -> np.ndarray:
+            solver.njev += 1
+            return disc.jacobian(y)
+
+        def lu(A: np.ndarray) -> tuple:
             solver.nlu += 1
             return _factor_tridiagonal(A)
 
-        # the Newton matrix I - c J is tridiagonal: LAPACK's banded LU, not BDF's SuperLU
+        # J and the Newton matrices I - c J stay three bands: BDF's `self.I - c * J` is then
+        # NumPy on 3n numbers, factored by LAPACK's tridiagonal LU instead of SuperLU.  The
+        # initial Jacobian counts in njev, as on BDF's own path for a callable jac
+        solver.jac, solver.J, solver.I = jac, jac(solver.t, solver.y), identity_bands
         solver.lu, solver.solve_lu = lu, _solve_tridiagonal
         return solver
 

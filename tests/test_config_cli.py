@@ -119,6 +119,13 @@ class TestCli:
         assert report["verdict"]["kind"] in ("blowup", "global", "indeterminate")
         assert np.isfinite(report["concentration"]["value"]) and np.isfinite(report["curve_sup"])
 
+    def test_wide_gaussian_at_high_dimension(self, tmp_path):
+        # the density's normalization pi^(d/2) w^d holds w^d = 1e320 (w = 1e4, d = 80), beyond the float range
+        out = tmp_path / "g"
+        args = ["classify", "--profile", "gauss(mass=60,width=1e4)", "--d", "80", "--alpha", "2"]
+        assert run_cli(args + ["--out", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["verdict"]["kind"] == "global"
+
     def test_kernel_caveat_reaches_every_report(self, capsys, tmp_path):
         # the kernel is cached after the first run; its caveat must not be lost with the cache
         args = ["classify", "--profile", "gauss(mass=60,width=1)", "--d", "70", "--alpha", "1.5"]
@@ -170,6 +177,9 @@ class TestCli:
              "criterion curve is not finite"),
             # R(0) = Gamma(1 + d/alpha)/(Gamma(1 + d/2) (4 pi)^(d/2)) is beyond the float range
             (["kernel", "--d", "3", "--alpha", "0.01"], "overflows a float"),
+            # the total mass c r_out^p, p = 78, is beyond the float range
+            (["classify", "--profile", "trunc_chandrasekhar(eta=30,rin=0.001,rout=1e4,alpha=2)",
+              "--d", "80", "--alpha", "1.352"], "overflows a float"),
         ],
     )
     def test_overflow_is_a_numerical_failure(self, args, message, capsys, tmp_path):
@@ -219,8 +229,12 @@ class TestCli:
         assert code == 0
         rows = (out / "trajectory.csv").read_text().strip().splitlines()[1:]
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["n_steps"] > 100
         assert len(rows) == summary["n_steps"] + 1
+        # the step loop's counts and end time, pinned: a change to the Newton
+        # matrices' representation must not move a single step
+        counts = {k: summary[k] for k in ("n_steps", "n_rejected", "n_rhs", "n_jac", "n_lu")}
+        assert counts == {"n_steps": 119, "n_rejected": 19, "n_rhs": 534, "n_jac": 44, "n_lu": 51}
+        assert summary["t_final"] == 1.0000958006094156
 
     def test_simulate_rejects_fractional(self, capsys, tmp_path):
         code = run_cli(

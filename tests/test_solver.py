@@ -2,8 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.integrate._ivp.bdf as scipy_bdf
-from scipy import sparse
 from scipy.linalg.lapack import dgttrf
 
 import kscrit.solver as solver_module
@@ -81,18 +81,23 @@ class TestRhs:
         grid = build_grid(10.0, 120, 0.5)
         disc = _Discretization(grid, d, pinned=pinned)
         m = mass_profile(Gaussian(d, 3.0 * sphere_area(d), 1.0)).fn(grid.r)
-        jac = disc.jacobian(m).toarray()
+        bands = disc.jacobian(m)
+        assert isinstance(bands, np.ndarray) and bands.shape == (3, grid.n)
+        assert bands[0, 0] == bands[2, -1] == 0.0
         eps = 1e-6 * np.max(m)
-        fd = np.empty_like(jac)
+        fd = np.empty((grid.n, grid.n))
         for j in range(grid.n):
             e = np.zeros(grid.n)
             e[j] = eps
             fd[:, j] = (disc.rhs(m + e) - disc.rhs(m - e)) / (2.0 * eps)
         # rhs is quadratic in M, so central differences are exact up to rounding
-        assert np.max(np.abs(jac - fd)) <= 1e-9 * np.max(np.abs(jac))
-        assert np.count_nonzero(np.triu(jac, 2)) == np.count_nonzero(np.tril(jac, -2)) == 0
+        fd_bands = [np.diagonal(fd, -1), np.diagonal(fd), np.diagonal(fd, 1)]
+        for band, fd_band in zip((bands[0, 1:], bands[1], bands[2, :-1]), fd_bands):
+            assert np.max(np.abs(band - fd_band)) <= 1e-9 * np.max(np.abs(bands))
+        # every row depends on its two neighbours only
+        assert np.count_nonzero(np.triu(fd, 2)) == np.count_nonzero(np.tril(fd, -2)) == 0
         if pinned:
-            np.testing.assert_array_equal(jac[-1], 0.0)
+            np.testing.assert_array_equal(bands[:, -1], 0.0)
 
     def test_exact_solution_residual_second_order(self):
         # rhs must match the analytic time derivative of the closed-form mass
@@ -274,32 +279,98 @@ class TestStepFloor:
             run(Gaussian(D, 50.0, 0.2), self.GRID, self.CONTROLS)
 
 
+def _raises(message):
+    def fail(*_args, **_kwargs):
+        raise AssertionError(message)
+
+    return fail
+
+
+class _CountingBDF(scipy_bdf.BDF):
+    starts = 0
+
+    def __init__(self, *args, **kwargs):
+        type(self).starts += 1
+        super().__init__(*args, **kwargs)
+
+
 class TestNewtonFactorization:
     def test_restarting_blowup_factors_with_lapack_only(self, monkeypatch):
-        # BDF builds a fresh SuperLU path on every restart; each one must be replaced
-        def no_splu(_A):
-            raise AssertionError("BDF fell back to SuperLU")
-
-        calls = []
+        # BDF builds a fresh SuperLU path and a sparse identity on every restart;
+        # each one must be replaced, and no Jacobian or Newton matrix may be sparse
+        calls, matrices = [], []
 
         def counting_dgttrf(*args, **kwargs):
             calls.append(args[1].size)
             return dgttrf(*args, **kwargs)
 
-        monkeypatch.setattr(scipy_bdf, "splu", no_splu)
+        def recording_factor(A):
+            matrices.append((type(A), A.shape))
+            return _factor_tridiagonal(A)
+
+        monkeypatch.setattr(scipy_bdf, "splu", _raises("BDF fell back to SuperLU"))
+        monkeypatch.setattr("scipy.sparse.diags", _raises("a sparse Jacobian was assembled"))
+        monkeypatch.setattr("scipy.sparse.csc_matrix.__sub__", _raises("BDF formed I - cJ in sparse arithmetic"))
+        monkeypatch.setattr("scipy.sparse.csc_matrix.__rmul__", _raises("BDF scaled a sparse Jacobian"))
         monkeypatch.setattr(solver_module, "dgttrf", counting_dgttrf)
+        monkeypatch.setattr(solver_module, "_factor_tridiagonal", recording_factor)
+        monkeypatch.setattr(_CountingBDF, "starts", 0)
+        monkeypatch.setattr(scipy.integrate, "BDF", _CountingBDF)
         grid = build_grid(8.0, 800, 0.6, breakpoints=(1.0,))
         res = run(ShellAtom(D, 100.0, 1.0), grid, SolverControls(t_end=1.0))
         assert res.blew_up
         assert res.n_rejected >= 10
         assert res.n_lu == len(calls) > 0
         assert set(calls) == {grid.n}
+        assert set(matrices) == {(np.ndarray, (3, grid.n))}
+        # BDF re-evaluated Jacobians within a start, not only at each start
+        assert res.n_jac > _CountingBDF.starts >= res.n_rejected
 
     def test_singular_factor_is_a_numerics_error(self):
-        singular = sparse.diags([[1.0, 0.0], [1.0, 1.0, 1.0], [1.0, 0.0]], [-1, 0, 1], format="csc")
-        assert np.linalg.matrix_rank(singular.toarray()) < 3
+        # rows (1, 1, 0), (1, 1, 0), (0, 0, 1) as bands: J[0, i], J[1, i], J[2, i]
+        singular = np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
+        dense = np.diag(singular[0, 1:], -1) + np.diag(singular[1]) + np.diag(singular[2, :-1], 1)
+        assert np.linalg.matrix_rank(dense) < 3
         with pytest.raises(NumericsError, match="singular"):
             _factor_tridiagonal(singular)
+
+
+def test_scipy_bdf_routes_steps_through_the_replaced_internals(monkeypatch):
+    # run swaps BDF's jac, J, I, lu and solve_lu for banded ones; a scipy release that
+    # renames or bypasses them must fail here by name, not fall back to sparse or SuperLU
+    version = f"scipy {scipy.__version__}"
+    replaced = ("jac", "J", "I", "lu", "solve_lu")
+    counts = {"jacobian": 0, "factor": 0, "solve": 0}
+
+    class CheckedBDF(_CountingBDF):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            missing = [name for name in replaced if name not in vars(self)]
+            assert not missing, f"{version}: BDF no longer sets {missing}, which solver.run replaces"
+
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(_CountingBDF, "starts", 0)
+    monkeypatch.setattr(scipy.integrate, "BDF", CheckedBDF)
+    monkeypatch.setattr(_Discretization, "jacobian", counted("jacobian", _Discretization.jacobian))
+    monkeypatch.setattr(solver_module, "_factor_tridiagonal", counted("factor", _factor_tridiagonal))
+    monkeypatch.setattr(solver_module, "_solve_tridiagonal", counted("solve", solver_module._solve_tridiagonal))
+    try:
+        res = run(ExplicitBlowupDatum(D, 0.25), build_grid(15.0, 200, 0.5), SolverControls(t_end=0.5))
+    except AssertionError:
+        raise
+    except Exception as exc:
+        pytest.fail(f"{version}: a BDF step with banded {', '.join(replaced)} failed: {exc!r}")
+    assert counts["factor"] == res.n_lu > 0, f"{version}: BDF steps no longer factor through BDF.lu"
+    assert counts["solve"] > 0, f"{version}: BDF steps no longer solve through BDF.solve_lu"
+    assert counts["jacobian"] == res.n_jac > CheckedBDF.starts, (
+        f"{version}: BDF steps no longer re-evaluate the Jacobian through BDF.jac"
+    )
 
 
 class TestMoment:
