@@ -17,33 +17,30 @@ import numpy as np
 
 from . import __version__
 from .acceptance import run_acceptance
-from .config import RunConfig, check_singular_comparison, config_from_resolved, parse_config, resolved_json
+from .config import RunConfig, check_singular_comparison, parse_config, resolved_json
 from .criteria import classify, criterion_constants
 from .errors import AcceptanceError, KscritError, NumericsError, ValidationError
 from .kernels import build_kernel_table, radial_kernel
 from .output import write_csv, write_json, write_svg_lineplot
-from .radial import mass_profile, parse_profile
+from .radial import check_alpha, check_dimension, mass_profile, parse_profile
 from .solver import SolverControls, build_grid, run as run_sim
 
 __all__ = ["main"]
 
 
 def _parse_d_range(text: str) -> list[int]:
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        try:
-            return list(range(int(lo), int(hi) + 1))
-        except ValueError as exc:
-            raise ValidationError(f"bad --d-range {text!r}; expected a:b") from exc
     try:
-        return [int(x) for x in text.split(",")]
+        if ":" in text:
+            lo, hi = (check_dimension(int(x)) for x in text.split(":", 1))
+            return list(range(lo, hi + 1))
+        return [check_dimension(int(x)) for x in text.split(",")]
     except ValueError as exc:
-        raise ValidationError(f"bad --d-range {text!r}") from exc
+        raise ValidationError(f"bad --d-range {text!r}; expected a:b or a comma list") from exc
 
 
 def _parse_alpha_list(text: str) -> list[float]:
     try:
-        vals = [float(x) for x in text.split(",") if x.strip()]
+        vals = [check_alpha(float(x)) for x in text.split(",") if x.strip()]
     except ValueError as exc:
         raise ValidationError(f"bad --alpha list {text!r}") from exc
     if not vals:
@@ -51,40 +48,15 @@ def _parse_alpha_list(text: str) -> list[float]:
     return vals
 
 
-def _load_config(args, defaults: dict | None = None) -> RunConfig:
+def _load_config(args) -> RunConfig:
+    """Defaults < --config file < flags; a flag's dest is its 'section.key' config path."""
     text = None
-    base = None
-    if getattr(args, "config", None):
-        raw = Path(args.config).read_text(encoding="utf-8")
-        if args.config.endswith(".json"):
-            base = config_from_resolved(raw)  # a resolved.json re-fed as config
-        else:
-            text = raw
-    overrides = dict(defaults or {})
-    if base is not None:
-        for section in ("problem", "initial", "grid", "time", "output"):
-            sub = getattr(base, section)
-            for name in sub.__dataclass_fields__:
-                overrides[f"{section}.{name}"] = getattr(sub, name)
-    for flag, path in (
-        ("d", "problem.d"),
-        ("alpha", "problem.alpha"),
-        ("t_target", "problem.T_target"),
-        ("profile", "initial.profile"),
-        ("r_max", "grid.r_max"),
-        ("n", "grid.n"),
-        ("inner_fraction", "grid.inner_fraction"),
-        ("t_end", "time.t_end"),
-        ("density_cap", "time.density_cap"),
-        ("dt_floor", "time.dt_floor"),
-        ("stride", "output.stride"),
-        ("format", "output.format"),
-        ("out", "output.path"),
-    ):
-        val = getattr(args, flag, None)
-        if val is not None:
-            overrides[path] = val
-    return parse_config(text, overrides)
+    if args.config:
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ValidationError(f"cannot read config file: {exc}") from exc
+    return parse_config(text, {path: value for path, value in vars(args).items() if "." in path})
 
 
 def _outdir(cfg: RunConfig) -> Path:
@@ -96,12 +68,16 @@ def _outdir(cfg: RunConfig) -> Path:
 
 def _cmd_constants(args) -> int:
     cfg = check_singular_comparison(_load_config(args))
-    out = _outdir(cfg)
     ds = _parse_d_range(args.d_range)
     alphas = _parse_alpha_list(args.alpha_list)
     cases = [(d, a) for d in ds for a in alphas if a == 2.0 or 2.0 * a < d]
     skipped = [(d, a) for d in ds for a in alphas if not (a == 2.0 or 2.0 * a < d)]
+    if not cases:
+        raise ValidationError(
+            f"--d-range {args.d_range} --alpha {args.alpha_list} leaves no (d, alpha) with alpha = 2 or 2*alpha < d"
+        )
     rows = [criterion_constants(d, a) for d, a in cases]
+    out = _outdir(cfg)
     header = ["d", "alpha", "sigma_d", "C", "K", "L", "N_threshold", "upper_bound"]
     table = [
         (
@@ -276,8 +252,17 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a ValidationError (exit 1): exit 2 means numerical failure."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # a setting's flag has its config path as dest and is converted by parse_config
+    parser = _Parser(
         prog="kscrit",
         description="Blowup criteria and radial simulation for parabolic-elliptic chemotaxis",
     )
@@ -285,39 +270,39 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--config", help="INI config file")
-        p.add_argument("--out", help="output directory (default: out)")
-        p.add_argument("--format", choices=("csv", "json"), help="tabular output format")
+        p.add_argument("--config", help="INI config file, or a resolved.json to re-run")
+        p.add_argument("--out", dest="output.path", help="output directory (default: out)")
 
     p = sub.add_parser("constants", help="criterion constants over a (d, alpha) grid")
     common(p)
+    p.add_argument("--format", dest="output.format", choices=("csv", "json"), help="also write constants.json")
     p.add_argument("--d-range", default="3:10", help="a:b inclusive or comma list")
     p.add_argument("--alpha", dest="alpha_list", default="2.0", help="comma list of alpha values")
 
     p = sub.add_parser("classify", help="global/blowup verdict for a radial datum")
     common(p)
-    p.add_argument("--profile", help="profile grammar, e.g. chandrasekhar(eta=2.5)")
-    p.add_argument("--d", type=int)
-    p.add_argument("--alpha", type=float)
+    p.add_argument("--profile", dest="initial.profile", help="profile grammar, e.g. chandrasekhar(eta=2.5)")
+    p.add_argument("--d", dest="problem.d")
+    p.add_argument("--alpha", dest="problem.alpha")
 
     p = sub.add_parser("simulate", help="integrate the radial mass equation (alpha = 2)")
     common(p)
-    p.add_argument("--profile")
-    p.add_argument("--d", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--t-target", dest="t_target", type=float, help="moment-tracking horizon")
-    p.add_argument("--r-max", dest="r_max", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--inner-fraction", dest="inner_fraction", type=float)
-    p.add_argument("--t-end", dest="t_end", type=float)
-    p.add_argument("--density-cap", dest="density_cap", type=float)
-    p.add_argument("--dt-floor", dest="dt_floor", type=float)
-    p.add_argument("--stride", type=int)
+    p.add_argument("--profile", dest="initial.profile")
+    p.add_argument("--d", dest="problem.d")
+    p.add_argument("--alpha", dest="problem.alpha")
+    p.add_argument("--t-target", dest="problem.T_target", help="moment-tracking horizon")
+    p.add_argument("--r-max", dest="grid.r_max")
+    p.add_argument("--n", dest="grid.n")
+    p.add_argument("--inner-fraction", dest="grid.inner_fraction")
+    p.add_argument("--t-end", dest="time.t_end")
+    p.add_argument("--density-cap", dest="time.density_cap")
+    p.add_argument("--dt-floor", dest="time.dt_floor")
+    p.add_argument("--stride", dest="output.stride")
 
     p = sub.add_parser("kernel", help="tabulate the radial kernel R, R', R''")
     common(p)
-    p.add_argument("--d", type=int)
-    p.add_argument("--alpha", type=float)
+    p.add_argument("--d", dest="problem.d")
+    p.add_argument("--alpha", dest="problem.alpha")
 
     p = sub.add_parser("verify", help="run the acceptance suite")
     common(p)
@@ -326,8 +311,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     handlers = {
         "constants": _cmd_constants,
         "classify": _cmd_classify,
@@ -336,6 +319,7 @@ def main(argv: list[str] | None = None) -> int:
         "verify": _cmd_verify,
     }
     try:
+        args = _build_parser().parse_args(argv)
         return handlers[args.command](args)
     except AcceptanceError as exc:
         print(f"acceptance failure: {exc}", file=sys.stderr)

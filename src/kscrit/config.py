@@ -1,4 +1,4 @@
-"""Run configuration: INI files, flag overrides, schema validation."""
+"""Run configuration: INI or resolved.json files, flag overrides, schema validation."""
 
 from __future__ import annotations
 
@@ -63,36 +63,53 @@ _SECTIONS = {
     "output": OutputConfig,
 }
 
-_OPTIONAL_FLOATS = {"T_target", "density_cap", "dt_floor"}
 
-
-def _convert(section: str, key: str, raw: str, target_type):
-    text = raw.strip()
+def _convert(path: str, value, default):
+    """Convert a setting to the type of its field's default; a None default means an optional float."""
+    kind = float if default is None else type(default)
+    text = str(value).strip()
+    if default is None and text.lower() in ("", "none"):
+        return None
     try:
-        if key in _OPTIONAL_FLOATS:
-            return None if text.lower() in ("", "none") else float(text)
-        if target_type is int:
-            return int(text)
-        if target_type is float:
-            return float(text)
-        return text
+        result = kind(text)
+        if kind is float and not math.isfinite(result):
+            raise ValueError(text)
     except ValueError as exc:
-        raise ValidationError(
-            f"config key {section}.{key}: expected {target_type.__name__}, got {raw!r}"
-        ) from exc
+        name = "finite float" if kind is float else kind.__name__
+        raise ValidationError(f"config key {path}: expected {name}, got {value!r}") from exc
+    return result
 
 
-def _section_types(cls) -> dict[str, type]:
-    out = {}
-    for f in fields(cls):
-        t = f.type
-        if t in ("int", int):
-            out[f.name] = int
-        elif t in ("float", float, "float | None"):
-            out[f.name] = float
-        else:
-            out[f.name] = str
-    return out
+def _known_section(name: str) -> str:
+    if name not in _SECTIONS:
+        raise ValidationError(f"unknown config section [{name}]; known: {sorted(_SECTIONS)}")
+    return name
+
+
+def _file_settings(text: str) -> dict:
+    """Flatten an INI file, or a re-fed resolved.json, to {'section.key': value}.
+
+    An INI file opens with a section header or a comment, never with '{'.
+    """
+    if text.lstrip().startswith("{"):
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"resolved config is not valid JSON: {exc}") from exc
+        if not all(isinstance(sub, dict) for sub in data.values()):
+            raise ValidationError("resolved config: every section must be a JSON object")
+        return {f"{section}.{key}": value for section, sub in data.items() for key, value in sub.items()}
+    parser = configparser.ConfigParser()
+    try:
+        parser.read_file(io.StringIO(text))
+    except configparser.Error as exc:
+        raise ValidationError(f"config parse error: {exc}") from exc
+    return {
+        # configparser lowercases option names
+        f"{section}.{'T_target' if key == 't_target' else key}": raw
+        for section in map(_known_section, parser.sections())
+        for key, raw in parser.items(section)
+    }
 
 
 def _validate(cfg: RunConfig) -> RunConfig:
@@ -127,73 +144,23 @@ def check_singular_comparison(cfg: RunConfig) -> RunConfig:
 
 
 def parse_config(text: str | None = None, overrides: dict | None = None) -> RunConfig:
-    """Defaults < INI file text < flat overrides {'section.key': value}.
+    """Defaults < config file text (INI or resolved.json) < flat overrides {'section.key': value}.
 
-    Unknown sections or keys are hard errors with their full key path.
+    Unknown sections or keys are hard errors with their full key path; an
+    override of None leaves the setting alone.
     """
+    settings = _file_settings(text) if text is not None else {}
+    settings.update((path, value) for path, value in (overrides or {}).items() if value is not None)
     cfg = RunConfig()
-    if text is not None:
-        parser = configparser.ConfigParser()
-        try:
-            parser.read_file(io.StringIO(text))
-        except configparser.Error as exc:
-            raise ValidationError(f"config parse error: {exc}") from exc
-        for section in parser.sections():
-            if section not in _SECTIONS:
-                raise ValidationError(
-                    f"unknown config section [{section}]; known: {sorted(_SECTIONS)}"
-                )
-            sub = getattr(cfg, section)
-            types = _section_types(type(sub))
-            for key, raw in parser.items(section):
-                if key == "t_target":
-                    key = "T_target"  # configparser lowercases option names
-                if key not in types:
-                    raise ValidationError(
-                        f"unknown config key {section}.{key}; known: {sorted(types)}"
-                    )
-                setattr(sub, key, _convert(section, key, raw, types[key]))
-    for path, value in (overrides or {}).items():
-        if value is None:
-            continue
-        if "." not in path:
-            raise ValidationError(f"unknown config key {path!r}")
-        section, key = path.split(".", 1)
-        if section not in _SECTIONS:
-            raise ValidationError(f"unknown config section {section!r}")
-        sub = getattr(cfg, section)
-        types = _section_types(type(sub))
-        if key not in types:
-            raise ValidationError(f"unknown config key {section}.{key}")
-        if isinstance(value, str):
-            value = _convert(section, key, value, types[key])
-        setattr(sub, key, value)
+    for path, value in settings.items():
+        section, _, key = path.partition(".")
+        known = {f.name: f.default for f in fields(_SECTIONS[_known_section(section)])}
+        if key not in known:
+            raise ValidationError(f"unknown config key {path}; known: {sorted(known)}")
+        setattr(getattr(cfg, section), key, _convert(path, value, known[key]))
     return _validate(cfg)
 
 
 def resolved_json(cfg: RunConfig) -> str:
     """Canonical JSON echo of a resolved config (round-trips through parse_config)."""
-
-    def clean(x):
-        if isinstance(x, float) and not math.isfinite(x):
-            return str(x)
-        return x
-
-    d = asdict(cfg)
-    return json.dumps(d, sort_keys=True, indent=2, default=clean) + "\n"
-
-
-def config_from_resolved(text: str) -> RunConfig:
-    """Rebuild a RunConfig from a resolved.json payload."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"resolved config is not valid JSON: {exc}") from exc
-    overrides: dict = {}
-    for section, sub in data.items():
-        if isinstance(sub, dict):
-            for key, value in sub.items():
-                overrides[f"{section}.{key}"] = value
-        else:
-            overrides[section] = sub
-    return parse_config(None, overrides)
+    return json.dumps(asdict(cfg), sort_keys=True, indent=2) + "\n"

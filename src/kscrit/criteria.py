@@ -224,7 +224,7 @@ def criterion_constants(d: int, alpha: float = 2.0) -> CriterionConstants:
         if 2.0 * alpha >= d:
             raise ValidationError("fractional criteria require 2*alpha < d")
         k = singular_semigroup_value(d, alpha)
-        upper = 2.0 * d / (d - 2.0)
+        upper = 2.0 * d / (d - 2.0) if d > 2 else None  # the bound is infinite at d = 2
     c, c_abserr = blowup_constant_fractional(d, alpha)
     l_val, _ = shell_semigroup_peak(d, alpha)
     return CriterionConstants(

@@ -678,7 +678,7 @@ def parse_profile(text: str, d: int) -> RadialProfile:
     # table
     try:
         data = np.loadtxt(params["path"], delimiter=",", ndmin=2)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a header row or a non-numeric cell
         raise ValidationError(f"cannot read table file {params['path']!r}: {exc}") from exc
     if data.shape[1] != 2:
         raise ValidationError("table file must have exactly two columns (r, u)")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kscrit.cli import main
-from kscrit.config import check_singular_comparison, config_from_resolved, parse_config, resolved_json
+from kscrit.config import check_singular_comparison, parse_config, resolved_json
 from kscrit.errors import ValidationError
 
 
@@ -24,6 +24,8 @@ class TestConfig:
     def test_unknown_section_and_key_are_hard_errors(self):
         with pytest.raises(ValidationError, match="unknown config section"):
             parse_config("[nope]\nx = 1\n")
+        with pytest.raises(ValidationError, match="unknown config section"):
+            parse_config("[nope]\n")  # an empty section sets nothing but is still checked
         with pytest.raises(ValidationError, match="grid.widgets"):
             parse_config("[grid]\nwidgets = 3\n")
 
@@ -41,10 +43,21 @@ class TestConfig:
         with pytest.raises(ValidationError, match="2\\*alpha < d"):
             check_singular_comparison(cfg)
 
+    @pytest.mark.parametrize("key", ["T_target", "t_target"])
+    def test_t_target_key_in_either_case(self, key):
+        # configparser lowercases option names; both spellings set problem.T_target
+        assert parse_config(f"[problem]\n{key} = 0.5\n").problem.T_target == 0.5
+
     def test_resolved_round_trip(self):
         cfg = parse_config("[problem]\nd = 4\n[time]\nt_end = 2.5\n", {"grid.n": 800})
-        again = config_from_resolved(resolved_json(cfg))
+        again = parse_config(resolved_json(cfg))
         assert again == cfg
+
+    def test_resolved_values_are_checked_like_ini_values(self):
+        with pytest.raises(ValidationError, match="grid.n"):
+            parse_config('{"grid": {"n": 3.5}}')
+        with pytest.raises(ValidationError, match="JSON object"):
+            parse_config('{"grid": 5}')
 
 
 def run_cli(args):
@@ -76,6 +89,103 @@ class TestCli:
         assert Path(report["curve_path"]).exists()
         assert (out / "curve.svg").exists()
         assert (out / "resolved.json").exists()
+
+    def test_constants_json_matches_csv(self, tmp_path):
+        out = tmp_path / "c"
+        args = ["constants", "--d-range", "3:5", "--alpha", "2.0,0.5,1.5", "--format", "json"]
+        assert run_cli(args + ["--out", str(out)]) == 0
+        keys = ["d", "alpha", "C", "K", "L", "N_threshold", "upper_bound"]
+        lines = (out / "constants.csv").read_text().strip().splitlines()
+        header = lines[0].split(",")
+        csv_rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        json_rows = json.loads((out / "constants.json").read_text())
+        assert len(json_rows) == len(csv_rows) == 8  # 2*alpha < d leaves out (3, 1.5)
+        for row, record in zip(csv_rows, json_rows):
+            assert [row[k] for k in keys] == ["" if record[k] is None else repr(record[k]) for k in keys]
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            # --format belongs to constants only
+            (["classify", "--profile", "gauss(mass=1,width=1)", "--format", "json"], "--format"),
+            (["classify", "--d"], "--d"),
+            (["kernel", "--bogus", "1"], "--bogus"),
+            (["classify", "--d", "abc"], "problem.d: expected int"),
+            (["simulate", "--t-end", "soon"], "time.t_end: expected finite float"),
+            (["simulate", "--r-max", "nan"], "grid.r_max: expected finite float"),
+            ([], "required: command"),
+        ],
+    )
+    def test_usage_error_exit_code(self, args, message, capsys, tmp_path):
+        # exit 2 is reserved for numerical failure
+        assert run_cli(args + ["--out", str(tmp_path / "x")] if args else args) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [["--help"], ["--version"], ["constants", "--help"]])
+    def test_help_and_version_exit_zero(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(args)
+        assert exc.value.code == 0
+        assert "kscrit" in capsys.readouterr().out
+
+    def test_missing_config_file_exit_code(self, capsys, tmp_path):
+        code = run_cli(["classify", "--config", str(tmp_path / "missing.ini"), "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert "cannot read config file" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("text", ["r,u\n0.1,1.0\n0.2,0.5\n", "0.1,1.0\n0.2,high\n"])
+    def test_non_numeric_table_exit_code(self, text, capsys, tmp_path):
+        table = tmp_path / "f.csv"
+        table.write_text(text)
+        code = run_cli(["classify", "--profile", f"table(path={table})", "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert "cannot read table file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "grid,message",
+        [
+            (["--d-range", "5:3"], "leaves no (d, alpha)"),
+            (["--d-range", "2", "--alpha", "1.5"], "leaves no (d, alpha)"),
+            (["--alpha", "nan"], "alpha must be in (0, 2]"),
+            (["--d-range", "3:100000000000"], "dimension capped at"),
+        ],
+    )
+    def test_empty_constants_table_exit_code(self, grid, message, capsys, tmp_path):
+        code = run_cli(["constants", *grid, "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
+    def test_constants_in_the_plane_below_alpha_one(self, alpha, tmp_path):
+        # 2d/(d-2) is infinite at d = 2: upper_bound is left empty, as at alpha = 2
+        out = tmp_path / "c"
+        args = ["constants", "--d-range", "2", "--alpha", str(alpha), "--format", "json"]
+        assert run_cli(args + ["--out", str(out)]) == 0
+        (record,) = json.loads((out / "constants.json").read_text())
+        assert record["upper_bound"] is None
+        assert all(np.isfinite(record[k]) for k in ("C", "K", "L", "N_threshold"))
+        assert record["K"] <= record["C"]
+        if alpha == 0.5:
+            assert (record["C"], record["K"], record["L"]) == pytest.approx((1.0269, 0.6854, 0.03927), rel=1e-4)
+
+    @pytest.mark.parametrize(
+        "profile,kind",
+        [
+            ("gauss(mass=1,width=1)", "global"),
+            ("shell(N=30,R=1)", "blowup"),  # above N_threshold = 26.15
+            ("chandrasekhar(eta=0.5,alpha=0.5)", "global"),
+            ("chandrasekhar(eta=2.5,alpha=0.5)", "blowup"),
+        ],
+    )
+    def test_classify_in_the_plane_below_alpha_one(self, profile, kind, tmp_path):
+        out = tmp_path / "r"
+        args = ["classify", "--profile", profile, "--d", "2", "--alpha", "0.5"]
+        assert run_cli(args + ["--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["verdict"]["kind"] == kind
+        assert report["constants"]["upper_bound"] is None
 
     def test_invalid_alpha_exit_code(self, capsys, tmp_path):
         code = run_cli(

@@ -1,0 +1,58 @@
+"""The README's examples run as written: every ``kscrit`` line of its CLI block,
+its simulate INI file and its Library block."""
+
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from kscrit.cli import main
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def _blocks(lang: str) -> list[str]:
+    return re.findall(rf"^```{lang}\n(.*?)^```", README, flags=re.DOTALL | re.MULTILINE)
+
+
+def _cli_lines() -> list[list[str]]:
+    text = next(block for block in _blocks("sh") if "kscrit " in block)
+    lines = text.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("kscrit ")]
+
+
+def _with_out(args: list[str], out: Path) -> list[str]:
+    if "--out" in args:
+        i = args.index("--out")
+        args = args[:i] + args[i + 2 :]
+    return args + ["--out", str(out)]
+
+
+# the full `kscrit verify` is the acceptance suite, which tests/test_acceptance.py runs
+CLI = [args for args in _cli_lines() if args[:1] != ["verify"] or "--only" in args]
+
+
+def test_cli_block_is_found():
+    assert [args[0] for args in CLI] == ["constants", "classify", "simulate", "kernel", "verify"]
+
+
+@pytest.mark.parametrize("args", CLI, ids=" ".join)
+def test_cli_example(args, tmp_path):
+    assert main(_with_out(args, tmp_path / "out")) == 0
+
+
+def test_ini_example(tmp_path):
+    (text,) = _blocks("ini")
+    conf = tmp_path / "run.ini"
+    conf.write_text(text)
+    assert main(["simulate", "--config", str(conf), "--out", str(tmp_path / "sim")]) == 0
+    assert (tmp_path / "sim" / "trajectory.csv").exists()
+
+
+def test_library_example():
+    (code,) = _blocks("python")
+    names = {}
+    exec(compile(code, "README.md", "exec"), names)
+    assert names["report"].verdict.kind == "blowup"
+    assert names["res"].event.detected_time == pytest.approx(1.0, abs=0.01)
