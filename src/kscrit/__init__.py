@@ -23,7 +23,6 @@ from .criteria import (
     singular_semigroup_value,
 )
 from .errors import (
-    DivergenceError,
     IntegrabilityError,
     KscritError,
     MeasureDataError,

@@ -47,14 +47,11 @@ from .kernels import (
     tail_moment,
 )
 from .radial import (
-    Chandrasekhar,
     ConcentrationValue,
     MassProfile,
     RadialProfile,
-    TruncatedChandrasekhar,
     check_alpha,
     check_dimension,
-    density,
     mass_profile,
     radial_concentration,
     refine_max,
@@ -398,35 +395,6 @@ class CriterionReport:
     warnings: tuple[str, ...] = ()
 
 
-def weighted_density_sup(profile: RadialProfile, alpha: float) -> float:
-    """sup_r r^alpha u(r), the comparison of the datum against the singular density."""
-    alpha = check_alpha(alpha)
-    d = profile.d
-    if isinstance(profile, Chandrasekhar):
-        coef = profile.eta * singular_coefficient(d, profile.gamma)
-        return coef if profile.gamma == alpha else math.inf
-    if isinstance(profile, TruncatedChandrasekhar):
-        coef = profile.eta * singular_coefficient(d, profile.gamma)
-        e = alpha - profile.gamma
-        if e == 0.0:
-            return coef
-        if e > 0.0:
-            return coef * profile.r_out**e if math.isfinite(profile.r_out) else math.inf
-        return coef * profile.r_in**e if profile.r_in > 0 else math.inf
-    if getattr(profile, "is_measure", False):
-        return math.inf
-    mass = mass_profile(profile)
-    grid = np.geomspace(mass.r_char * 1e-6, mass.r_char * 1e6, 64 * 12 + 1)
-    if mass.breakpoints:
-        grid = np.unique(np.concatenate([grid, np.asarray(mass.breakpoints)]))
-    u = np.asarray(density(profile, grid), dtype=float)
-    u = np.where(np.isfinite(u), u, 0.0)
-    vals = grid**alpha * u
-    return refine_max(
-        lambda s: math.exp(s * alpha) * float(density(profile, math.exp(s))), grid, vals
-    )[1]
-
-
 def classify(datum: RadialProfile | MassProfile, d: int, alpha: float = 2.0) -> CriterionReport:
     """Render the global/blowup/indeterminate verdict for a radial datum.
 
@@ -460,11 +428,9 @@ def classify(datum: RadialProfile | MassProfile, d: int, alpha: float = 2.0) -> 
 
     # global branch: strictly below the singular density (needs a density and d >= 3)
     epsilon = None
-    if profile is not None and not getattr(profile, "is_measure", False) and (
-        d >= 3 or alpha < 2.0
-    ):
+    if profile is not None and not profile.is_measure and (d >= 3 or alpha < 2.0):
         s_sing = singular_coefficient(d, alpha)
-        epsilon = weighted_density_sup(profile, alpha) / s_sing
+        epsilon = profile.weighted_sup(alpha) / s_sing
 
     if d == 2 and alpha == 2.0:
         # sharp classical rule; sup_r M(r) is the total mass by monotonicity

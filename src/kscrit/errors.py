@@ -13,10 +13,6 @@ class MeasureDataError(ValidationError):
     """A density-level operation was applied to a pure measure (shell atom)."""
 
 
-class DivergenceError(ValidationError):
-    """A requested quantity is infinite/undefined for this datum (non-integrable singularity)."""
-
-
 class NumericsError(KscritError):
     """A numerical procedure failed to converge or produced an invalid result."""
 

@@ -11,19 +11,27 @@ which shell atoms (mass N concentrated on a sphere) make sense.  The key
 scalar functional is the d/alpha-radial concentration
 
     sup_{R>0} R^(alpha-d) M(R).
+
+Each kind of datum is one ``RadialProfile`` subclass that carries everything
+about itself: its grammar name and keys, its density, its distribution
+function M, its rescaling and its weighted density sup.  The power laws
+``Chandrasekhar`` and ``TruncatedChandrasekhar`` share one implementation.
+The module-level ``density``, ``mass_profile``, ``scale_profile`` and
+``parse_profile`` are the entry points and hold no per-kind code.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
-from typing import Callable
+import warnings
+from dataclasses import dataclass, replace
+from typing import Callable, ClassVar
 
 import numpy as np
 from scipy.special import gammainc, gammaln
 
-from .errors import DivergenceError, MeasureDataError, NumericsError, ValidationError
+from .errors import MeasureDataError, NumericsError, ValidationError
 
 __all__ = [
     "sphere_area",
@@ -105,201 +113,6 @@ def singular_coefficient(d: int, alpha: float = 2.0) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Profile kinds
-# ---------------------------------------------------------------------------
-
-
-def _check_finite(**params: float) -> None:
-    """Reject NaN and infinite profile parameters (NaN slips through every < test)."""
-    for name, value in params.items():
-        if not math.isfinite(value):
-            raise ValidationError(f"parameter {name} must be finite, got {value}")
-
-
-@dataclass(frozen=True)
-class Chandrasekhar:
-    """Scaled singular stationary density eta * s(gamma, d) / r^gamma.
-
-    ``gamma`` is the singularity exponent of the datum itself (gamma = 2 for
-    the classical case); it need not equal the diffusion order used later to
-    evaluate criteria against this datum.
-    """
-
-    d: int
-    eta: float
-    gamma: float = 2.0
-
-    def __post_init__(self):
-        check_dimension(self.d)
-        _check_finite(eta=self.eta)
-        if self.eta <= 0:
-            raise ValidationError("eta must be positive")
-        # validates gamma against d as well
-        singular_coefficient(self.d, self.gamma)
-
-
-@dataclass(frozen=True)
-class TruncatedChandrasekhar:
-    """eta * u_C restricted to the annulus r_in <= r <= r_out."""
-
-    d: int
-    eta: float
-    r_in: float = 0.0
-    r_out: float = math.inf
-    gamma: float = 2.0
-
-    def __post_init__(self):
-        check_dimension(self.d)
-        _check_finite(eta=self.eta, r_in=self.r_in)
-        if math.isnan(self.r_out):
-            raise ValidationError("parameter r_out must be a number, got nan")
-        if self.eta <= 0:
-            raise ValidationError("eta must be positive")
-        if self.r_in < 0 or self.r_out <= self.r_in:
-            raise ValidationError("need 0 <= r_in < r_out")
-        singular_coefficient(self.d, self.gamma)
-        if self.r_in == 0.0 and self.gamma >= self.d:
-            raise DivergenceError("mass diverges at the origin: gamma >= d")
-
-
-@dataclass(frozen=True)
-class Gaussian:
-    """Smooth bump of total mass ``mass`` and width ``width``."""
-
-    d: int
-    mass: float
-    width: float = 1.0
-
-    def __post_init__(self):
-        check_dimension(self.d)
-        _check_finite(mass=self.mass, width=self.width)
-        if self.mass < 0 or self.width <= 0:
-            raise ValidationError("need mass >= 0 and width > 0")
-
-
-@dataclass(frozen=True)
-class ShellAtom:
-    """Mass ``mass`` spread uniformly on the sphere of radius ``radius``.
-
-    A pure measure: it has a distribution function (a step) but no pointwise
-    density, so density-level operations reject it.
-    """
-
-    d: int
-    mass: float
-    radius: float = 1.0
-    is_measure: bool = field(default=True, init=False)
-
-    def __post_init__(self):
-        check_dimension(self.d)
-        _check_finite(mass=self.mass, radius=self.radius)
-        if self.mass < 0 or self.radius <= 0:
-            raise ValidationError("need mass >= 0 and radius > 0")
-
-
-@dataclass(frozen=True)
-class ExplicitBlowupDatum:
-    """Initial datum of the explicit infinite-mass solution blowing up at time T.
-
-    The mass profile is M(r) = 4*sigma_d*r^d/(r^2 + 2(d-2)T) and the density is
-    its radial derivative 4(d-2)(r^2 + 2dT)/(r^2 + 2(d-2)T)^2.  Requires d >= 3.
-    """
-
-    d: int
-    T: float
-
-    def __post_init__(self):
-        check_dimension(self.d)
-        if self.d < 3:
-            raise ValidationError("the explicit blowing-up solution needs d >= 3")
-        _check_finite(T=self.T)
-        if self.T <= 0:
-            raise ValidationError("T must be positive")
-
-
-@dataclass(frozen=True, eq=False)
-class Tabulated:
-    """Density sampled on a strictly increasing radius grid (r > 0).
-
-    Below the first gridpoint the density is extended by its first value;
-    beyond the last it is zero.
-    """
-
-    d: int
-    r: np.ndarray
-    u: np.ndarray
-
-    def __post_init__(self):
-        check_dimension(self.d)
-        r = np.asarray(self.r, dtype=float)
-        u = np.asarray(self.u, dtype=float)
-        if r.ndim != 1 or r.shape != u.shape or r.size < 2:
-            raise ValidationError("tabulated profile needs matching 1-d arrays of length >= 2")
-        if not np.all(np.isfinite(r)) or r[0] <= 0 or np.any(np.diff(r) <= 0):
-            raise ValidationError(
-                "tabulated radii must be finite, strictly increasing and start at r > 0"
-            )
-        if np.any(u < 0) or not np.all(np.isfinite(u)):
-            raise ValidationError("tabulated density values must be finite and >= 0")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "u", u)
-
-
-RadialProfile = (
-    Chandrasekhar
-    | TruncatedChandrasekhar
-    | Gaussian
-    | ShellAtom
-    | ExplicitBlowupDatum
-    | Tabulated
-)
-
-
-def density(profile: RadialProfile, r):
-    """Pointwise density u(r); vectorized over r.
-
-    Raises MeasureDataError for shell atoms.  Untruncated Chandrasekhar data
-    return inf at r = 0 (the singularity is genuine).
-    """
-    if isinstance(profile, ShellAtom):
-        raise MeasureDataError("a shell atom has no pointwise density")
-    r_arr = np.asarray(r, dtype=float)
-    scalar = r_arr.ndim == 0
-    r_arr = np.atleast_1d(r_arr)
-    if np.any(r_arr < 0):
-        raise ValidationError("radius must be >= 0")
-    d = profile.d
-    if isinstance(profile, Chandrasekhar):
-        coef = profile.eta * singular_coefficient(d, profile.gamma)
-        with np.errstate(divide="ignore"):
-            out = np.where(r_arr > 0, coef / np.maximum(r_arr, 1e-300) ** profile.gamma, np.inf)
-    elif isinstance(profile, TruncatedChandrasekhar):
-        coef = profile.eta * singular_coefficient(d, profile.gamma)
-        inside = (r_arr >= profile.r_in) & (r_arr <= profile.r_out)
-        with np.errstate(divide="ignore"):
-            vals = coef / np.maximum(r_arr, 1e-300) ** profile.gamma
-        vals = np.where((r_arr == 0) & inside, np.inf, vals)
-        out = np.where(inside, vals, 0.0)
-    elif isinstance(profile, Gaussian):
-        # in logs: the normalization pi^(d/2) w^d overflows a float at high d
-        w, m = profile.width, profile.mass
-        log_scale = (math.log(m) if m > 0 else -math.inf) - 0.5 * d * math.log(math.pi) - d * math.log(w)
-        out = np.exp(log_scale - (r_arr / w) ** 2)
-    elif isinstance(profile, ExplicitBlowupDatum):
-        b = 2.0 * (d - 2) * profile.T
-        out = 4.0 * (d - 2) * (r_arr**2 + d * b / (d - 2)) / (r_arr**2 + b) ** 2
-    elif isinstance(profile, Tabulated):
-        out = np.where(
-            r_arr <= profile.r[-1],
-            np.interp(r_arr, profile.r, profile.u, left=profile.u[0], right=0.0),
-            0.0,
-        )
-    else:
-        raise ValidationError(f"unknown profile kind {type(profile).__name__}")
-    return float(out[0]) if scalar else out
-
-
-# ---------------------------------------------------------------------------
 # Mass profiles
 # ---------------------------------------------------------------------------
 
@@ -323,7 +136,6 @@ class MassProfile:
     head_coefficient: float = 0.0
     tail_exponent: float = 0.0
     tail_coefficient: float = 0.0
-    is_measure: bool = False
     kind: str = ""
     #: point masses (radius, mass); fn includes them, semigroup evaluation
     #: treats them in closed form
@@ -335,31 +147,95 @@ class MassProfile:
         return float(out[0]) if np.ndim(r) == 0 else out
 
 
-def mass_profile(profile: RadialProfile) -> MassProfile:
-    """Distribution function of a profile, with closed forms where available."""
-    d = profile.d
-    sig = sphere_area(d)
-    if isinstance(profile, Chandrasekhar):
-        g = profile.gamma
-        if g >= d:
-            raise DivergenceError("mass diverges at the origin: gamma >= d")
-        c = profile.eta * singular_coefficient(d, g) * sig / (d - g)
-        return MassProfile(
-            d=d,
-            fn=lambda r, c=c, p=d - g: c * r**p,
-            total_mass=math.inf,
-            r_char=1.0,
-            head_exponent=d - g,
-            head_coefficient=c,
-            tail_exponent=d - g,
-            tail_coefficient=c,
-            kind="chandrasekhar",
-        )
-    if isinstance(profile, TruncatedChandrasekhar):
-        g = profile.gamma
-        c = profile.eta * singular_coefficient(d, g) * sig / (d - g)
-        p = d - g
-        rin, rout = profile.r_in, profile.r_out
+# ---------------------------------------------------------------------------
+# Profile kinds
+# ---------------------------------------------------------------------------
+
+
+def _check_finite(**params: float) -> None:
+    """Reject NaN and infinite profile parameters (NaN slips through every < test)."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ValidationError(f"parameter {name} must be finite, got {value}")
+
+
+@dataclass(frozen=True, eq=False)
+class RadialProfile:
+    """A radial datum in dimension ``d``: one frozen dataclass per kind.
+
+    Each kind sets ``kind`` (its grammar name, also ``MassProfile.kind``),
+    ``grammar`` (grammar key -> constructor field, in parse order) with its
+    ``optional`` keys and ``is_measure``, and implements the hooks behind the
+    module-level entry points: ``_from_grammar``, ``_density_at`` (1-d array
+    of radii >= 0), ``_mass_profile`` and ``_scaled``.
+    """
+
+    kind: ClassVar[str]
+    grammar: ClassVar[dict[str, str]]
+    optional: ClassVar[frozenset[str]] = frozenset()
+    #: a pure measure has a distribution function but no pointwise density
+    is_measure: ClassVar[bool] = False
+
+    d: int
+
+    def __post_init__(self):
+        check_dimension(self.d)
+
+    @classmethod
+    def _from_grammar(cls, d: int, params: dict[str, str]) -> RadialProfile:
+        """Build the datum from the grammar's (already key-checked) values."""
+
+        def num(key: str) -> float:
+            try:
+                return float(params[key])
+            except ValueError as exc:
+                raise ValidationError(f"parameter {key!r} of {cls.kind!r} is not a number") from exc
+
+        return cls(d, **{name: num(key) for key, name in cls.grammar.items() if key in params})
+
+    def weighted_sup(self, alpha: float) -> float:
+        """sup_r r^alpha u(r), the comparison of the datum against the singular density."""
+        alpha = check_alpha(alpha)
+        mass = mass_profile(self)
+        grid = np.geomspace(mass.r_char * 1e-6, mass.r_char * 1e6, 64 * 12 + 1)
+        if mass.breakpoints:
+            grid = np.unique(np.concatenate([grid, np.asarray(mass.breakpoints)]))
+        u = np.asarray(density(self, grid), dtype=float)
+        u = np.where(np.isfinite(u), u, 0.0)
+        vals = grid**alpha * u
+        return refine_max(
+            lambda s: math.exp(s * alpha) * float(density(self, math.exp(s))), grid, vals
+        )[1]
+
+
+class _PowerLaw(RadialProfile):
+    """eta * s(gamma, d) / r^gamma on r_in <= r <= r_out: both Chandrasekhar kinds."""
+
+    optional = frozenset({"alpha"})
+
+    def __post_init__(self):
+        super().__post_init__()
+        _check_finite(eta=self.eta, r_in=self.r_in)
+        if math.isnan(self.r_out):
+            raise ValidationError("parameter r_out must be a number, got nan")
+        if self.eta <= 0:
+            raise ValidationError("eta must be positive")
+        if self.r_in < 0 or self.r_out <= self.r_in:
+            raise ValidationError("need 0 <= r_in < r_out")
+        # validates gamma against d as well; it forces gamma < d, so M is finite
+        singular_coefficient(self.d, self.gamma)
+
+    def _density_at(self, r):
+        coef = self.eta * singular_coefficient(self.d, self.gamma)
+        inside = (r >= self.r_in) & (r <= self.r_out)
+        with np.errstate(divide="ignore"):
+            vals = coef / np.maximum(r, 1e-300) ** self.gamma
+        return np.where(inside, np.where(r == 0, np.inf, vals), 0.0)
+
+    def _mass_profile(self) -> MassProfile:
+        d, rin, rout = self.d, self.r_in, self.r_out
+        p = d - self.gamma
+        c = self.eta * singular_coefficient(d, self.gamma) * sphere_area(d) / p
         try:
             base = c * rin**p
             total = math.inf if math.isinf(rout) else c * rout**p - base
@@ -367,32 +243,98 @@ def mass_profile(profile: RadialProfile) -> MassProfile:
             raise NumericsError(f"the mass c r^p at r_out={rout:g}, p={p:g} overflows a float") from None
 
         def fn(r, c=c, p=p, rin=rin, rout=rout, base=base):
-            clipped = np.clip(r, rin, rout)
-            return c * clipped**p - base
+            return c * np.clip(r, rin, rout) ** p - base
 
-        bps = tuple(x for x in (rin, rout) if 0 < x < math.inf)
-        if rin > 0:
-            head_exp, head_c = math.inf, 0.0
-        else:
-            head_exp, head_c = p, c
-        if math.isinf(rout):
-            tail_exp, tail_c = p, c
-        else:
-            tail_exp, tail_c = 0.0, total
+        head_exp, head_c = (math.inf, 0.0) if rin > 0 else (p, c)
+        tail_exp, tail_c = (p, c) if math.isinf(rout) else (0.0, total)
         return MassProfile(
             d=d,
             fn=fn,
             total_mass=total,
             r_char=rout if not math.isinf(rout) else max(rin, 1.0),
-            breakpoints=bps,
+            breakpoints=tuple(x for x in (rin, rout) if 0 < x < math.inf),
             head_exponent=head_exp,
             head_coefficient=head_c,
             tail_exponent=tail_exp,
             tail_coefficient=tail_c,
-            kind="trunc_chandrasekhar",
+            kind=self.kind,
         )
-    if isinstance(profile, Gaussian):
-        m, w = profile.mass, profile.width
+
+    def weighted_sup(self, alpha: float) -> float:
+        # closed form: r^(alpha-gamma) is monotone, so the sup sits at a cut or a limit
+        alpha = check_alpha(alpha)
+        coef = self.eta * singular_coefficient(self.d, self.gamma)
+        e = alpha - self.gamma
+        if e == 0.0:
+            return coef
+        if e > 0.0:
+            return coef * self.r_out**e if math.isfinite(self.r_out) else math.inf
+        return coef * self.r_in**e if self.r_in > 0 else math.inf
+
+
+@dataclass(frozen=True)
+class Chandrasekhar(_PowerLaw):
+    """Scaled singular stationary density eta * s(gamma, d) / r^gamma.
+
+    ``gamma`` is the singularity exponent of the datum itself (gamma = 2 for
+    the classical case); it need not equal the diffusion order used later to
+    evaluate criteria against this datum.
+    """
+
+    kind = "chandrasekhar"
+    grammar = {"eta": "eta", "alpha": "gamma"}
+    r_in = 0.0
+    r_out = math.inf
+
+    eta: float
+    gamma: float = 2.0
+
+    def _scaled(self, lam: float, alpha: float) -> Chandrasekhar:
+        return replace(self, eta=self.eta * lam ** (alpha - self.gamma))
+
+
+@dataclass(frozen=True)
+class TruncatedChandrasekhar(_PowerLaw):
+    """eta * u_C restricted to the annulus r_in <= r <= r_out."""
+
+    kind = "trunc_chandrasekhar"
+    grammar = {"rout": "r_out", "eta": "eta", "rin": "r_in", "alpha": "gamma"}
+
+    eta: float
+    r_in: float = 0.0
+    r_out: float = math.inf
+    gamma: float = 2.0
+
+    def _scaled(self, lam: float, alpha: float) -> TruncatedChandrasekhar:
+        return replace(
+            self, eta=self.eta * lam ** (alpha - self.gamma), r_in=self.r_in / lam, r_out=self.r_out / lam
+        )
+
+
+@dataclass(frozen=True)
+class Gaussian(RadialProfile):
+    """Smooth bump of total mass ``mass`` and width ``width``."""
+
+    kind = "gauss"
+    grammar = {"mass": "mass", "width": "width"}
+
+    mass: float
+    width: float = 1.0
+
+    def __post_init__(self):
+        super().__post_init__()
+        _check_finite(mass=self.mass, width=self.width)
+        if self.mass < 0 or self.width <= 0:
+            raise ValidationError("need mass >= 0 and width > 0")
+
+    def _density_at(self, r):
+        # in logs: the normalization pi^(d/2) w^d overflows a float at high d
+        d, m, w = self.d, self.mass, self.width
+        log_scale = (math.log(m) if m > 0 else -math.inf) - 0.5 * d * math.log(math.pi) - d * math.log(w)
+        return np.exp(log_scale - (r / w) ** 2)
+
+    def _mass_profile(self) -> MassProfile:
+        d, m, w = self.d, self.mass, self.width
 
         def fn(r, m=m, w=w, hd=0.5 * d):
             return m * gammainc(hd, (r / w) ** 2)
@@ -406,12 +348,41 @@ def mass_profile(profile: RadialProfile) -> MassProfile:
             head_coefficient=m * math.exp(-gammaln(0.5 * d + 1.0) - d * math.log(w)),
             tail_exponent=0.0,
             tail_coefficient=m,
-            kind="gauss",
+            kind=self.kind,
         )
-    if isinstance(profile, ShellAtom):
-        m, r0 = profile.mass, profile.radius
+
+    def _scaled(self, lam: float, alpha: float) -> Gaussian:
+        return replace(self, mass=self.mass * lam ** (alpha - self.d), width=self.width / lam)
+
+
+@dataclass(frozen=True)
+class ShellAtom(RadialProfile):
+    """Mass ``mass`` spread uniformly on the sphere of radius ``radius``.
+
+    A pure measure: it has a distribution function (a step) but no pointwise
+    density, so density-level operations reject it.
+    """
+
+    kind = "shell"
+    grammar = {"N": "mass", "R": "radius"}
+    is_measure = True
+
+    mass: float
+    radius: float = 1.0
+
+    def __post_init__(self):
+        super().__post_init__()
+        _check_finite(mass=self.mass, radius=self.radius)
+        if self.mass < 0 or self.radius <= 0:
+            raise ValidationError("need mass >= 0 and radius > 0")
+
+    def _density_at(self, r):
+        raise MeasureDataError("a shell atom has no pointwise density")
+
+    def _mass_profile(self) -> MassProfile:
+        m, r0 = self.mass, self.radius
         return MassProfile(
-            d=d,
+            d=self.d,
             fn=lambda r, m=m, r0=r0: np.where(r >= r0, m, 0.0),
             total_mass=m,
             r_char=r0,
@@ -420,13 +391,44 @@ def mass_profile(profile: RadialProfile) -> MassProfile:
             head_coefficient=0.0,
             tail_exponent=0.0,
             tail_coefficient=m,
-            is_measure=True,
-            kind="shell",
+            kind=self.kind,
             atoms=((r0, m),),
         )
-    if isinstance(profile, ExplicitBlowupDatum):
-        b = 2.0 * (d - 2) * profile.T
-        c = 4.0 * sig
+
+    def _scaled(self, lam: float, alpha: float) -> ShellAtom:
+        return replace(self, mass=self.mass * lam ** (alpha - self.d), radius=self.radius / lam)
+
+
+@dataclass(frozen=True)
+class ExplicitBlowupDatum(RadialProfile):
+    """Initial datum of the explicit infinite-mass solution blowing up at time T.
+
+    The mass profile is M(r) = 4*sigma_d*r^d/(r^2 + 2(d-2)T) and the density is
+    its radial derivative 4(d-2)(r^2 + 2dT)/(r^2 + 2(d-2)T)^2.  Requires d >= 3.
+    """
+
+    kind = "exact_datum"
+    grammar = {"T": "T"}
+
+    T: float
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.d < 3:
+            raise ValidationError("the explicit blowing-up solution needs d >= 3")
+        _check_finite(T=self.T)
+        if self.T <= 0:
+            raise ValidationError("T must be positive")
+
+    def _density_at(self, r):
+        d = self.d
+        b = 2.0 * (d - 2) * self.T
+        return 4.0 * (d - 2) * (r**2 + d * b / (d - 2)) / (r**2 + b) ** 2
+
+    def _mass_profile(self) -> MassProfile:
+        d = self.d
+        b = 2.0 * (d - 2) * self.T
+        c = 4.0 * sphere_area(d)
         return MassProfile(
             d=d,
             fn=lambda r, c=c, b=b: c * r**d / (r**2 + b),
@@ -436,10 +438,67 @@ def mass_profile(profile: RadialProfile) -> MassProfile:
             head_coefficient=c / b,
             tail_exponent=d - 2,
             tail_coefficient=c,
-            kind="exact_datum",
+            kind=self.kind,
         )
-    if isinstance(profile, Tabulated):
-        r, u = profile.r, profile.u
+
+    def _scaled(self, lam: float, alpha: float) -> ExplicitBlowupDatum:
+        if alpha != 2.0:
+            raise ValidationError("the explicit blowing-up datum only scales with alpha = 2")
+        return replace(self, T=self.T / lam**2)
+
+
+@dataclass(frozen=True, eq=False)
+class Tabulated(RadialProfile):
+    """Density sampled on a strictly increasing radius grid (r > 0).
+
+    Below the first gridpoint the density is extended by its first value;
+    beyond the last it is zero.  The grammar reads it from a two-column CSV
+    of (r, u).
+    """
+
+    kind = "table"
+    grammar = {"path": "path"}  # read by _from_grammar: the file gives r and u
+
+    r: np.ndarray
+    u: np.ndarray
+
+    def __post_init__(self):
+        super().__post_init__()
+        r = np.asarray(self.r, dtype=float)
+        u = np.asarray(self.u, dtype=float)
+        if r.ndim != 1 or r.shape != u.shape or r.size < 2:
+            raise ValidationError("tabulated profile needs matching 1-d arrays of length >= 2")
+        if not np.all(np.isfinite(r)) or r[0] <= 0 or np.any(np.diff(r) <= 0):
+            raise ValidationError(
+                "tabulated radii must be finite, strictly increasing and start at r > 0"
+            )
+        if np.any(u < 0) or not np.all(np.isfinite(u)):
+            raise ValidationError("tabulated density values must be finite and >= 0")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "u", u)
+
+    @classmethod
+    def _from_grammar(cls, d: int, params: dict[str, str]) -> Tabulated:
+        path = params["path"]
+        with warnings.catch_warnings():
+            # an empty file is reported below, not by loadtxt's UserWarning
+            warnings.simplefilter("ignore", UserWarning)
+            try:
+                data = np.loadtxt(path, delimiter=",", ndmin=2)
+            except (OSError, ValueError) as exc:  # ValueError: a header row or a non-numeric cell
+                raise ValidationError(f"cannot read table file {path!r}: {exc}") from exc
+        if data.size == 0:
+            raise ValidationError(f"table file {path!r} holds no data")
+        if data.shape[1] != 2:
+            raise ValidationError("table file must have exactly two columns (r, u)")
+        return cls(d, data[:, 0], data[:, 1])
+
+    def _density_at(self, r):
+        return np.where(r <= self.r[-1], np.interp(r, self.r, self.u, left=self.u[0], right=0.0), 0.0)
+
+    def _mass_profile(self) -> MassProfile:
+        d, r, u = self.d, self.r, self.u
+        sig = sphere_area(d)
         # constant extension below the first node, zero beyond the last
         integ = sig * u * r ** (d - 1)
         m0 = sig * u[0] * r[0] ** d / d
@@ -466,9 +525,43 @@ def mass_profile(profile: RadialProfile) -> MassProfile:
             head_coefficient=sig * u[0] / d,
             tail_exponent=0.0,
             tail_coefficient=total,
-            kind="table",
+            kind=self.kind,
         )
-    raise ValidationError(f"unknown profile kind {type(profile).__name__}")
+
+    def _scaled(self, lam: float, alpha: float) -> Tabulated:
+        return replace(self, r=self.r / lam, u=self.u * lam**alpha)
+
+
+def density(profile: RadialProfile, r):
+    """Pointwise density u(r); vectorized over r.
+
+    Raises MeasureDataError for shell atoms.  Untruncated Chandrasekhar data
+    return inf at r = 0 (the singularity is genuine).
+    """
+    r_arr = np.asarray(r, dtype=float)
+    scalar = r_arr.ndim == 0
+    r_arr = np.atleast_1d(r_arr)
+    if not np.all(r_arr >= 0):  # NaN fails this too
+        raise ValidationError("radius must be >= 0")
+    out = profile._density_at(r_arr)
+    return float(out[0]) if scalar else out
+
+
+def mass_profile(profile: RadialProfile) -> MassProfile:
+    """Distribution function of a profile, with closed forms where available."""
+    return profile._mass_profile()
+
+
+def scale_profile(profile: RadialProfile, lam: float, alpha: float) -> RadialProfile:
+    """The rescaled datum u_lam(r) = lam^alpha * u(lam * r).
+
+    This is the scaling that leaves the d/alpha-concentration invariant and
+    multiplies criterion times by lam^(-alpha).
+    """
+    if lam <= 0:
+        raise ValidationError("lam must be positive")
+    alpha = check_alpha(alpha)
+    return profile._scaled(lam, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -575,52 +668,15 @@ def radial_concentration(mass: MassProfile, alpha: float) -> ConcentrationValue:
 
 
 # ---------------------------------------------------------------------------
-# Scaling and the profile grammar
+# The profile grammar
 # ---------------------------------------------------------------------------
-
-
-def scale_profile(profile: RadialProfile, lam: float, alpha: float) -> RadialProfile:
-    """The rescaled datum u_lam(r) = lam^alpha * u(lam * r).
-
-    This is the scaling that leaves the d/alpha-concentration invariant and
-    multiplies criterion times by lam^(-alpha).
-    """
-    if lam <= 0:
-        raise ValidationError("lam must be positive")
-    alpha = check_alpha(alpha)
-    d = profile.d
-    if isinstance(profile, Chandrasekhar):
-        return Chandrasekhar(d, profile.eta * lam ** (alpha - profile.gamma), profile.gamma)
-    if isinstance(profile, TruncatedChandrasekhar):
-        return TruncatedChandrasekhar(
-            d,
-            profile.eta * lam ** (alpha - profile.gamma),
-            profile.r_in / lam,
-            profile.r_out / lam,
-            profile.gamma,
-        )
-    if isinstance(profile, Gaussian):
-        return Gaussian(d, profile.mass * lam ** (alpha - d), profile.width / lam)
-    if isinstance(profile, ShellAtom):
-        return ShellAtom(d, profile.mass * lam ** (alpha - d), profile.radius / lam)
-    if isinstance(profile, ExplicitBlowupDatum):
-        if alpha != 2.0:
-            raise ValidationError("the explicit blowing-up datum only scales with alpha = 2")
-        return ExplicitBlowupDatum(d, profile.T / lam**2)
-    if isinstance(profile, Tabulated):
-        return Tabulated(d, profile.r / lam, profile.u * lam**alpha)
-    raise ValidationError(f"unknown profile kind {type(profile).__name__}")
 
 
 _GRAMMAR = re.compile(r"^\s*([a-z_]+)\s*\(\s*(.*?)\s*\)\s*$")
 
-_KIND_PARAMS = {
-    "chandrasekhar": ({"eta"}, {"alpha"}),
-    "trunc_chandrasekhar": ({"eta", "rin", "rout"}, {"alpha"}),
-    "shell": ({"N", "R"}, set()),
-    "gauss": ({"mass", "width"}, set()),
-    "exact_datum": ({"T"}, set()),
-    "table": ({"path"}, set()),
+_KINDS: dict[str, type[RadialProfile]] = {
+    cls.kind: cls
+    for cls in (Chandrasekhar, TruncatedChandrasekhar, ShellAtom, Gaussian, ExplicitBlowupDatum, Tabulated)
 }
 
 
@@ -636,10 +692,9 @@ def parse_profile(text: str, d: int) -> RadialProfile:
     if not m:
         raise ValidationError(f"cannot parse profile string {text!r}")
     kind, body = m.group(1), m.group(2)
-    if kind not in _KIND_PARAMS:
-        raise ValidationError(
-            f"unknown profile kind {kind!r}; known: {', '.join(sorted(_KIND_PARAMS))}"
-        )
+    if kind not in _KINDS:
+        raise ValidationError(f"unknown profile kind {kind!r}; known: {', '.join(sorted(_KINDS))}")
+    cls = _KINDS[kind]
     params: dict[str, str] = {}
     if body:
         for item in body.split(","):
@@ -647,39 +702,10 @@ def parse_profile(text: str, d: int) -> RadialProfile:
                 raise ValidationError(f"expected param=value, got {item!r} in {text!r}")
             key, val = item.split("=", 1)
             params[key.strip()] = val.strip()
-    required, optional = _KIND_PARAMS[kind]
-    missing = required - params.keys()
-    unknown = params.keys() - required - optional
+    missing = cls.grammar.keys() - cls.optional - params.keys()
+    unknown = params.keys() - cls.grammar.keys()
     if missing:
         raise ValidationError(f"profile {kind!r} is missing parameters: {sorted(missing)}")
     if unknown:
         raise ValidationError(f"profile {kind!r} got unknown parameters: {sorted(unknown)}")
-
-    def num(key: str) -> float:
-        try:
-            return float(params[key])
-        except ValueError as exc:
-            raise ValidationError(f"parameter {key!r} of {kind!r} is not a number") from exc
-
-    if kind == "chandrasekhar":
-        return Chandrasekhar(d, num("eta"), num("alpha") if "alpha" in params else 2.0)
-    if kind == "trunc_chandrasekhar":
-        rout = params["rout"]
-        rout_val = math.inf if rout.lower() in ("inf", "infinity") else num("rout")
-        return TruncatedChandrasekhar(
-            d, num("eta"), num("rin"), rout_val, num("alpha") if "alpha" in params else 2.0
-        )
-    if kind == "shell":
-        return ShellAtom(d, num("N"), num("R"))
-    if kind == "gauss":
-        return Gaussian(d, num("mass"), num("width"))
-    if kind == "exact_datum":
-        return ExplicitBlowupDatum(d, num("T"))
-    # table
-    try:
-        data = np.loadtxt(params["path"], delimiter=",", ndmin=2)
-    except (OSError, ValueError) as exc:  # ValueError: a header row or a non-numeric cell
-        raise ValidationError(f"cannot read table file {params['path']!r}: {exc}") from exc
-    if data.shape[1] != 2:
-        raise ValidationError("table file must have exactly two columns (r, u)")
-    return Tabulated(d, data[:, 0], data[:, 1])
+    return cls._from_grammar(d, params)

@@ -142,6 +142,15 @@ class TestCli:
         assert code == 1
         assert "cannot read table file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["", "\n\n"])
+    def test_empty_table_exit_code(self, text, capsys, tmp_path):
+        # the typed error is all that reaches stderr: no loadtxt warning before it
+        table = tmp_path / "empty.csv"
+        table.write_text(text)
+        code = run_cli(["classify", "--profile", f"table(path={table})", "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: table file {str(table)!r} holds no data\n"
+
     @pytest.mark.parametrize(
         "grid,message",
         [

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kscrit.criteria import criterion_curve
 from kscrit.errors import MeasureDataError, ValidationError
 from kscrit.radial import (
+    _KINDS,
     Chandrasekhar,
     ExplicitBlowupDatum,
     Gaussian,
@@ -97,6 +99,12 @@ class TestDensity:
     def test_shell_rejected(self):
         with pytest.raises(MeasureDataError):
             density(ShellAtom(3, 1.0, 1.0), 1.0)
+
+    @pytest.mark.parametrize("r", [-1.0, math.nan])
+    def test_rejects_negative_and_nan_radius(self, r):
+        for prof in (Chandrasekhar(3, 1.0), Gaussian(3, 1.0), ExplicitBlowupDatum(3, 1.0)):
+            with pytest.raises(ValidationError, match="radius must be >= 0"):
+                density(prof, np.array([0.5, r]))
 
     def test_truncation_window(self):
         p = TruncatedChandrasekhar(3, 2.0, 1.0, 10.0)
@@ -252,3 +260,78 @@ class TestProfileGrammar:
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValidationError):
             parse_profile(bad, 3)
+
+    # one grammar example per registered kind; "data.csv" is written first
+    EXAMPLES = {
+        "chandrasekhar": "chandrasekhar(eta=2.5,alpha=1.0)",
+        "trunc_chandrasekhar": "trunc_chandrasekhar(eta=2.5,rin=1.0,rout=50.0)",
+        "shell": "shell(N=30.0,R=1.0)",
+        "gauss": "gauss(mass=25.13,width=1.0)",
+        "exact_datum": "exact_datum(T=1.0)",
+        "table": "table(path=data.csv)",
+    }
+
+    def test_examples_cover_the_registry(self):
+        assert set(self.EXAMPLES) == set(_KINDS)
+
+    @pytest.mark.parametrize("kind", sorted(_KINDS))
+    def test_every_kind_parses_to_its_class(self, kind, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "data.csv").write_text("0.5,1.0\n1.0,0.5\n")
+        prof = parse_profile(self.EXAMPLES[kind], 3)
+        assert type(prof) is _KINDS[kind]
+        assert prof.kind == mass_profile(prof).kind == kind
+
+    @pytest.mark.parametrize("rout", ["inf", "Infinity", "INF"])
+    def test_rout_infinity_spellings(self, rout):
+        prof = parse_profile(f"trunc_chandrasekhar(eta=1,rin=0.5,rout={rout})", 3)
+        assert prof.r_out == math.inf
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("chandrasekhar", "cannot parse profile string 'chandrasekhar'"),
+            (
+                "foo(eta=1)",
+                "unknown profile kind 'foo'; known: chandrasekhar, exact_datum, gauss, shell, table, "
+                "trunc_chandrasekhar",
+            ),
+            ("chandrasekhar(eta)", "expected param=value, got 'eta' in 'chandrasekhar(eta)'"),
+            ("chandrasekhar()", "profile 'chandrasekhar' is missing parameters: ['eta']"),
+            ("gauss(mass=1)", "profile 'gauss' is missing parameters: ['width']"),
+            ("gauss(mass=1,width=1,zz=2)", "profile 'gauss' got unknown parameters: ['zz']"),
+            ("chandrasekhar(eta=x)", "parameter 'eta' of 'chandrasekhar' is not a number"),
+            ("gauss(width=x,mass=y)", "parameter 'mass' of 'gauss' is not a number"),
+            # rout is read before the other parameters
+            ("trunc_chandrasekhar(eta=x,rin=x,rout=y)", "parameter 'rout' of 'trunc_chandrasekhar' is not a number"),
+            ("trunc_chandrasekhar(eta=1,rin=0,rout=nan)", "parameter r_out must be a number, got nan"),
+            ("trunc_chandrasekhar(eta=1,rin=2,rout=1)", "need 0 <= r_in < r_out"),
+            ("chandrasekhar(eta=-1)", "eta must be positive"),
+            ("chandrasekhar(eta=nan)", "parameter eta must be finite, got nan"),
+            ("shell(N=inf,R=1)", "parameter mass must be finite, got inf"),
+            ("shell(N=1,R=-1)", "need mass >= 0 and radius > 0"),
+            ("exact_datum(T=0)", "T must be positive"),
+            ("chandrasekhar(eta=1,alpha=3)", "alpha must be in (0, 2], got 3.0"),
+        ],
+    )
+    def test_error_text(self, text, message):
+        with pytest.raises(ValidationError) as exc:
+            parse_profile(text, 3)
+        assert str(exc.value) == message
+
+
+class TestPowerLaw:
+    """Chandrasekhar is TruncatedChandrasekhar with r_in = 0 and r_out = inf."""
+
+    @pytest.mark.parametrize("d,gamma", [(3, 2.0), (5, 1.5), (6, 1.0)])
+    def test_untruncated_equals_chandrasekhar(self, d, gamma):
+        plain = Chandrasekhar(d, 0.7, gamma)
+        cut = TruncatedChandrasekhar(d, 0.7, 0.0, math.inf, gamma)
+        r = np.concatenate([[0.0], np.geomspace(1e-8, 1e8, 161)])
+        assert np.array_equal(density(plain, r), density(cut, r))
+        assert np.array_equal(mass_profile(plain).fn(r), mass_profile(cut).fn(r))
+        for alpha in (0.5, gamma, 2.0):
+            assert plain.weighted_sup(alpha) == cut.weighted_sup(alpha)
+        a, b = criterion_curve(mass_profile(plain), gamma), criterion_curve(mass_profile(cut), gamma)
+        assert np.array_equal(a.values, b.values) and a.sup == b.sup and a.T_at_sup == b.T_at_sup
+

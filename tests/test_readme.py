@@ -1,5 +1,5 @@
 """The README's examples run as written: every ``kscrit`` line of its CLI block,
-its simulate INI file and its Library block."""
+its profile grammar table, its simulate INI file and its Library block."""
 
 import re
 import shlex
@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from kscrit.cli import main
+from kscrit.radial import _KINDS, parse_profile
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -40,6 +41,21 @@ def test_cli_block_is_found():
 @pytest.mark.parametrize("args", CLI, ids=" ".join)
 def test_cli_example(args, tmp_path):
     assert main(_with_out(args, tmp_path / "out")) == 0
+
+
+# the first cell of each row of the profile grammar table
+GRAMMAR = re.findall(r"^\| `([a-z_]+\(.*?\))` \|", README, flags=re.MULTILINE)
+
+
+def test_grammar_table_lists_the_registered_kinds():
+    assert sorted(text.split("(")[0] for text in GRAMMAR) == sorted(_KINDS)
+
+
+@pytest.mark.parametrize("text", GRAMMAR)
+def test_grammar_example(text, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "data.csv").write_text("0.5,1.0\n1.0,0.5\n")
+    assert parse_profile(text, 3).kind == text.split("(")[0]
 
 
 def test_ini_example(tmp_path):
