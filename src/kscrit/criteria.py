@@ -34,7 +34,6 @@ from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import IntegrabilityError, NumericsError, ValidationError
 from .kernels import (
@@ -133,13 +132,13 @@ def singular_semigroup_value(d: int, alpha: float = 2.0) -> float:
     if 2.0 * alpha >= d:
         raise ValidationError("singular_semigroup_value requires 2*alpha < d")
     return math.exp(
-        gammaln(alpha)
-        - gammaln(0.5 * alpha)
-        - gammaln(1.0 + 0.5 * alpha)
-        + gammaln(0.5 * (d - alpha) + 1.0)
-        + gammaln(0.5 * (d - alpha))
-        - gammaln(0.5 * d - alpha + 1.0)
-        - gammaln(0.5 * d)
+        math.lgamma(alpha)
+        - math.lgamma(0.5 * alpha)
+        - math.lgamma(1.0 + 0.5 * alpha)
+        + math.lgamma(0.5 * (d - alpha) + 1.0)
+        + math.lgamma(0.5 * (d - alpha))
+        - math.lgamma(0.5 * d - alpha + 1.0)
+        - math.lgamma(0.5 * d)
     )
 
 

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import IntegrabilityError, NumericsError
 from .radial import check_alpha, check_dimension, sphere_area
@@ -70,9 +69,9 @@ def tail_coefficient(d: int, alpha: float, k: int = 1) -> float:
     mag = (
         -(0.5 * d + 1.0) * math.log(math.pi)
         + a * math.log(2.0)
-        + gammaln(0.5 * (d + a))
-        + gammaln(1.0 + 0.5 * a)
-        - gammaln(k + 1.0)
+        + math.lgamma(0.5 * (d + a))
+        + math.lgamma(1.0 + 0.5 * a)
+        - math.lgamma(k + 1.0)
     )
     s = math.sin(0.5 * math.pi * a)
     return (-1.0) ** (k + 1) * math.exp(mag) * s
@@ -94,7 +93,7 @@ class SubordinatedKernel:
         self.alpha = alpha = check_alpha(alpha)
         self.beta = 0.5 * alpha
         self.log_R0 = (
-            gammaln(1.0 + d / alpha) - gammaln(1.0 + 0.5 * d) - 0.5 * d * math.log(4.0 * math.pi)
+            math.lgamma(1.0 + d / alpha) - math.lgamma(1.0 + 0.5 * d) - 0.5 * d * math.log(4.0 * math.pi)
         )
         try:
             self.R0 = math.exp(self.log_R0)

@@ -29,7 +29,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, ClassVar
 
 import numpy as np
-from scipy.special import gammainc, gammaln
 
 from .errors import MeasureDataError, NumericsError, ValidationError
 
@@ -82,7 +81,7 @@ def check_alpha(alpha: float) -> float:
 def sphere_area(d: int) -> float:
     """Area of the unit sphere in R^d, 2*pi^(d/2)/Gamma(d/2), via log-Gamma."""
     d = check_dimension(d)
-    return math.exp(math.log(2.0) + 0.5 * d * math.log(math.pi) - gammaln(0.5 * d))
+    return math.exp(math.log(2.0) + 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d))
 
 
 def singular_coefficient(d: int, alpha: float = 2.0) -> float:
@@ -104,10 +103,10 @@ def singular_coefficient(d: int, alpha: float = 2.0) -> float:
         )
     log_val = (
         alpha * math.log(2.0)
-        + gammaln(0.5 * (d - alpha) + 1.0)
-        + gammaln(alpha)
-        - gammaln(0.5 * d - alpha + 1.0)
-        - gammaln(0.5 * alpha)
+        + math.lgamma(0.5 * (d - alpha) + 1.0)
+        + math.lgamma(alpha)
+        - math.lgamma(0.5 * d - alpha + 1.0)
+        - math.lgamma(0.5 * alpha)
     )
     return math.exp(log_val)
 
@@ -150,6 +149,14 @@ class MassProfile:
 # ---------------------------------------------------------------------------
 # Profile kinds
 # ---------------------------------------------------------------------------
+
+
+def _exp_or_inf(x: float) -> float:
+    """exp(x), or inf where it is beyond the float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def _check_finite(**params: float) -> None:
@@ -327,13 +334,25 @@ class Gaussian(RadialProfile):
         if self.mass < 0 or self.width <= 0:
             raise ValidationError("need mass >= 0 and width > 0")
 
-    def _density_at(self, r):
-        # in logs: the normalization pi^(d/2) w^d overflows a float at high d
+    def _log_peak_density(self) -> float:
+        # in logs: u(0) = m pi^(-d/2) w^(-d) overflows a float at high d or small w
         d, m, w = self.d, self.mass, self.width
-        log_scale = (math.log(m) if m > 0 else -math.inf) - 0.5 * d * math.log(math.pi) - d * math.log(w)
-        return np.exp(log_scale - (r / w) ** 2)
+        return (math.log(m) if m > 0 else -math.inf) - 0.5 * d * math.log(math.pi) - d * math.log(w)
+
+    def _density_at(self, r):
+        return np.exp(self._log_peak_density() - (r / self.width) ** 2)
+
+    def weighted_sup(self, alpha: float) -> float:
+        # closed form: r^alpha e^(-(r/w)^2) peaks at (r/w)^2 = alpha/2
+        alpha = check_alpha(alpha)
+        return _exp_or_inf(
+            self._log_peak_density() + alpha * (math.log(self.width) + 0.5 * (math.log(0.5 * alpha) - 1.0))
+        )
 
     def _mass_profile(self) -> MassProfile:
+        # scipy.special loads with the first Gaussian datum, not with kscrit
+        from scipy.special import gammainc
+
         d, m, w = self.d, self.mass, self.width
 
         def fn(r, m=m, w=w, hd=0.5 * d):
@@ -345,7 +364,10 @@ class Gaussian(RadialProfile):
             total_mass=m,
             r_char=w,
             head_exponent=d,
-            head_coefficient=m * math.exp(-gammaln(0.5 * d + 1.0) - d * math.log(w)),
+            # M(r) ~ u(0) |B_r| as r -> 0
+            head_coefficient=_exp_or_inf(
+                self._log_peak_density() + 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d + 1.0)
+            ),
             tail_exponent=0.0,
             tail_coefficient=m,
             kind=self.kind,

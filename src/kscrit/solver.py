@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import NumericsError, ResolutionError, ValidationError
 from .radial import MassProfile, RadialProfile, TruncatedChandrasekhar, check_dimension, mass_profile, sphere_area
@@ -249,16 +248,16 @@ class _Discretization:
         return float(M[0]) * self.d / (self.sigma * self.r[0] ** self.d)
 
 
-def _factor_tridiagonal(A: np.ndarray) -> tuple:
-    """LAPACK gttrf LU, in place, of bands laid out as ``jacobian``'s, for ``_solve_tridiagonal``."""
-    *lu, info = dgttrf(A[0, 1:], A[1], A[2, :-1], overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+def _factor_tridiagonal(A: np.ndarray, gttrf) -> tuple:
+    """LU by LAPACK's ``gttrf``, in place, of bands laid out as ``jacobian``'s, for ``_solve_tridiagonal``."""
+    *lu, info = gttrf(A[0, 1:], A[1], A[2, :-1], overwrite_dl=1, overwrite_d=1, overwrite_du=1)
     if info > 0:
         raise NumericsError(f"BDF Newton matrix is singular (zero pivot in row {info})")
     return tuple(lu)
 
 
-def _solve_tridiagonal(lu: tuple, b: np.ndarray) -> np.ndarray:
-    return dgttrs(*lu, b)[0]
+def _solve_tridiagonal(gttrs, lu: tuple, b: np.ndarray) -> np.ndarray:
+    return gttrs(*lu, b)[0]
 
 
 def gaussian_moment(r: np.ndarray, M: np.ndarray, d: int, t: float, target: float) -> float:
@@ -276,8 +275,10 @@ def run(
     controls: SolverControls,
 ) -> SimResult:
     """Integrate the mass equation from the datum until t_end or blowup."""
-    # here, so importing kscrit loads neither scipy.integrate nor scipy.sparse
+    # here, so importing kscrit loads no scipy: the integrator, sparse and LAPACK
+    # modules load with the first simulation
     from scipy.integrate import BDF
+    from scipy.linalg.lapack import dgttrf, dgttrs
     from scipy.sparse import csc_matrix
 
     mass = datum if isinstance(datum, MassProfile) else mass_profile(datum)
@@ -331,6 +332,9 @@ def run(
     placeholder_jac = csc_matrix((grid.n, grid.n))
     identity_bands = np.array([[0.0], [1.0], [0.0]])
 
+    def solve_lu(lu: tuple, b: np.ndarray) -> np.ndarray:
+        return _solve_tridiagonal(dgttrs, lu, b)
+
     def start(t0: float, y0: np.ndarray, first_step: float | None = None) -> BDF:
         solver = BDF(lambda _t, y: disc.rhs(y), t0, y0, controls.t_end, rtol=_RTOL, atol=atol,
                      jac=placeholder_jac, first_step=first_step)
@@ -341,13 +345,13 @@ def run(
 
         def lu(A: np.ndarray) -> tuple:
             solver.nlu += 1
-            return _factor_tridiagonal(A)
+            return _factor_tridiagonal(A, dgttrf)
 
         # J and the Newton matrices I - c J stay three bands: BDF's `self.I - c * J` is then
         # NumPy on 3n numbers, factored by LAPACK's tridiagonal LU instead of SuperLU.  The
         # initial Jacobian counts in njev, as on BDF's own path for a callable jac
         solver.jac, solver.J, solver.I = jac, jac(solver.t, solver.y), identity_bands
-        solver.lu, solver.solve_lu = lu, _solve_tridiagonal
+        solver.lu, solver.solve_lu = lu, solve_lu
         return solver
 
     def retire(solver: BDF) -> None:

@@ -25,10 +25,9 @@ Negative Mellin moments are closed form: E[S^-p] = Gamma(1+p/beta)/Gamma(1+p).
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .errors import ValidationError
 
@@ -67,16 +66,21 @@ class StableSubordinator:
     def _log_pdf_levy(self, lam: np.ndarray) -> np.ndarray:
         return -math.log(2.0 * math.sqrt(math.pi)) - 1.5 * np.log(lam) - 0.25 / lam
 
-    def _log_pdf_series(self, lam: np.ndarray) -> np.ndarray:
+    @cached_property
+    def _series_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(sign, log magnitude, exponent 1 + k beta) of the power-series terms, k = 1, 2, ..."""
         b = self.beta
         k = np.arange(1, _SERIES_MAX_TERMS + 1)
-        log_mag = gammaln(1.0 + k * b) - gammaln(k + 1.0) + np.log(
-            np.abs(np.sin(math.pi * k * b)) + 1e-300
-        )
+        log_gamma = np.array([math.lgamma(1.0 + j * b) - math.lgamma(j + 1.0) for j in k.tolist()])
+        log_mag = log_gamma + np.log(np.abs(np.sin(math.pi * k * b)) + 1e-300)
         sign = np.where(np.sin(math.pi * k * b) >= 0, 1.0, -1.0) * (-1.0) ** (k + 1)
+        return sign, log_mag, 1.0 + k * b
+
+    def _log_pdf_series(self, lam: np.ndarray) -> np.ndarray:
+        sign, log_mag, exponent = self._series_terms
         # terms: sign * exp(log_mag) * lam^(-1-k*beta)
         log_lam = np.log(lam)[:, None]
-        terms = sign[None, :] * np.exp(log_mag[None, :] - (1.0 + k[None, :] * b) * log_lam)
+        terms = sign[None, :] * np.exp(log_mag[None, :] - exponent[None, :] * log_lam)
         total = np.sum(terms, axis=1) / math.pi
         return np.log(np.maximum(total, 1e-300))
 
@@ -131,7 +135,9 @@ class StableSubordinator:
 
         log_a = self._zolotarev_log_a(np.clip(nodes, 1e-300, math.pi * (1 - 1e-16)))
         a_times_s = np.exp(np.minimum(log_a + log_s[:, None], 700.0))
-        log_integral = logsumexp(logw + log_a - a_times_s, axis=1)
+        log_terms = logw + log_a - a_times_s
+        peak = log_terms.max(axis=1)
+        log_integral = peak + np.log(np.exp(log_terms - peak[:, None]).sum(axis=1))
         return (
             math.log(b / (1.0 - b))
             - math.log(math.pi)
@@ -179,5 +185,5 @@ class StableSubordinator:
         """E[S^-p] = Gamma(1 + p/beta) / Gamma(1 + p), p >= 0."""
         if p < 0:
             raise ValidationError("neg_moment takes p >= 0")
-        return math.exp(gammaln(1.0 + p / self.beta) - gammaln(1.0 + p))
+        return math.exp(math.lgamma(1.0 + p / self.beta) - math.lgamma(1.0 + p))
 

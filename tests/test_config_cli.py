@@ -306,6 +306,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert "numerical failure" in err and message in err
 
+    def test_narrow_gaussian_ends_in_a_verdict_or_typed_error(self, capsys, tmp_path):
+        # m pi^(-d/2) w^(-d) and the head coefficient m w^(-d)/Gamma(d/2 + 1) exceed a float
+        profile = ["--profile", "gauss(mass=1,width=1e-120)", "--d", "3"]
+        out = tmp_path / "c"
+        assert run_cli(["classify", *profile, "--alpha", "2", "--out", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["verdict"]["kind"] == "blowup"
+        assert run_cli(["simulate", *profile, "--out", str(tmp_path / "s")]) == 2
+        assert "grid is too coarse" in capsys.readouterr().err
+
     def test_simulate_outputs(self, tmp_path):
         out = tmp_path / "s"
         code = run_cli(

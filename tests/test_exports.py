@@ -1,5 +1,7 @@
 """Every exported name resolves, so ``from kscrit.<module> import *`` works, and
-importing the CLI stays off the scipy subpackages only the solver needs."""
+the CLI loads no scipy module on import, nor while it tabulates kernels and
+constants: scipy.special comes with the first Gaussian datum, and
+scipy.integrate, scipy.sparse and LAPACK with the first simulation."""
 
 import importlib
 import os
@@ -25,11 +27,23 @@ def test_all_names_resolve(name):
     assert set(exported) <= set(namespace)
 
 
-def test_cli_import_loads_no_integrator_stack():
-    # scipy.integrate (which pulls in scipy.optimize) and scipy.sparse load on
-    # the first simulation, not on import
-    heavy = ("scipy.integrate", "scipy.optimize", "scipy.sparse")
-    code = f"import sys, kscrit.cli; print([m for m in {heavy!r} if m in sys.modules])"
+def scipy_modules_after(code: str) -> str:
+    """Run ``code`` in a fresh interpreter and return the scipy modules it left loaded."""
+    code += "\nimport sys; print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_loads_no_integrator_stack():
+    # no scipy module at all, the integrator stack included
+    assert scipy_modules_after("import kscrit.cli") == "[]"
+
+
+def test_kernel_and_constants_commands_load_no_scipy(tmp_path):
+    code = (
+        "from kscrit import cli\n"
+        f"assert cli.main(['kernel', '--d', '4', '--alpha', '1.3', '--out', {str(tmp_path / 'k')!r}]) == 0\n"
+        f"assert cli.main(['constants', '--d-range', '4:5', '--alpha', '1.3', '--out', {str(tmp_path / 'c')!r}]) == 0"
+    )
+    assert scipy_modules_after(code) == "[]"

@@ -12,6 +12,7 @@ from kscrit.radial import (
     Chandrasekhar,
     ExplicitBlowupDatum,
     Gaussian,
+    RadialProfile,
     ShellAtom,
     Tabulated,
     TruncatedChandrasekhar,
@@ -95,6 +96,13 @@ class TestDensity:
 
     def test_gaussian_decay(self):
         assert density(Gaussian(3, 5.0, 1.0), 40.0) == pytest.approx(0.0, abs=1e-300)
+
+    @pytest.mark.parametrize("d,mass,width", [(3, 5.0, 1.0), (10, 0.3, 2.5), (60, 1.0, 1.0)])
+    def test_gaussian_weighted_sup_matches_the_scan(self, d, mass, width):
+        # the closed form against the generic grid scan and golden-section refinement
+        g = Gaussian(d, mass, width)
+        for alpha in (0.3, 1.0, 2.0):
+            assert g.weighted_sup(alpha) == pytest.approx(RadialProfile.weighted_sup(g, alpha), rel=1e-12)
 
     def test_shell_rejected(self):
         with pytest.raises(MeasureDataError):

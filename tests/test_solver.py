@@ -304,15 +304,15 @@ class TestNewtonFactorization:
             calls.append(args[1].size)
             return dgttrf(*args, **kwargs)
 
-        def recording_factor(A):
+        def recording_factor(A, gttrf):
             matrices.append((type(A), A.shape))
-            return _factor_tridiagonal(A)
+            return _factor_tridiagonal(A, gttrf)
 
         monkeypatch.setattr(scipy_bdf, "splu", _raises("BDF fell back to SuperLU"))
         monkeypatch.setattr("scipy.sparse.diags", _raises("a sparse Jacobian was assembled"))
         monkeypatch.setattr("scipy.sparse.csc_matrix.__sub__", _raises("BDF formed I - cJ in sparse arithmetic"))
         monkeypatch.setattr("scipy.sparse.csc_matrix.__rmul__", _raises("BDF scaled a sparse Jacobian"))
-        monkeypatch.setattr(solver_module, "dgttrf", counting_dgttrf)
+        monkeypatch.setattr("scipy.linalg.lapack.dgttrf", counting_dgttrf)
         monkeypatch.setattr(solver_module, "_factor_tridiagonal", recording_factor)
         monkeypatch.setattr(_CountingBDF, "starts", 0)
         monkeypatch.setattr(scipy.integrate, "BDF", _CountingBDF)
@@ -332,7 +332,7 @@ class TestNewtonFactorization:
         dense = np.diag(singular[0, 1:], -1) + np.diag(singular[1]) + np.diag(singular[2, :-1], 1)
         assert np.linalg.matrix_rank(dense) < 3
         with pytest.raises(NumericsError, match="singular"):
-            _factor_tridiagonal(singular)
+            _factor_tridiagonal(singular, dgttrf)
 
 
 def test_scipy_bdf_routes_steps_through_the_replaced_internals(monkeypatch):
