@@ -20,7 +20,7 @@ from .acceptance import run_acceptance
 from .config import RunConfig, check_singular_comparison, parse_config, resolved_json
 from .criteria import classify, criterion_constants
 from .errors import AcceptanceError, KscritError, NumericsError, ValidationError
-from .kernels import build_kernel_table, radial_kernel
+from .kernels import build_kernel_table, radial_kernel, validate_kernel
 from .output import write_csv, write_json, write_svg_lineplot
 from .radial import check_alpha, check_dimension, mass_profile, parse_profile
 from .solver import SolverControls, build_grid, run as run_sim
@@ -206,7 +206,13 @@ def _cmd_kernel(args) -> int:
     cfg = _load_config(args)
     out = _outdir(cfg)
     table = build_kernel_table(cfg.problem.d, cfg.problem.alpha)
-    for warning in radial_kernel(cfg.problem.d, cfg.problem.alpha).warnings:
+    warnings = list(radial_kernel(cfg.problem.d, cfg.problem.alpha).warnings)
+    warnings += [
+        f"kernel check {name} failed: {detail}"
+        for name, ok, detail in validate_kernel(table).checks
+        if not ok
+    ]
+    for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
     path = write_csv(
         out / "kernel.csv",
@@ -221,6 +227,7 @@ def _cmd_kernel(args) -> int:
             "R0": table.R0,
             "tail_fits": table.tail_fits,
             "residuals": table.residuals,
+            "warnings": warnings,
         },
     )
     print(f"wrote {path} ({table.rho.size} rows)")

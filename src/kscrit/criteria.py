@@ -28,6 +28,7 @@ sup_r M(r) > 8 pi, and indeed C(2)/L_2(2) = 8 pi.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -38,7 +39,6 @@ import numpy as np
 from .errors import IntegrabilityError, NumericsError, ValidationError
 from .kernels import (
     RHO_CUT,
-    gradient_nodes,
     log_quad,
     log_window,
     radial_kernel,
@@ -75,6 +75,8 @@ __all__ = [
 
 _T_DECADES = (-4.0, 4.0)
 _T_PER_DECADE = 32
+#: decimal exponents of the smallest and largest normal floats
+_LOG10_NORMAL = (math.log10(sys.float_info.min), math.log10(sys.float_info.max))
 _MASS_2D_THRESHOLD = 8.0 * math.pi
 
 
@@ -270,10 +272,10 @@ class _CurveEvaluator:
     """Vectorized T * W0(T) on the kernel's trapezoid nodes.
 
     W0(T) = T^(-d/alpha) int M(T^(1/alpha) rho) |R'(rho)| rho dlog(rho) over
-    ``gradient_nodes``.  For alpha < 2 the mass past the last node RHO_CUT is
-    continued as M(s RHO_CUT) (rho/RHO_CUT)^p with p the datum's tail
-    exponent, which ``tail_moment`` integrates against |R'|, and the
-    trapezoid sum gets the Euler-Maclaurin end term of that power law.
+    the kernel's ``gradient_nodes``.  For alpha < 2 the mass past the last
+    node RHO_CUT is continued as M(s RHO_CUT) (rho/RHO_CUT)^p with p the
+    datum's tail exponent, which ``tail_moment`` integrates against |R'|, and
+    the trapezoid sum gets the Euler-Maclaurin end term of that power law.
     Point masses are split off and added in closed form.
     """
 
@@ -282,7 +284,7 @@ class _CurveEvaluator:
         self.alpha = alpha
         self.d = mass.d
         self.kernel = radial_kernel(mass.d, alpha)
-        self.rho, self.h, self.weight = gradient_nodes(self.kernel)
+        self.rho, self.h, self.weight = self.kernel.gradient_nodes
         self.atoms = mass.atoms
         if alpha < 2.0:
             p = max(mass.tail_exponent, 0.0)
@@ -336,6 +338,14 @@ def criterion_curve(
     alpha = check_alpha(alpha)
     check_integrability(mass, alpha)
     if T_range is None:
+        # formed in logs first: r_char^alpha itself may over- or underflow
+        log10_t = alpha * math.log10(mass.r_char)
+        lo, hi = log10_t + _T_DECADES[0], log10_t + _T_DECADES[1]
+        if not _LOG10_NORMAL[0] <= lo < hi <= _LOG10_NORMAL[1]:
+            raise NumericsError(
+                f"the default T window 10^[{lo:.4g}, {hi:.4g}] around r_char^alpha is not "
+                f"representable in floats (r_char = {mass.r_char:.6g}, alpha = {alpha})"
+            )
         t_char = mass.r_char**alpha
         T_range = (10.0 ** _T_DECADES[0] * t_char, 10.0 ** _T_DECADES[1] * t_char)
     n = int(round(_T_PER_DECADE * math.log10(T_range[1] / T_range[0]))) + 1

@@ -9,10 +9,12 @@ the Gaussian mixed by the one-sided stable subordinator with beta = alpha/2.
 At alpha = 2 (beta = 1) the subordinator is the point mass at lam = 1, and R
 is the Gauss-Weierstrass kernel (4 pi)^(-d/2) e^(-rho^2/4).
 Differentiation under the integral gives R' and R'' with closed-form
-lambda-integrands.  The lambda-integral is evaluated on a fixed trapezoid grid
-in s = log(lam), windowed analytically so the integrand is dead at both ends
-(at alpha = 2 the grid is the one node s = 0 with weight 1); everything is
-accumulated in log space so large d is no worse than small d.
+lambda-integrands.  The lambda-integral is a trapezoid sum in s = log(lam),
+whose integrand is analytic, so the error falls geometrically in 1/h: the
+window is probed until the integrand is dead at both ends, and the spacing is
+halved until two levels agree (at alpha = 2 the grid is the one node s = 0
+with weight 1).  Everything is accumulated in log space so large d is no worse
+than small d.
 
 Facts used as validation anchors:
 
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -48,11 +50,9 @@ __all__ = [
     "log_window",
     "log_quad",
     "tail_moment",
-    "gradient_nodes",
     "tail_coefficient",
 ]
 
-_SGRID_SPACING = 0.05
 #: upper end of every rho-quadrature; the algebraic tail beyond is added analytically
 RHO_CUT = 1.0e3
 #: entries of one exponent block in SubordinatedKernel.log_sums
@@ -61,6 +61,21 @@ _TAIL_TERMS = 12
 _WARN_DIMENSION = 60
 #: rho up to which the s-grid resolves the kernel
 _RHO_SUPPORT = 4.0e3
+#: the s-grid starts where every order of the rho = 0 integrand is this far below its maximum
+_LEFT_DROP = 60.0
+#: probe radii of the halving test, and its tolerance relative to max(1, |log_sums|).
+#: The trapezoid error in s falls geometrically in 1/h, so halving h about squares
+#: it: a level within 3e-7 of its coarser neighbour is itself near 1e-13 (measured
+#: at most 1.3 times the square on the benchmark's pairs).
+_HALVING_RHO = np.concatenate([[0.0], np.geomspace(1e-3, _RHO_SUPPORT, 24)])
+_HALVING_TOL = 3e-7
+#: a halving that shrinks a step below this by less than 4x cannot be the geometric
+#: rate: the integrand is not smooth, and halving further only costs nodes
+_STALL_STEP = 1e-4
+#: a grid that would need more nodes than this is a NumericsError
+_MAX_NODES = 1 << 18
+#: trapezoid nodes per decade of rho in ``SubordinatedKernel.gradient_nodes``
+_NODES_PER_DECADE = 64
 
 
 def tail_coefficient(d: int, alpha: float, k: int = 1) -> float:
@@ -80,10 +95,12 @@ def tail_coefficient(d: int, alpha: float, k: int = 1) -> float:
 class SubordinatedKernel:
     """Bochner-subordinated radial kernel for 0 < alpha <= 2.
 
-    Construction evaluates log f_beta once on an s = log(lam) trapezoid grid
-    whose window is found by probing the rho = 0 integrand.  At alpha = 2
-    (beta = 1) the subordinator is the point mass at lam = 1, so the grid is
-    the single node s = 0 with weight 1 and the kernel is Gauss-Weierstrass.
+    Construction evaluates log f_beta once per node of an s = log(lam)
+    trapezoid grid sized by its error (``_build_grid``): the window comes from
+    probing the rho = 0 integrand, the spacing from nested halving.  At
+    alpha = 2 (beta = 1) the subordinator is the point mass at lam = 1, so the
+    grid is the single node s = 0 with weight 1 and the kernel is
+    Gauss-Weierstrass.
     Every evaluator is a view over ``log_sums``, one vectorized log-sum-exp
     reduction over the grid.
     """
@@ -101,55 +118,112 @@ class SubordinatedKernel:
             raise NumericsError(
                 f"R(0) = exp({self.log_R0:.6g}) overflows a float at d={d}, alpha={alpha}"
             ) from None
+        #: accuracy caveats, reported by every result built on this kernel; both
+        #: concern the s-grid, which alpha = 2 does not have
+        self.warnings: tuple[str, ...] = ()
         if alpha == 2.0:
             # beta = 1: the point mass at lam = 1, one node of weight 1
             self._set_grid(np.zeros(1), np.zeros(1))
-        else:
-            self.subordinator = StableSubordinator(self.beta)
-            self._set_grid(*self._build_grid())
-        #: accuracy caveats, reported by every result built on this kernel; the
-        #: one above d = 60 concerns the s-grid, which alpha = 2 does not have
-        self.warnings: tuple[str, ...] = ()
-        if alpha < 2.0 and d > _WARN_DIMENSION:
-            self.warnings = (
+            return
+        self.subordinator = StableSubordinator(self.beta)
+        self._build_grid()
+        if d > _WARN_DIMENSION:
+            self.warnings += (
                 f"kernel accuracy degrades slowly above d={_WARN_DIMENSION}; d={d} requested",
             )
+
+    @cached_property
+    def gradient_nodes(self) -> tuple[np.ndarray, float, np.ndarray]:
+        """Trapezoid nodes in x = log(rho) for int M(s rho) |R'(rho)| rho dx, built once.
+
+        The nodes are uniform, 64 per decade, over the window ``log_window``
+        finds for the two weights |R'(rho)| rho^2 and |R'(rho)| rho^(d+2).  On
+        the left every datum's M(r) vanishes at least like r, so no integrand
+        decays slower than the first.  On the right M(r) <= c r^(d-alpha), c the
+        datum's d/alpha-radial concentration, so no integrand grows faster than
+        |R'| rho^(d+1); the second weight bounds it with room to spare and ends
+        the nodes for alpha = 2.  For alpha < 2 they end at RHO_CUT instead, past
+        which ``tail_moment`` carries the integral.  Returns (rho, h, |R'(rho)| rho)
+        as read-only arrays, shared by every curve on this kernel.
+        """
+        powers = np.array([[2.0], [self.d + 2.0]])
+        x_lo, x_hi, _ = log_window(lambda x: self.log_abs_Rp(np.exp(x)) + powers * x)
+        if self.alpha < 2.0:
+            x_hi = math.log(RHO_CUT)
+        n = round(_NODES_PER_DECADE * (x_hi - x_lo) / math.log(10.0)) + 1
+        x = np.linspace(x_lo, x_hi, n)
+        rho = np.exp(x)
+        weight = np.exp(self.log_abs_Rp(rho) + x)
+        rho.flags.writeable = weight.flags.writeable = False
+        return rho, float(x[1] - x[0]), weight
 
     def _log_mix_weight(self, log_f: np.ndarray, s: np.ndarray) -> np.ndarray:
         """log of f(lam) lam (4 pi lam)^(-d/2) at s = log(lam), given log f."""
         return log_f + s - 0.5 * self.d * (math.log(4.0 * math.pi) + s)
 
-    def _build_grid(self) -> tuple[np.ndarray, np.ndarray]:
-        """The s-grid and log(trapezoid weight * f_beta(e^s)) on it."""
+    def _build_grid(self) -> None:
+        """Set the s-grid: a probed window, then a spacing found by nested halving.
+
+        The window is probed on 200 points until the rho = 0 integrand of
+        orders 0, 1 and 2 has dropped ``_LEFT_DROP`` below its maximum at the
+        left end and order 0 has dropped 170 at the right end, which starts
+        170/(beta + d/2) past 2 log(_RHO_SUPPORT).  The grid starts one probe
+        step left of the first live point and ends with the probe.  The
+        spacing starts at most 1 and is halved until ``log_sums`` at
+        ``_HALVING_RHO`` moves by at most ``_HALVING_TOL`` times
+        max(1, |log_sums|); each level adds only the midpoints, so log f is
+        evaluated once per node of the final grid.  A halving that stalls (see
+        ``_STALL_STEP``) keeps its level and adds a warning; a grid that needs
+        more than ``_MAX_NODES`` nodes is a NumericsError.
+        """
         sub, d = self.subordinator, self.d
-        # left start: beyond the peak of f(lam) lam^(-d/2), located where
+        # start guess: beyond the peak of f(lam) lam^(-d/2), located where
         # a0*c*s_zol = d/2 in the left-tail regime
         c, a0 = sub.c, sub.a0
         s_peak = -math.log(max(d / (2.0 * a0 * c), 1e-6)) / c
         lo = s_peak - 5.0 / c - 5.0
-        hi = 80.0 / (self.beta + 0.5 * d) + 5.0
+        # the right end reaches past 2 log(_RHO_SUPPORT), for the curve's far atom terms
+        hi = 2.0 * math.log(_RHO_SUPPORT) + 170.0 / (self.beta + 0.5 * d)
         for _ in range(60):
             probe = np.linspace(lo, hi, 200)
-            vals = self._log_mix_weight(sub.log_pdf(np.exp(probe)), probe)
-            vmax = np.max(vals)
-            if vals[0] < vmax - 170.0 and vals[-1] < vmax - 170.0:
+            # rows: the rho = 0 integrand of orders 0, 1 and 2
+            vals = self._log_mix_weight(sub.log_pdf(np.exp(probe)), probe) - np.arange(3.0)[:, None] * probe
+            live = np.any(vals >= vals.max(axis=1)[:, None] - _LEFT_DROP, axis=0)
+            right_live = vals[0, -1] >= vals[0].max() - 170.0
+            if not (live[0] or right_live):
                 break
-            if vals[0] >= vmax - 170.0:
+            if live[0]:
                 lo -= 5.0
-            if vals[-1] >= vmax - 170.0:
+            if right_live:
                 hi += 5.0
         else:
             raise NumericsError("could not window the subordination integral")
-        hi = max(hi, 2.0 * math.log(_RHO_SUPPORT) + 170.0 / (self.beta + 0.5 * d))
-        # f_beta concentrates near lam = 1 with log-width ~ (1-beta) as beta -> 1
-        spacing = min(_SGRID_SPACING, (1.0 - self.beta) / 6.0)
-        n = int(math.ceil((hi - lo) / spacing)) + 1
-        s = np.linspace(lo, hi, n)
-        h = s[1] - s[0]
-        logw = np.full(n, math.log(h))
-        logw[0] += math.log(0.5)
-        logw[-1] += math.log(0.5)
-        return s, logw + sub.log_pdf(np.exp(s))
+        lo = probe[np.argmax(live) - 1]
+
+        s = np.linspace(lo, hi, math.ceil(hi - lo) + 1)
+        log_f = sub.log_pdf(np.exp(s))
+        self._set_grid(s, _trapezoid_log_weights(s) + log_f)
+        coarse, last_step = self.log_sums(_HALVING_RHO), math.inf
+        while 2 * s.size - 1 <= _MAX_NODES:
+            mid = 0.5 * (s[:-1] + s[1:])
+            s, log_f = _interleave(s, mid), _interleave(log_f, sub.log_pdf(np.exp(mid)))
+            self._set_grid(s, _trapezoid_log_weights(s) + log_f)
+            fine = self.log_sums(_HALVING_RHO)
+            step = float(np.max(np.abs(fine - coarse) / np.maximum(1.0, np.abs(fine))))
+            if step <= _HALVING_TOL:
+                return
+            if step <= _STALL_STEP and step > 0.25 * last_step:
+                self.warnings += (
+                    f"the s-grid stopped at {s.size} nodes with log_sums still moving by "
+                    f"{step:.1e} per halving: the subordinator density is not smooth "
+                    f"enough at beta={self.beta}",
+                )
+                return
+            coarse, last_step = fine, step
+        raise NumericsError(
+            f"the subordination grid did not converge within {_MAX_NODES} nodes "
+            f"(d={d}, alpha={self.alpha})"
+        )
 
     def _set_grid(self, s: np.ndarray, log_wf: np.ndarray) -> None:
         self._s = s
@@ -233,6 +307,18 @@ def _curvature_ratio(rho, log_s1: np.ndarray, log_s2: np.ndarray) -> np.ndarray:
     # R''/|R'| = (rho/2) S_2/S_1 - 1/rho
     log_rho = _log_rho(rho)
     return np.exp(log_s2 - log_s1 + log_rho - math.log(2.0)) - np.exp(-log_rho)
+
+
+def _trapezoid_log_weights(s: np.ndarray) -> np.ndarray:
+    logw = np.full(s.size, math.log((s[-1] - s[0]) / (s.size - 1)))
+    logw[[0, -1]] += math.log(0.5)
+    return logw
+
+
+def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    out = np.empty(even.size + odd.size)
+    out[::2], out[1::2] = even, odd
+    return out
 
 
 def _scalar_if(rho, out: np.ndarray):
@@ -418,32 +504,6 @@ def tail_moment(d: int, alpha: float, moment: float, derivative: bool) -> float:
     return total
 
 
-#: trapezoid nodes per decade of rho in ``gradient_nodes``
-_NODES_PER_DECADE = 64
-
-
-def gradient_nodes(kernel: SubordinatedKernel) -> tuple[np.ndarray, float, np.ndarray]:
-    """Trapezoid nodes in x = log(rho) for int M(s rho) |R'(rho)| rho dx.
-
-    The nodes are uniform, 64 per decade, over the window ``log_window``
-    finds for the two weights |R'(rho)| rho^2 and |R'(rho)| rho^(d+2).  On
-    the left every datum's M(r) vanishes at least like r, so no integrand
-    decays slower than the first.  On the right M(r) <= c r^(d-alpha), c the
-    datum's d/alpha-radial concentration, so no integrand grows faster than
-    |R'| rho^(d+1); the second weight bounds it with room to spare and ends
-    the nodes for alpha = 2.  For alpha < 2 they end at RHO_CUT instead, past
-    which ``tail_moment`` carries the integral.  Returns (rho, h, |R'(rho)| rho).
-    """
-    powers = np.array([[2.0], [kernel.d + 2.0]])
-    x_lo, x_hi, _ = log_window(lambda x: kernel.log_abs_Rp(np.exp(x)) + powers * x)
-    if kernel.alpha < 2.0:
-        x_hi = math.log(RHO_CUT)
-    n = round(_NODES_PER_DECADE * (x_hi - x_lo) / math.log(10.0)) + 1
-    x = np.linspace(x_lo, x_hi, n)
-    rho = np.exp(x)
-    return rho, float(x[1] - x[0]), np.exp(kernel.log_abs_Rp(rho) + x)
-
-
 #: geometric rho grid of the exported kernel table, up to RHO_CUT
 _TABLE_RHO_MIN = 1.0e-4
 _TABLE_PER_DECADE = 48
@@ -535,14 +595,14 @@ def validate_kernel(table: KernelTable) -> KernelValidation:
         (
             "normalization_R",
             abs(table.residuals["norm_R"]) <= _TOL_NORM,
-            f"residual {table.residuals['norm_R']:.3e}",
+            f"residual {table.residuals['norm_R']:.3e}, tolerance {_TOL_NORM:g}",
         )
     )
     checks.append(
         (
             "normalization_Rp",
             abs(table.residuals["norm_Rp"]) <= _TOL_NORM,
-            f"residual {table.residuals['norm_Rp']:.3e}",
+            f"residual {table.residuals['norm_Rp']:.3e}, tolerance {_TOL_NORM:g}",
         )
     )
     expected = {"R": -(d + alpha), "Rp": -(d + 1 + alpha), "Rpp": -(d + 2 + alpha)}

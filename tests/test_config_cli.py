@@ -254,6 +254,7 @@ class TestCli:
             assert any("above d=60" in w for w in report["warnings"])
         assert run_cli(["kernel", "--d", "70", "--alpha", "1.5", "--out", str(tmp_path / "k")]) == 0
         assert "warning: kernel accuracy degrades slowly above d=60" in capsys.readouterr().err
+        assert any("above d=60" in w for w in json.loads((tmp_path / "k" / "kernel.json").read_text())["warnings"])
 
     @pytest.mark.parametrize(
         "profile",
@@ -299,6 +300,11 @@ class TestCli:
             # the total mass c r_out^p, p = 78, is beyond the float range
             (["classify", "--profile", "trunc_chandrasekhar(eta=30,rin=0.001,rout=1e4,alpha=2)",
               "--d", "80", "--alpha", "1.352"], "overflows a float"),
+            # the default T window 1e-4..1e4 times r_char^alpha under- and overflows
+            (["classify", "--profile", "gauss(mass=1e-200,width=1e-170)", "--d", "3", "--alpha", "2"],
+             "T window 10^[-344, -336] around r_char^alpha is not representable in floats (r_char = 1e-170"),
+            (["classify", "--profile", "gauss(mass=1,width=1e170)", "--d", "3", "--alpha", "2"],
+             "T window 10^[336, 344] around r_char^alpha is not representable in floats (r_char = 1e+170"),
         ],
     )
     def test_overflow_is_a_numerical_failure(self, args, message, capsys, tmp_path):
@@ -415,6 +421,22 @@ class TestCli:
         sidecar = json.loads((out / "kernel.json").read_text())
         assert abs(sidecar["residuals"]["norm_R"]) < 1e-6
         assert sidecar["tail_fits"]["R"][1] == pytest.approx(-4.0, abs=0.1)
+        assert sidecar["warnings"] == []
+
+    def test_kernel_reports_failed_checks(self, tmp_path, monkeypatch, capsys):
+        # a check that fails is a warning on stderr and in kernel.json, not a silent exit 0
+        import kscrit.kernels as kernels
+
+        monkeypatch.setattr(kernels, "_TOL_NORM", 0.0)
+        out = tmp_path / "k"
+        assert run_cli(["kernel", "--d", "3", "--alpha", "1.0", "--out", str(out)]) == 0
+        warnings = json.loads((out / "kernel.json").read_text())["warnings"]
+        assert [w.split(":")[0] for w in warnings] == [
+            "kernel check normalization_R failed",
+            "kernel check normalization_Rp failed",
+        ]
+        err = capsys.readouterr().err
+        assert all(f"warning: {w}\n" in err for w in warnings)
 
     def test_verify_single_criterion(self, tmp_path, capsys):
         out = tmp_path / "v"

@@ -88,7 +88,7 @@ class TestBlowupConstant:
 
     @pytest.mark.slow
     def test_continuity_gap_keeps_shrinking(self):
-        # the alpha = 1.995 kernel needs 1.7e5 subordinator nodes
+        # the alpha = 1.995 kernel stops halving at 1.4e5 subordinator nodes
         assert _gap_to_classical(5, 1.995) < _gap_to_classical(5, 1.99)
 
 

@@ -51,12 +51,6 @@ QUAD_REFERENCE = {
     (8, 1.9075): (1.06148594459073, 0.0037874649243719557,
                   -1.587618925213974e-14, -1.5654144647214707e-14),
 }
-# the edge bands cost the most; they run with -m slow
-_EDGE = {(4, 0.0997), (8, 1.9075)}
-PAIRS = [
-    pytest.param(*pair, marks=pytest.mark.slow) if pair in _EDGE else pair
-    for pair in QUAD_REFERENCE
-]
 
 
 class TestGaussKronrodRule:
@@ -127,7 +121,7 @@ class TestFusedReduction:
         assert np.all(k.log_abs_Rp(grid) == k.log_abs_Rp(0.5))
 
 
-@pytest.mark.parametrize("d,alpha", PAIRS)
+@pytest.mark.parametrize("d,alpha", list(QUAD_REFERENCE))
 def test_matches_quad_reference(d, alpha):
     c_ref, l_ref, norm_r_ref, norm_rp_ref = QUAD_REFERENCE[(d, alpha)]
     c, c_err = blowup_constant_fractional(d, alpha)

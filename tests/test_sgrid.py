@@ -1,0 +1,143 @@
+"""The subordination s-grid against exact oracles.
+
+Every fractional kernel sums over one trapezoid grid in s = log(lam).  Its
+weights must reproduce the closed-form negative moments of the stable
+subordinator, and its ``log_sums`` must match a grid 4x finer on a window
+that reaches 400 nats below the integrand's peak.  The pairs are the seven
+``sweep`` strata and three ``verdicts`` pairs of the benchmark, the curve's
+small-alpha pair (4, 0.3), the smallest alpha (3, 0.05) and the high
+dimension (80, 1.5).
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from kscrit.errors import NumericsError
+from kscrit.kernels import _RHO_SUPPORT, SubordinatedKernel
+
+PAIRS = [
+    (4, 0.0997), (9, 0.4175), (3, 0.7175), (10, 1.0175), (5, 1.2675), (6, 1.7675), (8, 1.9075),
+    (5, 0.9), (4, 1.2), (5, 1.5),
+    (4, 0.3), (3, 0.05), (80, 1.5),
+]
+RHO = np.concatenate([[0.0], np.geomspace(1e-6, 1e20, 800)])
+_LOG_4PI = math.log(4.0 * math.pi)
+
+
+@pytest.fixture(scope="module", params=PAIRS, ids=lambda p: f"d{p[0]}-a{p[1]}")
+def kernel(request):
+    return SubordinatedKernel(*request.param)
+
+
+def _log_weights(kernel):
+    """log(trapezoid weight * f(lam) * lam) on the kernel's s-grid: the weights of E[g(S)]."""
+    return kernel._logw + 0.5 * kernel.d * (_LOG_4PI + kernel._s)
+
+
+def _log_sum(x):
+    top = x.max()
+    return top + math.log(np.exp(x - top).sum())
+
+
+def _series_tail(kernel, p):
+    """The trapezoid nodes past the grid's right end, summed from the lam > 2 series.
+
+    f(lam) lam^(1-p) = sum_k a_k lam^(-k beta - p), so the half-weighted last
+    node and every node beyond it add a_k e^(-b s_N) (h/2) coth(b h / 2), b = k beta + p.
+    """
+    b_sub, s = kernel.beta, kernel._s
+    h, s_n = s[1] - s[0], s[-1]
+    total = 0.0
+    for k in range(1, 60):
+        b = k * b_sub + p
+        a_k = (-1) ** (k + 1) * math.exp(math.lgamma(1 + k * b_sub) - math.lgamma(k + 1.0)) * math.sin(
+            math.pi * k * b_sub
+        ) / math.pi
+        total += a_k * math.exp(-b * s_n) * 0.5 * h / math.tanh(0.5 * b * h)
+    return total
+
+
+def test_weights_give_the_negative_moments(kernel):
+    # E[S^-p] = Gamma(1 + p/beta) / Gamma(1 + p); p = d/2, d/2 + 1, d/2 + 2 are
+    # the orders the kernel sums at rho = 0, and p = 0 is the total mass
+    d, sub, log_w = kernel.d, kernel.subordinator, _log_weights(kernel)
+    for p in (0.5 * d, 0.5 * d + 1.0, 0.5 * d + 2.0):
+        got = _log_sum(log_w - p * kernel._s)
+        assert got == pytest.approx(math.log(sub.neg_moment(p)), abs=1e-12), p
+    # the grid ends where the lam^(-d/2) orders are dead; the mass keeps a slow
+    # lam^(-beta) tail past it, added here from the series
+    mass = math.exp(_log_sum(log_w)) + _series_tail(kernel, 0.0)
+    assert mass == pytest.approx(1.0, rel=1e-12, abs=0)
+
+
+def _reference(kernel, refine=4, drop=400.0):
+    """The kernel's own lattice refined ``refine`` times and widened to ``drop`` nats.
+
+    Left, it reaches until orders 0-2 of the rho = 0 integrand are ``drop``
+    below their maxima; right, to 2 log(_RHO_SUPPORT) + drop/(beta + d/2).
+    Returns the nodes and log(weight * f) there.
+    """
+    sub, d, s = kernel.subordinator, kernel.d, kernel._s
+    orders = np.arange(3.0)[:, None]
+
+    def mix(x):
+        return sub.log_pdf(np.exp(x)) + x - 0.5 * d * (_LOG_4PI + x) - orders * x
+
+    tops = mix(s).max(axis=1)
+    lo = s[0]
+    while np.any(mix(np.array([lo]))[:, 0] >= tops - drop):
+        lo -= 5.0
+    hi = max(s[-1], 2.0 * math.log(_RHO_SUPPORT) + drop / (kernel.beta + 0.5 * d))
+    h = (s[1] - s[0]) / refine
+    n_lo, n_hi = math.ceil((s[0] - lo) / h), math.ceil((hi - s[-1]) / h)
+    x = s[0] + h * np.arange(-n_lo, (s.size - 1) * refine + n_hi + 1)
+    return x, math.log(h) + sub.log_pdf(np.exp(x))
+
+
+def _sums_on(d, x, log_wf):
+    grid = SubordinatedKernel.__new__(SubordinatedKernel)
+    grid.d = d
+    grid._set_grid(x, log_wf)
+    return grid.log_sums(RHO)
+
+
+def test_log_sums_match_a_finer_wider_grid(kernel):
+    x, log_wf = _reference(kernel)
+    inside = x <= kernel._s[-1] + 0.5 * (x[1] - x[0])
+    cut = _sums_on(kernel.d, x[inside], log_wf[inside])
+    full = np.logaddexp(cut, _sums_on(kernel.d, x[~inside], log_wf[~inside]))
+
+    def rel(a, b):
+        return np.abs(a - b) / np.maximum(1.0, np.abs(b))
+
+    # the right end, placed as in the earlier fixed grids, holds the wide
+    # reference to 1e-12 for every rho up to _RHO_SUPPORT and, depending on the
+    # pair, up to 1e5-1e20; there the spacing and the left end must hold it too
+    held = np.all(rel(cut, full) <= 1e-12, axis=0)
+    assert np.all(held[RHO <= _RHO_SUPPORT])
+    assert rel(kernel.log_sums(RHO), cut)[:, held].max() <= 1e-12
+
+
+def test_a_jump_in_the_density_stops_the_halving_with_a_warning(monkeypatch):
+    # a step in log f makes the trapezoid error fall like h, not geometrically:
+    # halving further would only add nodes, so the grid stops and says so
+    from kscrit.subordinator import StableSubordinator
+
+    smooth = StableSubordinator.log_pdf
+    def jumpy(self, lam):
+        return smooth(self, lam) + 1e-3 * (lam > 2.0)
+
+    monkeypatch.setattr(StableSubordinator, "log_pdf", jumpy)
+    kernel = SubordinatedKernel(5, 1.0)
+    assert len(kernel.warnings) == 1 and "the s-grid stopped at" in kernel.warnings[0]
+    assert kernel._s.size < 20_000
+
+
+def test_a_grid_past_the_node_cap_is_a_numerics_error(monkeypatch):
+    import kscrit.kernels as kernels
+
+    monkeypatch.setattr(kernels, "_MAX_NODES", 100)
+    with pytest.raises(NumericsError, match="did not converge within 100 nodes"):
+        SubordinatedKernel(5, 1.0)
