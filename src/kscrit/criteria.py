@@ -75,6 +75,10 @@ __all__ = [
 
 _T_DECADES = (-4.0, 4.0)
 _T_PER_DECADE = 32
+#: entries of one (T, rho) block of the criterion curve.  The scan's whole matrix
+#: (257 x ~450, about 1 MB per temporary) is big enough for malloc to map and unmap
+#: each temporary, with its page faults, on every call; 256 KB blocks are reused.
+_CURVE_BLOCK = 32_768
 #: decimal exponents of the smallest and largest normal floats
 _LOG10_NORMAL = (math.log10(sys.float_info.min), math.log10(sys.float_info.max))
 _MASS_2D_THRESHOLD = 8.0 * math.pi
@@ -292,6 +296,10 @@ class _CurveEvaluator:
             self._end = self.h**2 / 12.0 * (p - self.d - alpha)
 
     def values(self, T: np.ndarray) -> np.ndarray:
+        rows = max(1, _CURVE_BLOCK // self.rho.size)
+        return np.concatenate([self._block_values(T[i : i + rows]) for i in range(0, T.size, rows)])
+
+    def _block_values(self, T: np.ndarray) -> np.ndarray:
         # overflow at extreme T shows up as a non-finite value, which criterion_curve rejects
         with np.errstate(over="ignore", invalid="ignore"):
             scale = T ** (1.0 / self.alpha)

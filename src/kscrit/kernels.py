@@ -14,7 +14,10 @@ whose integrand is analytic, so the error falls geometrically in 1/h: the
 window is probed until the integrand is dead at both ends, and the spacing is
 halved until two levels agree (at alpha = 2 the grid is the one node s = 0
 with weight 1).  Everything is accumulated in log space so large d is no worse
-than small d.
+than small d.  Each sum keeps only the s-nodes within 60 nats of its own
+peak, which drops at most n_s e^(-60) of it relative (n_s nodes), and reads
+them from a band of the grid shared by radii of similar size; the band never
+changes a result, so no value depends on which radii are evaluated together.
 
 Facts used as validation anchors:
 
@@ -55,14 +58,21 @@ __all__ = [
 
 #: upper end of every rho-quadrature; the algebraic tail beyond is added analytically
 RHO_CUT = 1.0e3
-#: entries of one exponent block in SubordinatedKernel.log_sums
-_CHUNK_ELEMENTS = 1_000_000
+#: entries of one full-width exponent block in SubordinatedKernel.log_sums: it sets how
+#: many sorted radii share one s-band
+_CHUNK_ELEMENTS = 65_536
+#: log_sums drops every s-tile whose exponents all lie this far below the row's peak
+_LIVE_DROP = 60.0
+#: s-nodes per tile of log_sums, aligned to the whole grid
+_TILE = 64
 _TAIL_TERMS = 12
 _WARN_DIMENSION = 60
 #: rho up to which the s-grid resolves the kernel
 _RHO_SUPPORT = 4.0e3
 #: the s-grid starts where every order of the rho = 0 integrand is this far below its maximum
 _LEFT_DROP = 60.0
+#: log of the smallest normal float: no s-grid starts left of it, since exp(s) underflows there
+_LOG_TINY = math.log(np.finfo(float).tiny)
 #: probe radii of the halving test, and its tolerance relative to max(1, |log_sums|).
 #: The trapezoid error in s falls geometrically in 1/h, so halving h about squares
 #: it: a level within 3e-7 of its coarser neighbour is itself near 1e-13 (measured
@@ -167,8 +177,9 @@ class SubordinatedKernel:
         The window is probed on 200 points until the rho = 0 integrand of
         orders 0, 1 and 2 has dropped ``_LEFT_DROP`` below its maximum at the
         left end and order 0 has dropped 170 at the right end, which starts
-        170/(beta + d/2) past 2 log(_RHO_SUPPORT).  The grid starts one probe
-        step left of the first live point and ends with the probe.  The
+        170/(beta + d/2) past 2 log(_RHO_SUPPORT); a left end that would need
+        lam below the smallest normal float is a NumericsError.  The grid starts
+        one probe step left of the first live point and ends with the probe.  The
         spacing starts at most 1 and is halved until ``log_sums`` at
         ``_HALVING_RHO`` moves by at most ``_HALVING_TOL`` times
         max(1, |log_sums|); each level adds only the midpoints, so log f is
@@ -181,7 +192,7 @@ class SubordinatedKernel:
         # a0*c*s_zol = d/2 in the left-tail regime
         c, a0 = sub.c, sub.a0
         s_peak = -math.log(max(d / (2.0 * a0 * c), 1e-6)) / c
-        lo = s_peak - 5.0 / c - 5.0
+        lo = max(s_peak - 5.0 / c - 5.0, _LOG_TINY)
         # the right end reaches past 2 log(_RHO_SUPPORT), for the curve's far atom terms
         hi = 2.0 * math.log(_RHO_SUPPORT) + 170.0 / (self.beta + 0.5 * d)
         for _ in range(60):
@@ -192,8 +203,13 @@ class SubordinatedKernel:
             right_live = vals[0, -1] >= vals[0].max() - 170.0
             if not (live[0] or right_live):
                 break
+            if live[0] and lo == _LOG_TINY:
+                raise NumericsError(
+                    f"the subordination integral at d={d}, alpha={self.alpha} is still live at "
+                    f"lam = {math.exp(lo):.3g}, the smallest normal float"
+                )
             if live[0]:
-                lo -= 5.0
+                lo = max(lo - 5.0, _LOG_TINY)
             if right_live:
                 hi += 5.0
         else:
@@ -227,35 +243,83 @@ class SubordinatedKernel:
 
     def _set_grid(self, s: np.ndarray, log_wf: np.ndarray) -> None:
         self._s = s
-        self._neg_s = -s
-        self._quarter_inv_lam = 0.25 * np.exp(-s)
-        #: log of f(lam) lam (4 pi lam)^(-d/2) times the trapezoid weight
-        self._logw = self._log_mix_weight(log_wf, s)
+        # the node arrays are padded to whole tiles of log_sums: a padded node has
+        # weight -inf and 0 for -s and e^(-s)/4, so it adds nothing to any sum
+        n, size = s.size, -(-s.size // _TILE) * _TILE
+        logw, neg_s, quarter_inv_lam = np.full(size, -np.inf), np.zeros(size), np.zeros(size)
+        logw[:n], neg_s[:n], quarter_inv_lam[:n] = self._log_mix_weight(log_wf, s), -s, 0.25 * np.exp(-s)
+        self._tiled = logw, neg_s, quarter_inv_lam
+        #: unpadded views; _logw is log of f(lam) lam (4 pi lam)^(-d/2) times the trapezoid weight
+        self._logw, self._neg_s, self._quarter_inv_lam = logw[:n], neg_s[:n], quarter_inv_lam[:n]
 
     def log_sums(self, rho, orders=(0, 1, 2)) -> np.ndarray:
         """log sum_j w_j exp(-rho^2/(4 lam_j)) lam_j^(-k) for each k in ``orders``.
 
-        The exponent block is built once per chunk of rho (at most
-        ``_CHUNK_ELEMENTS`` entries) and every order is reduced from it with
-        its own max shift, so no order over- or underflows on any s-window.
+        The exponent of node j is E_j = log w_j - rho^2 q_j - k s_j with
+        q_j = e^(-s_j)/4, and a node more than ``_LIVE_DROP`` = 60 nats below
+        its row's peak is dropped: the n_s nodes so dropped add at most
+        n_s e^(-60) relative.  The radii are sorted by |rho| and taken in
+        chunks of at most ``_CHUNK_ELEMENTS`` // n_s.  Each chunk exponentiates
+        only the s-band where its smallest radius's live set begins and its
+        largest radius's ends: both ends of the live set are nondecreasing in
+        rho (the penalty rho^2 q_j grows with rho and falls with s), so the band
+        holds the live set of every radius in the chunk.  Within the band the
+        sum runs over tiles of ``_TILE`` nodes aligned to the whole grid, each
+        kept only when its maximum is within 60 nats of the row's peak and
+        added in grid order, so every row is bit-identical however the radii
+        are grouped.  Each order has its own max shift, so none over- or
+        underflows.  At alpha = 2 the one node is its own sum, taken directly.
         Returns shape ``(len(orders),) + shape(rho)``.
         """
         rho = np.asarray(rho, dtype=float)
-        flat = rho.reshape(-1)
-        out = np.empty((len(orders), flat.size))
-        step = max(1, _CHUNK_ELEMENTS // self._s.size)
-        for lo in range(0, flat.size, step):
-            r2 = flat[lo : lo + step, None] ** 2
-            expo = self._logw - r2 * self._quarter_inv_lam
-            for i, k in enumerate(orders):
-                block = expo if i == len(orders) - 1 else expo.copy()
-                if k:
-                    block += k * self._neg_s
-                peak = block.max(axis=-1)
-                block -= peak[:, None]
-                np.exp(block, out=block)
-                out[i, lo : lo + step] = peak + np.log(block.sum(axis=-1))
+        r2 = rho.reshape(-1) ** 2
+        n = self._s.size
+        if n == 1:
+            # alpha = 2: the one node is its own sum
+            expo = self._logw[0] - r2 * self._quarter_inv_lam[0]
+            return np.stack([expo + k * self._neg_s[0] for k in orders]).reshape(
+                (len(orders),) + rho.shape
+            )
+        logw, neg_s, quarter_inv_lam = self._tiled
+        out = np.empty((len(orders), r2.size))
+        by_size = np.argsort(r2)
+        step = max(1, _CHUNK_ELEMENTS // n)
+        # rho^2 e^(-s)/4 overflows to inf on grids that reach lam near 1e-308,
+        # where the term it multiplies is exactly 0
+        with np.errstate(over="ignore"):
+            for lo in range(0, r2.size, step):
+                rows = by_size[lo : lo + step]
+                chunk = r2[rows, None]
+                # the band's two edge rows cost as much as two rows of the whole grid
+                a, b = self._band(chunk[[0, -1]], orders) if rows.size > 2 else (0, logw.size)
+                expo = logw[a:b] - chunk * quarter_inv_lam[a:b]
+                for i, k in enumerate(orders):
+                    block = expo if i == len(orders) - 1 else expo.copy()
+                    if k:
+                        block += k * neg_s[a:b]
+                    tiles = block.reshape(rows.size, -1, _TILE)
+                    tile_max = tiles.max(axis=-1)
+                    peak = tile_max.max(axis=-1)
+                    tiles -= peak[:, None, None]
+                    np.exp(tiles, out=tiles)
+                    sums = tiles.sum(axis=-1)
+                    sums[tile_max < peak[:, None] - _LIVE_DROP] = 0.0
+                    # a running sum adds the kept tiles in grid order, whatever the band
+                    out[i, rows] = peak + np.log(np.cumsum(sums, axis=-1)[:, -1])
         return out.reshape((len(orders),) + rho.shape)
+
+    def _band(self, r2_ends: np.ndarray, orders) -> tuple[int, int]:
+        """Tile-aligned node range holding the live sets of every radius between two.
+
+        One nat beyond ``_LIVE_DROP`` absorbs rounding in the edge test.
+        """
+        n = self._s.size
+        k = np.array(orders, dtype=float)[:, None, None]
+        rows = self._logw - r2_ends * self._quarter_inv_lam + k * self._neg_s
+        live = rows >= rows.max(axis=-1, keepdims=True) - (_LIVE_DROP + 1.0)
+        first = int(live[:, 0].argmax(axis=-1).min())
+        last = n - int(live[:, 1, ::-1].argmax(axis=-1).min())
+        return first // _TILE * _TILE, -(-last // _TILE) * _TILE
 
     def derivatives(self, rho):
         """(log R, log|R'|, R'') from one fused reduction."""

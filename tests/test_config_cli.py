@@ -297,6 +297,8 @@ class TestCli:
              "criterion curve is not finite"),
             # R(0) = Gamma(1 + d/alpha)/(Gamma(1 + d/2) (4 pi)^(d/2)) is beyond the float range
             (["kernel", "--d", "3", "--alpha", "0.01"], "overflows a float"),
+            # the subordination integral is still live where lam = e^s leaves the normal floats
+            (["kernel", "--d", "2", "--alpha", "0.017"], "the smallest normal float"),
             # the total mass c r_out^p, p = 78, is beyond the float range
             (["classify", "--profile", "trunc_chandrasekhar(eta=30,rin=0.001,rout=1e4,alpha=2)",
               "--d", "80", "--alpha", "1.352"], "overflows a float"),
@@ -422,6 +424,15 @@ class TestCli:
         assert abs(sidecar["residuals"]["norm_R"]) < 1e-6
         assert sidecar["tail_fits"]["R"][1] == pytest.approx(-4.0, abs=0.1)
         assert sidecar["warnings"] == []
+
+    @pytest.mark.parametrize("d,alpha", [("3", "0.02"), ("2", "0.018")])
+    def test_small_alpha_kernel_starts_its_window_above_underflow(self, d, alpha, tmp_path):
+        # the window probe once began near lam = e^-1000, which underflows to 0 (exit 1);
+        # it now starts at the smallest normal float, and the window fits above it
+        # (at d = 2 it starts there, where rho^2/(4 lam) overflows for rho > 1)
+        out = tmp_path / "k"
+        assert run_cli(["kernel", "--d", d, "--alpha", alpha, "--out", str(out)]) == 0
+        assert json.loads((out / "kernel.json").read_text())["warnings"] == []
 
     def test_kernel_reports_failed_checks(self, tmp_path, monkeypatch, capsys):
         # a check that fails is a warning on stderr and in kernel.json, not a silent exit 0

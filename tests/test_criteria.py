@@ -275,6 +275,19 @@ class TestCriterionCurve:
         cur = criterion_curve(mass_profile(Gaussian(3, 0.0)), 2.0)
         assert np.all(cur.values == 0.0)
 
+    @pytest.mark.parametrize("alpha", [2.0, 1.5])
+    def test_blocked_curve_is_the_whole_matrix(self, monkeypatch, alpha):
+        # the scan is evaluated in blocks of T rows; each row is the same sum
+        import kscrit.criteria as criteria
+
+        m = mass_profile(ShellAtom(3, 1.0, 2.0))
+        ev = criteria._CurveEvaluator(m, alpha)
+        T = np.geomspace(1e-4, 1e4, 257)
+        assert criteria._CURVE_BLOCK // ev.rho.size < T.size  # more than one block
+        blocked = ev.values(T)
+        monkeypatch.setattr(criteria, "_CURVE_BLOCK", T.size * ev.rho.size)
+        np.testing.assert_array_equal(ev.values(T), blocked)
+
     def test_exact_datum_crosses_threshold_at_blowup_time(self):
         # the criterion curve of the explicit blowing-up datum equals C(d)
         # exactly at its blowup time

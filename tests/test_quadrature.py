@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gammaln, logsumexp
 from semigroup_oracle import singular_semigroup_quadrature
@@ -111,6 +113,39 @@ class TestFusedReduction:
         # one rho per exponent block
         monkeypatch.setattr(kernels, "_CHUNK_ELEMENTS", 1)
         np.testing.assert_array_equal(k.log_sums(rho), whole)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        pair=st.sampled_from([(4, 0.0997), (8, 1.9075), (5, 1.5), (4, 0.3)]),
+        values=st.lists(
+            st.one_of(st.just(0.0), st.floats(min_value=-8.0, max_value=20.0).map(lambda u: 10.0**u)),
+            min_size=1,
+            max_size=40,
+        ),
+        picks=st.lists(st.integers(min_value=0, max_value=39), min_size=1, max_size=240),
+        cols=st.sampled_from([1, 2, 3]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_banded_reduction_is_the_full_width_one(self, pair, values, picks, cols, seed):
+        # unsorted radii in {0} u [1e-8, 1e20], with duplicates, flat or 2-d
+        k = radial_kernel(*pair)
+        rho = np.array(values)[np.array(picks) % len(values)]
+        rho = rho[: rho.size // cols * cols].reshape(-1, cols) if rho.size >= cols else rho
+        got = k.log_sums(rho)
+        # every s-node, one max shift per row and order
+        r2 = rho.reshape(-1, 1) ** 2
+        ref = np.empty((3, rho.size))
+        for order in range(3):
+            expo = k._logw - r2 * k._quarter_inv_lam + order * k._neg_s
+            peak = expo.max(axis=1)
+            ref[order] = peak + np.log(np.exp(expo - peak[:, None]).sum(axis=1))
+        flat = got.reshape(3, -1)
+        assert np.all(np.abs(flat - ref) <= 2e-15 * np.maximum(1.0, np.abs(ref)))
+        # a row does not depend on which radii share its evaluation
+        for i, r in enumerate(rho.reshape(-1)):
+            assert np.array_equal(k.log_sums(r), flat[:, i])
+        perm = np.random.default_rng(seed).permutation(rho.size)
+        assert np.array_equal(k.log_sums(rho.reshape(-1)[perm]), flat[:, perm])
 
     def test_views_keep_their_shapes(self):
         k = radial_kernel(3, 1.5)
