@@ -427,11 +427,7 @@ REGISTRY = {
 
 
 def run_acceptance(only: str | None = None):
-    """Run all (or one) acceptance criteria serially; returns (items, runtimes).
-
-    The criteria are solver- and numpy-heavy, so thread fan-out only defeats
-    their stated runtime budgets.
-    """
+    """Run all (or one) acceptance criteria serially; returns (items, runtimes)."""
     names = [only] if only else list(REGISTRY)
     for name in names:
         if name not in REGISTRY:

@@ -53,7 +53,7 @@ from .radial import (
     check_dimension,
     mass_profile,
     radial_concentration,
-    refine_max,
+    scan_max,
     singular_coefficient,
     sphere_area,
 )
@@ -74,7 +74,6 @@ __all__ = [
 ]
 
 _T_DECADES = (-4.0, 4.0)
-_T_PER_DECADE = 32
 #: entries of one (T, rho) block of the criterion curve.  The scan's whole matrix
 #: (257 x ~450, about 1 MB per temporary) is big enough for malloc to map and unmap
 #: each temporary, with its page faults, on every call; 256 KB blocks are reused.
@@ -152,10 +151,10 @@ def shell_semigroup_peak(d: int, alpha: float = 2.0) -> tuple[float, float]:
     """L_alpha(d) = sup_t t P_t(unit shell)(0) = sup_rho rho^(d-alpha) R(rho).
 
     Returns (value, maximizing time); the time for a unit-radius shell is
-    rho*^(-alpha).  Closed form for alpha = 2; otherwise a grid scan over the
-    window where rho^(d-alpha) R is within reach of its peak (the window the
-    quadratures probe) plus golden-section maximization, with a range error
-    if the maximizer still lands on the scan boundary.
+    rho*^(-alpha).  Closed form for alpha = 2; otherwise ``scan_max`` of the
+    log over the window where rho^(d-alpha) R is within reach of its peak
+    (the window the quadratures probe), with a range error if the scanned
+    maximizer lands on the window's boundary.
     """
     d = check_dimension(d)
     alpha = check_alpha(alpha)
@@ -172,18 +171,12 @@ def shell_semigroup_peak(d: int, alpha: float = 2.0) -> tuple[float, float]:
         )
         return math.exp(log_l), 1.0 / (2.0 * (d - 2))
     kernel = radial_kernel(d, alpha)
-    # scan 48 points per decade over the window that holds the peak
     x_lo, x_hi, _ = log_window(lambda x: (d - alpha) * x + kernel.log_R(np.exp(x)))
-    n = round(48 * (x_hi - x_lo) / math.log(10.0)) + 1
-    grid = np.geomspace(math.exp(x_lo), math.exp(x_hi), n)
-    logvals = (d - alpha) * np.log(grid) + kernel.log_R(grid)
-    if int(np.argmax(logvals)) in (0, len(grid) - 1):
+    grid, logvals, rho_star, log_l = scan_max(
+        lambda rho: (d - alpha) * np.log(rho) + kernel.log_R(rho), math.exp(x_lo), math.exp(x_hi)
+    )
+    if int(np.argmax(logvals)) in (0, grid.size - 1):
         raise NumericsError("shell peak maximizer at scan boundary; extend the rho range")
-
-    def logval(s: float) -> float:
-        return (d - alpha) * s + float(kernel.log_R(np.array([math.exp(s)]))[0])
-
-    rho_star, log_l = refine_max(logval, grid, logvals)
     return math.exp(log_l), rho_star**-alpha
 
 
@@ -256,7 +249,8 @@ class CriterionCurve:
     #: smallest scanned T with curve > threshold (None if never exceeded)
     T_star: float | None = None
     threshold: float | None = None
-    #: the golden refinement assumes this; checked, not assumed
+    #: False when the scan rises again after falling: ``scan_max`` refines only
+    #: around the scanned argmax, so the sup may then be a local maximum
     unimodal: bool = True
 
 
@@ -319,9 +313,6 @@ class _CurveEvaluator:
                 )
         return out
 
-    def value(self, T: float) -> float:
-        return float(self.values(np.array([T]))[0])
-
 
 def check_integrability(mass: MassProfile, alpha: float) -> None:
     """Gate int u0 (1+|x|)^(-d-alpha) dx < inf, i.e. M(r) = o(r^(d+alpha))."""
@@ -337,7 +328,7 @@ def criterion_curve(
     T_range: tuple[float, float] | None = None,
     threshold: float | None = None,
 ) -> CriterionCurve:
-    """Scan T |-> T * W0(T) on a geometric grid and refine its supremum.
+    """Scan T |-> T * W0(T) and refine its supremum, both by ``scan_max``.
 
     The window defaults to [1e-4, 1e4] times the datum's characteristic
     radius to the power alpha.  When ``threshold`` is given, T_star is the
@@ -356,11 +347,7 @@ def criterion_curve(
             )
         t_char = mass.r_char**alpha
         T_range = (10.0 ** _T_DECADES[0] * t_char, 10.0 ** _T_DECADES[1] * t_char)
-    n = int(round(_T_PER_DECADE * math.log10(T_range[1] / T_range[0]))) + 1
-    T = np.geomspace(T_range[0], T_range[1], max(n, 2))
-    ev = _CurveEvaluator(mass, alpha)
-    vals = ev.values(T)
-    t_at, sup = refine_max(lambda s: ev.value(math.exp(s)), T, vals, tol=1e-6)
+    T, vals, t_at, sup = scan_max(_CurveEvaluator(mass, alpha).values, *T_range)
     if not (np.all(np.isfinite(vals)) and math.isfinite(sup)):
         raise NumericsError(
             f"criterion curve is not finite on T in [{T[0]:.3g}, {T[-1]:.3g}] "
@@ -456,11 +443,17 @@ def classify(datum: RadialProfile | MassProfile, d: int, alpha: float = 2.0) -> 
         if ratio > 1.0:
             t_star = curve.T_star
             t_hi = float(curve.T[-1])
-            while t_star is None and t_hi < 1e16 * mass.r_char**alpha:
+            # each window must end at a finite float for the scan to size its grid
+            while t_star is None and t_hi < 1e16 * mass.r_char**alpha and math.isfinite(t_hi * 1e4):
                 ext = criterion_curve(
                     mass, alpha, T_range=(t_hi, t_hi * 1e4), threshold=constants.C
                 )
                 t_star, t_hi = ext.T_star, float(ext.T[-1])
+            if t_star is None:
+                warnings_list.append(
+                    f"criterion curve stays at or below C up to T = {t_hi:.6g}, the last T "
+                    "scanned: no t_star; the 8 pi mass rule alone decides blowup"
+                )
             verdict = Verdict(
                 kind="blowup",
                 t_star=t_star,

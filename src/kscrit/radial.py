@@ -47,7 +47,7 @@ __all__ = [
     "density",
     "mass_profile",
     "radial_concentration",
-    "refine_max",
+    "scan_max",
     "scale_profile",
     "parse_profile",
 ]
@@ -55,10 +55,11 @@ __all__ = [
 #: Dimension cap; Gamma-laden prefactors lose accuracy slowly above ~60.
 MAX_DIMENSION = 200
 
-# Concentration sup scan: points per decade and half-width in decades around
-# the characteristic radius.
-_CONC_PER_DECADE = 64
-_CONC_DECADES = 6
+#: points per decade of every supremum scan (``scan_max``); the criterion
+#: curve's T grid is this scan
+_SCAN_PER_DECADE = 32
+#: golden-section stopping width of ``scan_max``, in log coordinates
+_SCAN_TOL = 1e-6
 
 
 def check_dimension(d: int) -> int:
@@ -204,15 +205,12 @@ class RadialProfile:
         """sup_r r^alpha u(r), the comparison of the datum against the singular density."""
         alpha = check_alpha(alpha)
         mass = mass_profile(self)
-        grid = np.geomspace(mass.r_char * 1e-6, mass.r_char * 1e6, 64 * 12 + 1)
-        if mass.breakpoints:
-            grid = np.unique(np.concatenate([grid, np.asarray(mass.breakpoints)]))
-        u = np.asarray(density(self, grid), dtype=float)
-        u = np.where(np.isfinite(u), u, 0.0)
-        vals = grid**alpha * u
-        return refine_max(
-            lambda s: math.exp(s * alpha) * float(density(self, math.exp(s))), grid, vals
-        )[1]
+
+        def weighted(r):
+            u = density(self, r)
+            return r**alpha * np.where(np.isfinite(u), u, 0.0)
+
+        return scan_max(weighted, mass.r_char * 1e-6, mass.r_char * 1e6, mass.breakpoints)[3]
 
 
 class _PowerLaw(RadialProfile):
@@ -615,50 +613,58 @@ def _limit_value(exponent: float, coefficient: float, shift: float, at_infinity:
     return 0.0 if vanishes else math.inf
 
 
-def _golden_max(f: Callable[[float], float], a: float, b: float, tol: float) -> tuple[float, float]:
-    """Golden-section maximization on [a, b]."""
+def scan_max(
+    f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, extra: tuple[float, ...] = ()
+) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """Scan a vectorized ``f`` over [lo, hi] and refine its maximum: every supremum's search.
+
+    The grid is geometric, ``_SCAN_PER_DECADE`` points per decade, plus the
+    ``extra`` points (breakpoints) strictly inside.  Golden section then runs
+    in log coordinates between the grid neighbours of the scanned argmax,
+    calling ``f`` on one-point arrays, until the bracket is ``_SCAN_TOL``
+    wide in log coordinates, so the same relative width at every scale.  The
+    larger of the scanned and the refined maximum is kept, since a kink at a
+    breakpoint can push the refinement off it.  Returns (grid, values,
+    argmax, max).
+    """
+    n = int(round(_SCAN_PER_DECADE * math.log10(hi / lo))) + 1
+    grid = np.geomspace(lo, hi, max(n, 2))
+    inside = [x for x in extra if lo < x < hi]
+    # np.unique loads numpy.ma (1 MB) on its first call; a scan without breakpoints skips it
+    if inside:
+        grid = np.unique(np.concatenate([grid, inside]))
+    values = f(grid)
+    k = int(np.argmax(values))
+
+    def at(s: float) -> float:
+        return float(f(np.array([math.exp(s)]))[0])
+
+    a, b = math.log(grid[max(k - 1, 0)]), math.log(grid[min(k + 1, grid.size - 1)])
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol * max(1.0, abs(a) + abs(b)):
+    x1, x2 = b - invphi * (b - a), a + invphi * (b - a)
+    f1, f2 = at(x1), at(x2)
+    while b - a > _SCAN_TOL:
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + invphi * (b - a)
-            f2 = f(x2)
+            f2 = at(x2)
         else:
             b, x2, f2 = x2, x1, f1
             x1 = b - invphi * (b - a)
-            f1 = f(x1)
-    return (x1, f1) if f1 >= f2 else (x2, f2)
-
-
-def refine_max(
-    f: Callable[[float], float], grid: np.ndarray, vals: np.ndarray, tol: float = 1e-10
-) -> tuple[float, float]:
-    """Refine the maximum of a function scanned on a positive geometric grid.
-
-    ``vals`` holds its values on ``grid`` and ``f`` evaluates it at log(r).
-    Golden section runs in log(r) between the grid neighbours of the scanned
-    argmax; the larger of the refined and the scanned maximum is returned as
-    (r, value), since kinks at breakpoints can push the refinement off it.
-    """
-    k = int(np.argmax(vals))
-    lo = math.log(grid[max(k - 1, 0)])
-    hi = math.log(grid[min(k + 1, len(grid) - 1)])
-    s_best, v_best = _golden_max(f, lo, hi, tol)
-    if vals[k] > v_best:
-        return float(grid[k]), float(vals[k])
-    return math.exp(s_best), v_best
+            f1 = at(x1)
+    s_best, v_best = (x1, f1) if f1 >= f2 else (x2, f2)
+    if values[k] > v_best:
+        return grid, values, float(grid[k]), float(values[k])
+    return grid, values, math.exp(s_best), v_best
 
 
 def radial_concentration(mass: MassProfile, alpha: float) -> ConcentrationValue:
     """d/alpha-radial concentration sup_R R^(alpha-d) M(R).
 
-    Scans a geometric radius grid (64 points/decade over +-6 decades around
-    the characteristic radius, breakpoints included), refines around the best
-    gridpoint by golden section, and compares against the analytic R -> 0 and
-    R -> inf limits.  Infinite results are returned flagged, not raised.
+    ``scan_max`` scans +-6 decades around the characteristic radius
+    (breakpoints included) and refines the best gridpoint; the result is
+    compared against the analytic R -> 0 and R -> inf limits.  Infinite
+    results are returned flagged, not raised.
     """
     alpha = check_alpha(alpha)
     d, shift = mass.d, alpha - mass.d
@@ -670,21 +676,15 @@ def radial_concentration(mass: MassProfile, alpha: float) -> ConcentrationValue:
     if math.isinf(liminf):
         return ConcentrationValue(math.inf, math.inf)
 
-    lo = mass.r_char * 10.0 ** (-_CONC_DECADES)
-    hi = mass.r_char * 10.0 ** (_CONC_DECADES)
-    n = 2 * _CONC_DECADES * _CONC_PER_DECADE + 1
-    radii = np.geomspace(lo, hi, n)
-    radii = np.unique(np.concatenate([radii, [b for b in mass.breakpoints if lo < b < hi]]))
-
     def scaled(r):
-        # r^shift alone overflows (to inf: r is a NumPy float) at high d, where
+        # r^shift alone overflows (to inf: r is an array) at high d, where
         # M(r) ~ r^d is tiny; only there is the product formed in logs
         m = mass(r)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             v = r**shift * m
             return np.where(np.isfinite(v), v, np.exp(shift * np.log(r) + np.log(m)))
 
-    r_best, v_best = refine_max(lambda s: float(scaled(np.float64(math.exp(s)))), radii, scaled(radii))
+    _, _, r_best, v_best = scan_max(scaled, mass.r_char * 1e-6, mass.r_char * 1e6, mass.breakpoints)
     best = max((v_best, r_best), (lim0, 0.0), (liminf, math.inf))
     return ConcentrationValue(float(best[0]), float(best[1]))
 

@@ -323,6 +323,24 @@ class TestCli:
         assert run_cli(["simulate", *profile, "--out", str(tmp_path / "s")]) == 2
         assert "grid is too coarse" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "profile",
+        [
+            "gauss(mass=25.13274122871837,width=1)",
+            # the extension windows reach the largest finite float
+            "gauss(mass=25.132741229,width=1e150)",
+        ],
+    )
+    def test_plane_blowup_without_t_star_warns(self, profile, capsys, tmp_path):
+        # a mass just above 8 pi blows up by the mass rule, while its criterion
+        # curve stays below C over every T window the extension scans
+        out = tmp_path / "c"
+        assert run_cli(["classify", "--profile", profile, "--d", "2", "--alpha", "2", "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        assert report["verdict"]["kind"] == "blowup" and report["verdict"]["t_star"] is None
+        assert any("the last T scanned" in w for w in report["warnings"])
+
     def test_simulate_outputs(self, tmp_path):
         out = tmp_path / "s"
         code = run_cli(

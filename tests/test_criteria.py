@@ -20,6 +20,7 @@ from kscrit.radial import (
     Chandrasekhar,
     ExplicitBlowupDatum,
     Gaussian,
+    MassProfile,
     ShellAtom,
     TruncatedChandrasekhar,
     mass_profile,
@@ -135,6 +136,21 @@ class TestShellSemigroupPeak:
             l_val, _ = shell_semigroup_peak(d, alpha)
             vals.append(l_val * sphere_area(d) * d ** (alpha / 2))
         assert max(vals) / min(vals) < 3.0
+
+    @pytest.mark.parametrize("d", [3, 5, 10, 20])
+    def test_poisson_closed_form_at_alpha_one(self, d):
+        # at alpha = 1 the kernel is Poisson's, Gamma((d+1)/2) pi^(-(d+1)/2) (1 + rho^2)^(-(d+1)/2),
+        # so rho^(d-1) R peaks at rho* = sqrt((d-1)/2), at time 1/rho*
+        rho = math.sqrt(0.5 * (d - 1))
+        expected = math.exp(
+            math.lgamma(0.5 * (d + 1))
+            - 0.5 * (d + 1) * math.log(math.pi)
+            + (d - 1) * math.log(rho)
+            - 0.5 * (d + 1) * math.log1p(rho**2)
+        )
+        val, t_at = shell_semigroup_peak(d, 1.0)
+        assert val == pytest.approx(expected, rel=1e-12)
+        assert t_at == pytest.approx(1.0 / rho, rel=1e-5)
 
     def test_d2_limit_value(self):
         val, t_at = shell_semigroup_peak(2, 2.0)
@@ -297,7 +313,7 @@ class TestCriterionCurve:
         from kscrit.criteria import _CurveEvaluator
 
         ev = _CurveEvaluator(m, 2.0)
-        assert ev.value(T) == pytest.approx(blowup_constant_fractional(3, 2.0)[0], rel=1e-5)
+        assert ev.values(np.array([T]))[0] == pytest.approx(blowup_constant_fractional(3, 2.0)[0], rel=1e-5)
         assert cur.T_star == pytest.approx(T, rel=0.08)  # first grid node past T
 
     @pytest.mark.parametrize(
@@ -385,6 +401,16 @@ class TestClassify:
                 rep1.verdict.t_star, rel=1e-12
             )
 
+    @pytest.mark.parametrize("lam", [1e-20, 1e50])
+    def test_suprema_keep_their_accuracy_far_from_unit_scale(self, lam):
+        # the refinement stops at a fixed width in log coordinates, which is
+        # the same relative width at every scale
+        prof = Gaussian(3, 5.0, 1.0)
+        rep1 = classify(prof, 3, 2.0)
+        rep2 = classify(scale_profile(prof, lam, 2.0), 3, 2.0)
+        assert rep2.curve.sup == pytest.approx(rep1.curve.sup, rel=1e-13, abs=0.0)
+        assert rep2.concentration.value == pytest.approx(rep1.concentration.value, rel=1e-13, abs=0.0)
+
     def test_truncated_singular_datum_blows_up(self):
         # bounded compactly supported data above the threshold still blow up
         rep = classify(TruncatedChandrasekhar(3, 4.0, 1.0, 50.0), 3, 2.0)
@@ -393,6 +419,26 @@ class TestClassify:
     def test_report_carries_concentration(self):
         rep = classify(Chandrasekhar(3, 1.0), 3, 2.0)
         assert rep.concentration.value == pytest.approx(2 * sphere_area(3), rel=1e-9)
+
+    def test_two_basins_warn_and_keep_the_outer_sup(self):
+        # shells N = 10 at R = 1 and N = 2000 at R = 100: T W0(T) peaks near T = 0.5,
+        # falls, and rises to a higher peak near T = 5000
+        m = MassProfile(
+            d=3,
+            fn=lambda r: np.where(r >= 1.0, 10.0, 0.0) + np.where(r >= 100.0, 2000.0, 0.0),
+            total_mass=2010.0,
+            r_char=10.0,
+            breakpoints=(1.0, 100.0),
+            head_exponent=math.inf,
+            tail_coefficient=2010.0,
+            atoms=((1.0, 10.0), (100.0, 2000.0)),
+        )
+        rep = classify(m, 3, 2.0)
+        assert not rep.curve.unimodal
+        assert any("not discretely unimodal" in w for w in rep.warnings)
+        assert rep.curve.sup > 10.0 * shell_semigroup_peak(3, 2.0)[0]  # above the inner peak
+        assert rep.curve.sup == pytest.approx(0.388289441750720, rel=1e-12)
+        assert rep.curve.T_at_sup == pytest.approx(4959.0, rel=1e-3)
 
     def test_accepts_bare_mass_profile(self):
         rep = classify(mass_profile(ShellAtom(3, 80.0, 1.0)), 3, 2.0)

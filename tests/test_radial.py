@@ -21,6 +21,7 @@ from kscrit.radial import (
     parse_profile,
     radial_concentration,
     scale_profile,
+    scan_max,
     singular_coefficient,
     sphere_area,
 )
@@ -343,3 +344,31 @@ class TestPowerLaw:
         a, b = criterion_curve(mass_profile(plain), gamma), criterion_curve(mass_profile(cut), gamma)
         assert np.array_equal(a.values, b.values) and a.sup == b.sup and a.T_at_sup == b.T_at_sup
 
+
+
+class TestScanMax:
+    @pytest.mark.parametrize("p,q", [(1.0, 1.0), (3.0, 2.0), (0.5, 4.0)])
+    def test_interior_smooth_maximum(self, p, q):
+        # r^p e^(-r^q) peaks at r = (p/q)^(1/q) with value (p/q)^(p/q) e^(-p/q)
+        grid, values, r_max, v_max = scan_max(lambda r: r**p * np.exp(-(r**q)), 1e-3, 1e3)
+        assert grid.size == 6 * 32 + 1
+        assert v_max >= values.max()
+        assert v_max == pytest.approx((p / q) ** (p / q) * math.exp(-p / q), rel=1e-12)
+        assert r_max == pytest.approx((p / q) ** (1.0 / q), rel=1e-5)
+
+    def test_kink_through_extra_is_exact(self):
+        # (min(r/k, k/r))^3 peaks at 1 on the kink r = k, which no scan point hits
+        kink = 1.2345
+
+        def f(r):
+            return np.minimum(r / kink, kink / r) ** 3
+
+        assert scan_max(f, 1e-2, 1e2)[3] < 1.0
+        grid, _, r_max, v_max = scan_max(f, 1e-2, 1e2, extra=(kink, 1e5))
+        assert kink in grid and 1e5 not in grid  # only the points inside join the grid
+        assert v_max == 1.0
+        assert r_max == pytest.approx(kink, rel=1e-15)
+
+    def test_monotone_maximum_is_the_grid_end(self):
+        grid, values, r_max, v_max = scan_max(np.log1p, 0.1, 10.0)
+        assert (r_max, v_max) == (grid[-1], values[-1]) == (10.0, math.log1p(10.0))
