@@ -3,7 +3,8 @@
 Subcommands: ``constants``, ``classify``, ``simulate``, ``kernel``, ``verify``.
 Every run echoes its fully resolved configuration to ``resolved.json`` in the
 output directory, and identical resolved configs produce byte-identical
-outputs.  Exit codes: 0 success, 1 domain/validation error, 2 numerical
+outputs (``verify`` keeps its wall-clock runtimes apart, in ``timings.json``).
+Exit codes: 0 success, 1 domain/validation error, 2 numerical
 failure, 3 acceptance failure.
 """
 
@@ -78,21 +79,8 @@ def _cmd_constants(args) -> int:
         )
     rows = [criterion_constants(d, a) for d, a in cases]
     out = _outdir(cfg)
-    header = ["d", "alpha", "sigma_d", "C", "K", "L", "N_threshold", "upper_bound"]
-    table = [
-        (
-            c.d,
-            c.alpha,
-            c.sigma_d,
-            c.C,
-            "" if c.K is None else c.K,
-            c.L,
-            c.N_threshold,
-            "" if c.upper_bound is None else c.upper_bound,
-        )
-        for c in rows
-    ]
-    path = write_csv(out / "constants.csv", header, table)
+    fields = ["d", "alpha", "sigma_d", "C", "K", "L", "N_threshold", "upper_bound"]
+    path = write_csv(out / "constants.csv", {f: [getattr(c, f) for c in rows] for f in fields})
     if cfg.output.format == "json":
         write_json(out / "constants.json", rows)
     if skipped:
@@ -106,11 +94,7 @@ def _cmd_classify(args) -> int:
     out = _outdir(cfg)
     profile = parse_profile(cfg.initial.profile, cfg.problem.d)
     report = classify(profile, cfg.problem.d, cfg.problem.alpha)
-    curve_path = write_csv(
-        out / "curve.csv",
-        ["T", "T_times_W0"],
-        zip(report.curve.T, report.curve.values),
-    )
+    curve_path = write_csv(out / "curve.csv", {"T": report.curve.T, "T_times_W0": report.curve.values})
     write_svg_lineplot(
         out / "curve.svg",
         report.curve.T,
@@ -150,7 +134,8 @@ def _cmd_simulate(args) -> int:
         cfg.grid.r_max,
         cfg.grid.n,
         cfg.grid.inner_fraction,
-        breakpoints=tuple(b for b in mass.breakpoints if b < cfg.grid.r_max),
+        # only the outermost breakpoints become nodes: a table datum lists every node
+        breakpoints=mass.breakpoints[:1] + mass.breakpoints[-1:],
     )
     controls = SolverControls(
         t_end=cfg.time.t_end,
@@ -160,19 +145,18 @@ def _cmd_simulate(args) -> int:
         moment_target=cfg.problem.T_target,
     )
     res = run_sim(mass, grid, controls)
-    header = (
-        ["t", "dt", "origin_density", "W"]
-        + [f"M_probe_{i + 1}" for i in range(len(res.probe_radii))]
-        + ["blowup_flag"]
-    )
     flags = np.zeros(res.t.size, dtype=int)
     if res.event is not None:
         flags[-1] = 1
-    rows = (
-        (res.t[i], res.dt[i], res.origin_density[i], res.W[i], *res.probes[i], flags[i])
-        for i in range(res.t.size)
-    )
-    csv_path = write_csv(out / "trajectory.csv", header, rows)
+    columns = {
+        "t": res.t,
+        "dt": res.dt,
+        "origin_density": res.origin_density,
+        "W": res.W,
+        **{f"M_probe_{i + 1}": res.probes[:, i] for i in range(len(res.probe_radii))},
+        "blowup_flag": flags,
+    }
+    csv_path = write_csv(out / "trajectory.csv", columns)
     write_svg_lineplot(
         out / "trajectory.svg",
         res.t,
@@ -214,11 +198,7 @@ def _cmd_kernel(args) -> int:
     ]
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    path = write_csv(
-        out / "kernel.csv",
-        ["rho", "R", "Rp", "Rpp"],
-        zip(table.rho, table.R, table.Rp, table.Rpp),
-    )
+    path = write_csv(out / "kernel.csv", {"rho": table.rho, "R": table.R, "Rp": table.Rp, "Rpp": table.Rpp})
     write_json(
         out / "kernel.json",
         {
@@ -250,7 +230,9 @@ def _cmd_verify(args) -> int:
         by_criterion[item.criterion] = by_criterion.get(item.criterion, True) and item.passed
     for crit, ok in by_criterion.items():
         print(f"{crit}: {'PASS' if ok else 'FAIL'} ({runtimes.get(crit, 0.0):.1f}s)")
-    write_json(out / "verify.json", {"items": items, "runtimes": runtimes})
+    # wall-clock telemetry goes to its own file, so verify.json stays deterministic
+    write_json(out / "verify.json", {"items": items})
+    write_json(out / "timings.json", runtimes)
     if not all(by_criterion.values()):
         raise AcceptanceError(
             "failed criteria: " + ", ".join(c for c, ok in by_criterion.items() if not ok)

@@ -96,14 +96,19 @@ def blowup_constant_fractional(d: int, alpha: float) -> tuple[float, float]:
     alpha = check_alpha(alpha)
     kernel = radial_kernel(d, alpha)
 
-    probe = np.geomspace(1e-6, RHO_CUT, 400)
-    _check_denominator((d - 1) / probe + kernel.curvature_ratio(probe))
+    def log_s1_and_denominator(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        log_s1, log_s2 = kernel.log_sums(rho, (1, 2))
+        # (d-1)/rho + R''/|R'| with R' = -(rho/2) S_1, R'' = (rho^2/4) S_2 - S_1/2,
+        # summed without the 1/rho - 1/rho cancellation
+        denom = (d - 2) / rho + 0.5 * rho * np.exp(log_s2 - log_s1)
+        if not np.all(denom > 0.0):
+            raise NumericsError("kernel table invalid: weighted-gradient denominator not positive")
+        return log_s1, denom
+
+    log_s1_and_denominator(np.geomspace(1e-6, RHO_CUT, 400))
 
     def log_integrand(rho: np.ndarray) -> np.ndarray:
-        log_s1, log_s2 = kernel.log_sums(rho, (1, 2))
-        # (d-1)/rho + R''/|R'| with R' = -(rho/2) S_1, R'' = (rho^2/4) S_2 - S_1/2
-        denom = (d - 2) / rho + 0.5 * rho * np.exp(log_s2 - log_s1)
-        _check_denominator(denom)
+        log_s1, denom = log_s1_and_denominator(rho)
         return d * np.log(rho) + log_s1 - math.log(2.0) - np.log(denom)
 
     (log_body,), (err,) = log_quad(log_integrand)
@@ -114,11 +119,6 @@ def blowup_constant_fractional(d: int, alpha: float) -> tuple[float, float]:
         c_rp = (d + alpha) * tail_coefficient(d, alpha, 1)
         c += scale * c_rp * RHO_CUT**-alpha / ((2.0 * d + alpha) * alpha)
     return c, scale * float(err)
-
-
-def _check_denominator(denom: np.ndarray) -> None:
-    if not np.all(denom > 0.0):
-        raise NumericsError("kernel table invalid: weighted-gradient denominator not positive")
 
 
 def singular_semigroup_value(d: int, alpha: float = 2.0) -> float:

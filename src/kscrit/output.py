@@ -1,7 +1,11 @@
 """Deterministic CSV / JSON / SVG emission.
 
-Floats are written with ``repr`` (shortest round-trip decimal), so identical
-resolved configs produce byte-identical artifacts on any platform.
+Every CSV cell and SVG coordinate goes through one column formatter: a float
+is written as Python ``repr`` of the float (the shortest decimal that round
+trips; ``nan``, ``inf``, ``-inf``), ``None`` as an empty cell and anything else
+through ``str``.  JSON writes the non-finite floats as those same strings.
+Identical resolved configs therefore produce byte-identical artifacts on any
+platform.
 """
 
 from __future__ import annotations
@@ -13,31 +17,24 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["format_float", "write_csv", "write_json", "write_svg_lineplot", "to_jsonable"]
+__all__ = ["write_csv", "write_json", "write_svg_lineplot", "to_jsonable"]
 
 
-def format_float(x) -> str:
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return repr(x)
+def _column_text(col) -> list[str]:
+    """The text of each cell of a column (an ndarray or a list)."""
+    values = col.tolist() if isinstance(col, np.ndarray) else col
+    return [
+        repr(float(v)) if isinstance(v, (float, np.floating)) else "" if v is None else str(v)
+        for v in values
+    ]
 
 
-def _cell(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return format_float(x)
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return str(x)
-
-
-def write_csv(path: str | Path, header: list[str], rows) -> Path:
+def write_csv(path: str | Path, columns: Mapping) -> Path:
+    """Write ``columns`` (header -> column, in order) as CSV; unequal lengths raise ValueError."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(header)]
-    lines.extend(",".join(_cell(x) for x in row) for row in rows)
+    rows = zip(*map(_column_text, columns.values()), strict=True)
+    lines = [",".join(columns), *map(",".join, rows)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
@@ -48,7 +45,7 @@ def to_jsonable(obj):
         return obj
     if isinstance(obj, (float, np.floating)):
         x = float(obj)
-        return format_float(x) if not math.isfinite(x) else x
+        return x if math.isfinite(x) else repr(x)
     if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, np.ndarray):
@@ -118,17 +115,15 @@ def write_svg_lineplot(
         f'<text x="{int(width / 2)}" y="24" text-anchor="middle" font-size="16">{title}</text>',
         f'<line x1="{pad}" y1="{height - pad}" x2="{width - pad}" y2="{height - pad}" stroke="black"/>',
         f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{height - pad}" stroke="black"/>',
-        f'<text x="{pad}" y="{height - pad + 20}" font-size="11">{format_float(x0)}</text>',
-        f'<text x="{width - pad}" y="{height - pad + 20}" text-anchor="end" font-size="11">{format_float(x1)}</text>',
-        f'<text x="{pad - 4}" y="{height - pad}" text-anchor="end" font-size="11">{format_float(y0)}</text>',
-        f'<text x="{pad - 4}" y="{pad + 4}" text-anchor="end" font-size="11">{format_float(y1)}</text>',
+        f'<text x="{pad}" y="{height - pad + 20}" font-size="11">{x0!r}</text>',
+        f'<text x="{width - pad}" y="{height - pad + 20}" text-anchor="end" font-size="11">{x1!r}</text>',
+        f'<text x="{pad - 4}" y="{height - pad}" text-anchor="end" font-size="11">{y0!r}</text>',
+        f'<text x="{pad - 4}" y="{pad + 4}" text-anchor="end" font-size="11">{y1!r}</text>',
     ]
     for i, (name, ys) in enumerate(series.items()):
         ty = transform(ys, log_y)
         ok = np.isfinite(tx) & np.isfinite(ty)
-        pts = " ".join(
-            f"{format_float(sx(a))},{format_float(sy(b))}" for a, b in zip(tx[ok], ty[ok])
-        )
+        pts = " ".join(map(",".join, zip(_column_text(sx(tx[ok])), _column_text(sy(ty[ok])))))
         color = colors[i % len(colors)]
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>')
         parts.append(

@@ -124,7 +124,7 @@ class MassProfile:
     ``head_exponent``/``head_coefficient`` describe M(r) ~ c r^p as r -> 0;
     the tail pair describes r -> inf (exponent 0 means M -> total_mass).
     Breakpoints are radii where the datum changes character (shell radius,
-    truncation radii); scan grids always include them.
+    truncation radii, every node of a table); scan grids always include them.
     """
 
     d: int
@@ -540,7 +540,7 @@ class Tabulated(RadialProfile):
             fn=fn,
             total_mass=total,
             r_char=half,
-            breakpoints=(float(r[0]), float(r[-1])),
+            breakpoints=tuple(r.tolist()),
             head_exponent=d,
             head_coefficient=sig * u[0] / d,
             tail_exponent=0.0,

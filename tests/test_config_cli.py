@@ -476,6 +476,36 @@ class TestCli:
         payload = json.loads((out / "verify.json").read_text())
         assert all(item["passed"] for item in payload["items"])
 
+    def test_verify_json_is_deterministic(self, tmp_path):
+        # wall-clock runtimes go to timings.json, not into verify.json
+        outs = [tmp_path / "v1", tmp_path / "v2"]
+        for out in outs:
+            assert run_cli(["verify", "--only", "AC-1", "--out", str(out)]) == 0
+        assert (outs[0] / "verify.json").read_bytes() == (outs[1] / "verify.json").read_bytes()
+        assert set(json.loads((outs[0] / "verify.json").read_text())) == {"items"}
+        assert "AC-1" in json.loads((outs[0] / "timings.json").read_text())
+
+    def test_simulate_pins_only_a_tables_end_nodes(self, tmp_path, monkeypatch):
+        import kscrit.cli as cli
+        from kscrit.solver import build_grid
+
+        r = np.geomspace(0.01, 20.0, 60)
+        table = tmp_path / "table.csv"
+        np.savetxt(table, np.column_stack([r, 3.0 * np.exp(-r) / (1.0 + r)]), delimiter=",", fmt="%.17g")
+        grids = []
+        real_run = cli.run_sim
+
+        def recording_run(mass, grid, controls):
+            grids.append(grid)
+            return real_run(mass, grid, controls)
+
+        monkeypatch.setattr(cli, "run_sim", recording_run)
+        args = ["simulate", "--profile", f"table(path={table})", "--d", "3", "--r-max", "40"]
+        args += ["--n", "300", "--t-end", "0.01", "--out", str(tmp_path / "s")]
+        assert run_cli(args) == 0
+        expected = build_grid(40.0, 300, 0.5, breakpoints=(r[0], r[-1]))
+        np.testing.assert_array_equal(grids[0].r, expected.r)
+
     def test_verify_unknown_criterion_exit_code(self, tmp_path, capsys):
         code = run_cli(["verify", "--only", "AC-99", "--out", str(tmp_path / "v")])
         assert code == 1

@@ -203,6 +203,16 @@ class TestRadialConcentration:
         assert c.value == pytest.approx(expected, rel=1e-9)
         assert c.attained_radius == pytest.approx(10.0, rel=1e-6)
 
+    def test_table_attained_at_a_node(self):
+        # M of a table is piecewise linear, so r^(alpha-d) M(r) peaks at a node;
+        # every node is a breakpoint, so the scan lands on it exactly
+        r = np.geomspace(0.01, 20.0, 60)
+        m = mass_profile(Tabulated(3, r, 3.0 * np.exp(-r) / (1.0 + r)))
+        assert m.breakpoints == tuple(r.tolist())
+        c = radial_concentration(m, 2.0)
+        node_max = float(np.max(r ** (2.0 - 3) * m(r)))
+        assert c.value == pytest.approx(node_max, rel=1e-15)
+
 
 _PROFILES = [
     Chandrasekhar(3, 2.5),
