@@ -203,7 +203,6 @@ def ac7() -> list[CheckItem]:
     grid = build_grid(r_max=40.0, n=4000, inner_fraction=0.5)
     controls = SolverControls(
         t_end=1.2,
-        density_cap=d / grid.r[0] ** 2,
         stride=100,
         moment_target=T,
         snapshot_times=(0.2, 0.4, 0.5, 0.6, 0.7, 0.8),
@@ -261,11 +260,7 @@ def ac8() -> list[CheckItem]:
     rep = classify(ShellAtom(d, n_mass, 1.0), d, 2.0)
     t_star = rep.verdict.t_star
     grid = build_grid(r_max=8.0, n=1500, inner_fraction=0.6, breakpoints=(1.0,))
-    res = run(
-        ShellAtom(d, n_mass, 1.0),
-        grid,
-        SolverControls(t_end=2.0 * t_star, density_cap=d / grid.r[0] ** 2, stride=100),
-    )
+    res = run(ShellAtom(d, n_mass, 1.0), grid, SolverControls(t_end=2.0 * t_star, stride=100))
     t_det = res.event.detected_time if res.event else math.inf
     items.append(
         _item(
@@ -327,13 +322,7 @@ def ac9() -> list[CheckItem]:
 def ac10() -> list[CheckItem]:
     """Truncation scaling: blowup time ~ R^2 for inner-truncated 4 u_C."""
     grid = build_grid(r_max=25.0, n=1400, inner_fraction=0.5)
-    res = truncation_scaling(
-        4.0,
-        (0.25, 0.5, 1.0),
-        d=3,
-        grid=grid,
-        controls=SolverControls(t_end=60.0, density_cap=3.0 / grid.r[0] ** 2),
-    )
+    res = truncation_scaling(4.0, (0.25, 0.5, 1.0), grid=grid, t_end=60.0, d=3)
     ok = 1.6 <= res.exponent <= 2.4
     return [
         _item(

@@ -140,8 +140,6 @@ def _cmd_simulate(args) -> int:
     )
     controls = SolverControls(
         t_end=cfg.time.t_end,
-        density_cap=cfg.time.density_cap,
-        dt_floor=cfg.time.dt_floor,
         stride=cfg.output.stride,
         moment_target=cfg.problem.T_target,
     )
@@ -287,8 +285,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", dest="grid.n")
     p.add_argument("--inner-fraction", dest="grid.inner_fraction")
     p.add_argument("--t-end", dest="time.t_end")
-    p.add_argument("--density-cap", dest="time.density_cap")
-    p.add_argument("--dt-floor", dest="time.dt_floor")
     p.add_argument("--stride", dest="output.stride")
 
     p = sub.add_parser("kernel", help="tabulate the radial kernel R, R', R''")

@@ -35,8 +35,6 @@ class GridConfig:
 @dataclass
 class TimeConfig:
     t_end: float = 1.0
-    density_cap: float | None = None
-    dt_floor: float | None = None
 
 
 @dataclass
@@ -118,14 +116,12 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ValidationError("problem.d must be >= 2")
     if not 0.0 < p.alpha <= 2.0:
         raise ValidationError("problem.alpha: alpha must be in (0,2]")
+    if p.T_target is not None and p.T_target <= 0:
+        raise ValidationError("problem.T_target must be positive when given")
     if g.r_max <= 0 or g.n < 16 or not 0 <= g.inner_fraction <= 1:
         raise ValidationError("grid: need r_max > 0, n >= 16, inner_fraction in [0,1]")
     if t.t_end <= 0:
         raise ValidationError("time.t_end must be positive")
-    if t.density_cap is not None and t.density_cap <= 0:
-        raise ValidationError("time.density_cap must be positive when given")
-    if t.dt_floor is not None and t.dt_floor <= 0:
-        raise ValidationError("time.dt_floor must be positive when given")
     if o.stride < 1:
         raise ValidationError("output.stride must be >= 1")
     if o.format not in ("csv", "json"):

@@ -16,14 +16,15 @@ SuperLU; a step that breaks nonnegativity or radial monotonicity of M
 restarts it at half the step.
 Blowup is witnessed discretely: either the origin density M(r_1) d/(sigma_d
 r_1^d) crosses a cap, or the step collapses to the floor (or BDF fails) while
-that density has grown far past its initial scale.  The default cap is the
-grid's resolution limit d / r_1^2, where the core sqrt(2(d-2)(T-t)) of the
-explicit solution is two inner cells wide, raised to 100 x the initial density
-scale where the datum starts above it; a default run ends there, not by halving
-the step to the floor.  The absolute tolerance is set per node, so BDF controls
-the near-axis masses that the cap reads.  Both thresholds are configurable and
-the detected time must be insensitive to them (that insensitivity is part of
-the test suite).
+that density has grown far past its initial scale.  Both thresholds are derived,
+not set: the cap (``_origin_density_cap``) is the grid's resolution limit
+d / r_1^2, where the core sqrt(2(d-2)(T-t)) of the explicit solution is two
+inner cells wide, raised to 100 x the initial density scale where the datum
+starts above it, and the floor is ``_STEP_FLOOR`` x t_end.  A run that stays
+resolved ends at the cap; the floor witnesses a collapse before it.  The
+absolute tolerance is set per node, so BDF controls the near-axis masses that
+the cap reads.  The detected time must be insensitive to both thresholds (that
+insensitivity is part of the test suite).
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ _RTOL = 1e-6
 _ATOL_FACTOR = 1e-9
 #: growth of the origin density past its initial scale that a blowup event needs
 _GROWTH_FACTOR = 100.0
+#: a step below this multiple of t_end has collapsed
+_STEP_FLOOR = 1e-12
 _MAX_STEPS = 50_000_000
 #: M is recorded at these multiples of the datum's characteristic radius
 _PROBE_FACTORS = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
@@ -102,11 +105,18 @@ def build_grid(
         outer = r_switch * (1.0 + 1.0 / n_in) ** np.arange(1, n_out + 1)
         r = np.concatenate([inner, outer])
         r[-1] = r_max
+    # a breakpoint moves its nearest node onto itself, unless that node is r_max or
+    # already holds a breakpoint: then it is inserted as a node of its own
+    taken, inserted = {r.size - 1}, []
     for b in breakpoints:
         if 0.0 < b < r_max:
             k = int(np.argmin(np.abs(r - b)))
-            r[k] = b
-    r = np.unique(r)
+            if k in taken:
+                inserted.append(b)
+            else:
+                r[k] = b
+                taken.add(k)
+    r = np.unique(np.concatenate([r, inserted]))
     if np.any(np.diff(r) <= 0) or r[0] <= 0:
         raise ValidationError("grid construction produced non-increasing nodes")
     return SolverGrid(r=r, r_switch=float(r_switch))
@@ -115,11 +125,7 @@ def build_grid(
 @dataclass(frozen=True)
 class SolverControls:
     t_end: float = 1.0
-    #: origin-density blowup cap; None = the grid's resolution limit d / r_1^2, or
-    #: 100 x the initial density scale if that is larger
-    density_cap: float | None = None
-    #: None = 1e-12 * t_end
-    dt_floor: float | None = None
+    #: record every stride-th accepted step
     stride: int = 1
     #: target horizon for moment tracking (enables the W column)
     moment_target: float | None = None
@@ -128,6 +134,8 @@ class SolverControls:
     def __post_init__(self):
         if self.t_end <= 0:
             raise ValidationError("t_end must be positive")
+        if self.stride < 1:
+            raise ValidationError("stride must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -276,6 +284,12 @@ def gaussian_moment(r: np.ndarray, M: np.ndarray, d: int, t: float, target: floa
     return float(np.trapezoid(M * r / (2.0 * tau) * g, r))
 
 
+def _origin_density_cap(d: int, r_1: float, density_scale0: float) -> float:
+    """Blowup cap on the origin density: the grid's resolution limit d / r_1^2, raised to
+    the growth a step collapse needs where the datum starts above it."""
+    return max(d / r_1**2, _GROWTH_FACTOR * density_scale0)
+
+
 def run(
     datum: RadialProfile | MassProfile,
     grid: SolverGrid,
@@ -300,7 +314,7 @@ def run(
         )
     disc = _Discretization(grid, d, pinned)
     M = np.asarray(mass.fn(disc.r), dtype=float)
-    floor = controls.dt_floor if controls.dt_floor is not None else 1e-12 * controls.t_end
+    floor = _STEP_FLOOR * controls.t_end
     if np.any(np.diff(M) < 0) or np.any(M < 0):
         raise ValidationError("initial mass profile is not nondecreasing and nonnegative")
 
@@ -313,9 +327,7 @@ def run(
     # largest initial cell-average density; a step collapse witnesses blowup
     # only when the origin density has grown far beyond it
     density_scale0 = max(float(np.max(np.diff(M, prepend=0.0) / np.diff(ball, prepend=0.0))), 1e-300)
-    cap = controls.density_cap
-    if cap is None:
-        cap = max(d / disc.r[0] ** 2, _GROWTH_FACTOR * density_scale0)
+    cap = _origin_density_cap(d, float(disc.r[0]), density_scale0)
     rec: dict[str, list] = {k: [] for k in ("t", "dt", "rho", "W", "probes")}
 
     def record(t: float, dt: float) -> None:
@@ -507,25 +519,23 @@ class TruncationScalingResult:
 def truncation_scaling(
     eta: float,
     radii: tuple[float, ...],
+    grid: SolverGrid,
+    t_end: float,
     d: int = 3,
-    grid: SolverGrid | None = None,
-    controls: SolverControls | None = None,
 ) -> TruncationScalingResult:
     """Blowup time versus inner truncation radius for eta*u_C restricted to r > R.
 
-    Runs each truncation, requires every run to blow up, and least-squares
-    fits log T_blowup against log R; the scale invariance of the system makes
-    the exact exponent 2.
+    Runs each truncation to ``t_end`` on ``grid``'s r_max and n with R as a node,
+    requires every run to blow up, and least-squares fits log T_blowup against
+    log R; the scale invariance of the system makes the exact exponent 2.
     """
     radii = tuple(sorted(float(x) for x in radii))
     if len(radii) < 3:
         raise ValidationError("truncation scaling needs at least 3 radii")
-    if grid is None:
-        grid = build_grid(r_max=40.0 * max(radii), n=1600, inner_fraction=0.5)
+    ctl = SolverControls(t_end=t_end)
     times = []
     for r_in in radii:
         datum = TruncatedChandrasekhar(d, eta, r_in=r_in)
-        ctl = controls or SolverControls(t_end=50.0 * r_in**2)
         g = build_grid(
             r_max=float(grid.r[-1]), n=grid.n, inner_fraction=0.5, breakpoints=(r_in,)
         )

@@ -151,6 +151,10 @@ class TestCli:
             (["simulate", "--t-end", "soon"], "time.t_end: expected finite float"),
             (["simulate", "--r-max", "nan"], "grid.r_max: expected finite float"),
             ([], "required: command"),
+            (["simulate", "--t-target", "-1"], "problem.T_target must be positive"),
+            # the blowup cap and step floor are derived by the solver, not set
+            (["simulate", "--density-cap", "5"], "unrecognized arguments: --density-cap"),
+            (["simulate", "--dt-floor", "1e-9"], "unrecognized arguments: --dt-floor"),
         ],
     )
     def test_usage_error_exit_code(self, args, message, capsys, tmp_path):
@@ -457,6 +461,28 @@ class TestCli:
         t1 = (tmp_path / "o1" / "trajectory.csv").read_bytes()
         t2 = (tmp_path / "o2" / "trajectory.csv").read_bytes()
         assert t1 == t2
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[time]\nt_end = 1.0\ndensity_cap = 5\n",
+            # a resolved.json written while the cap and floor were settings
+            '{"time": {"density_cap": null, "dt_floor": null, "t_end": 1.0}}',
+        ],
+    )
+    def test_retired_threshold_keys_are_unknown(self, text, capsys, tmp_path):
+        conf = tmp_path / "run.cfg"
+        conf.write_text(text)
+        assert run_cli(["simulate", "--config", str(conf), "--out", str(tmp_path / "x")]) == 1
+        assert "unknown config key time.density_cap" in capsys.readouterr().err
+
+    def test_simulate_keeps_r_max_next_to_a_breakpoint(self, tmp_path):
+        # the shell's radius is nearest to the last node, which once moved onto it
+        out = tmp_path / "s"
+        args = ["simulate", "--profile", "shell(N=5,R=19.99)", "--r-max", "20", "--n", "100"]
+        assert run_cli(args + ["--out", str(out)]) == 0
+        grid = json.loads((out / "summary.json").read_text())["grid"]
+        assert grid["r_max"] == 20.0 and grid["n"] == 101
 
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         import kscrit.cli as cli

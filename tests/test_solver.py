@@ -33,6 +33,10 @@ D = 3
 SIG = sphere_area(D)
 
 
+def _unreachable_cap(*_args):
+    return 1e30
+
+
 def exact_mass(r, t, T=1.0, d=3):
     return 4 * sphere_area(d) * r**d / (r**2 + 2 * (d - 2) * (T - t))
 
@@ -49,7 +53,17 @@ class TestGrid:
 
     def test_breakpoints_become_nodes(self):
         g = build_grid(r_max=10.0, n=150, inner_fraction=0.4, breakpoints=(1.0, 2.5))
-        assert 1.0 in g.r and 2.5 in g.r
+        assert 1.0 in g.r and 2.5 in g.r and g.n == 150
+
+    def test_breakpoint_nearest_r_max_is_inserted(self):
+        # snapping 19.99 onto its nearest node once moved r_max itself
+        g = build_grid(r_max=20.0, n=100, inner_fraction=0.5, breakpoints=(19.99,))
+        assert g.r[-1] == 20.0 and 19.99 in g.r and g.n == 101
+
+    def test_breakpoints_sharing_a_nearest_node_are_both_kept(self):
+        # the cuts of trunc_chandrasekhar(rin=1,rout=1.01): the second once overwrote the first
+        g = build_grid(r_max=20.0, n=100, inner_fraction=0.5, breakpoints=(1.0, 1.01))
+        assert 1.0 in g.r and 1.01 in g.r and g.n == 101
 
     def test_pure_geometric_fallback(self):
         g = build_grid(r_max=10.0, n=100, inner_fraction=0.0)
@@ -117,6 +131,12 @@ class TestRhs:
         assert order1 >= 1.8 and order2 >= 1.8
 
 
+def test_controls_reject_a_zero_stride():
+    # run records every stride-th step: stride 0 ended in a ZeroDivisionError there
+    with pytest.raises(ValidationError, match="stride"):
+        SolverControls(stride=0)
+
+
 class TestRun:
     def test_zero_datum_unchanged(self):
         grid = build_grid(10.0, 200, 0.5)
@@ -137,13 +157,7 @@ class TestRun:
     def test_exact_solution_oracle(self):
         grid = build_grid(30.0, 1500, 0.5)
         T = 1.0
-        controls = SolverControls(
-            t_end=1.2,
-            density_cap=D / grid.r[0] ** 2,
-            snapshot_times=(0.4, 0.8),
-            moment_target=T,
-            stride=50,
-        )
+        controls = SolverControls(t_end=1.2, snapshot_times=(0.4, 0.8), moment_target=T, stride=50)
         res = run(ExplicitBlowupDatum(D, T), grid, controls)
         for s, M in res.snapshots.items():
             sel = grid.r <= 15.0
@@ -157,9 +171,7 @@ class TestRun:
         # secants over every integrator step
         grid = build_grid(30.0, 1000, 0.5)
         T = 1.0
-        controls = SolverControls(
-            t_end=0.9, moment_target=T, stride=1, density_cap=D / grid.r[0] ** 2
-        )
+        controls = SolverControls(t_end=0.9, moment_target=T, stride=1)
         res = run(ExplicitBlowupDatum(D, T), grid, controls)
         c3 = blowup_constant_fractional(3, 2.0)[0]
         t, w = res.t, res.W
@@ -179,37 +191,29 @@ class TestRun:
 
     def test_monotone_nonnegative_final_state(self):
         grid = build_grid(8.0, 800, 0.6, breakpoints=(1.0,))
-        res = run(
-            ShellAtom(D, 100.0, 1.0),
-            grid,
-            SolverControls(t_end=1.0, density_cap=D / grid.r[0] ** 2),
-        )
+        res = run(ShellAtom(D, 100.0, 1.0), grid, SolverControls(t_end=1.0))
         assert res.event is not None
         assert np.all(res.M_final >= 0.0)
         assert np.all(np.diff(res.M_final) >= -1e-9 * np.max(res.M_final))
 
-    def test_step_floor_detection_with_unreachable_cap(self):
-        # an explicit cap beyond any density the grid can resolve: collapse must
-        # still be witnessed through the dt floor, near the true time
+    def test_step_floor_detection_with_unreachable_cap(self, monkeypatch):
+        # a cap beyond any density the grid can resolve: collapse must
+        # still be witnessed through the step floor, near the true time
+        monkeypatch.setattr(solver_module, "_origin_density_cap", _unreachable_cap)
         grid = build_grid(15.0, 600, 0.5)
-        res = run(
-            ExplicitBlowupDatum(D, 0.25),
-            grid,
-            SolverControls(t_end=0.5, stride=200, density_cap=1e30),
-        )
+        res = run(ExplicitBlowupDatum(D, 0.25), grid, SolverControls(t_end=0.5, stride=200))
         assert res.event is not None
         assert res.event.trigger == "step_floor"
         assert res.event.detected_time == pytest.approx(0.25, rel=0.05)
 
-    def test_blowup_time_stable_under_thresholds(self):
+    def test_blowup_time_stable_under_thresholds(self, monkeypatch):
         grid = build_grid(30.0, 1000, 0.5)
         cap = 0.25 * D / grid.r[0] ** 2
         times = []
         for f_cap, f_floor in ((1.0, 1.0), (2.0, 0.5)):
-            controls = SolverControls(
-                t_end=1.5, density_cap=cap * f_cap, dt_floor=1.5e-12 * f_floor, stride=200
-            )
-            res = run(ExplicitBlowupDatum(D, 1.0), grid, controls)
+            monkeypatch.setattr(solver_module, "_origin_density_cap", lambda *_: cap * f_cap)
+            monkeypatch.setattr(solver_module, "_STEP_FLOOR", 1e-12 * f_floor)
+            res = run(ExplicitBlowupDatum(D, 1.0), grid, SolverControls(t_end=1.5, stride=200))
             times.append(res.event.detected_time)
         assert abs(times[1] / times[0] - 1.0) < 0.02
 
@@ -217,15 +221,9 @@ class TestRun:
         lam = 2.0
         grid1 = build_grid(30.0, 1200, 0.5)
         grid2 = build_grid(30.0 / lam, 1200, 0.5)
-        cap = 0.25 * D / grid1.r[0] ** 2
-        r1 = run(
-            ExplicitBlowupDatum(D, 1.0), grid1, SolverControls(t_end=1.5, density_cap=cap)
-        )
-        r2 = run(
-            ExplicitBlowupDatum(D, 1.0 / lam**2),
-            grid2,
-            SolverControls(t_end=1.5 / lam**2, density_cap=cap * lam**2),
-        )
+        # the derived cap d / r_1^2 scales as lam^2 with the grid
+        r1 = run(ExplicitBlowupDatum(D, 1.0), grid1, SolverControls(t_end=1.5))
+        r2 = run(ExplicitBlowupDatum(D, 1.0 / lam**2), grid2, SolverControls(t_end=1.5 / lam**2))
         assert r2.event.detected_time * lam**2 == pytest.approx(
             r1.event.detected_time, rel=0.05
         )
@@ -296,24 +294,30 @@ class TestDefaultCap:
         assert res.n_rejected == 0
 
 
-def test_resolution_error_on_hopeless_grid():
+def test_resolution_error_on_hopeless_grid(monkeypatch):
     # violent advection at a step the grid cannot represent: the solver must
     # report a resolution problem, not fake a blowup
+    monkeypatch.setattr(solver_module, "_origin_density_cap", _unreachable_cap)
     grid = build_grid(8.0, 24, 0.5, breakpoints=(1.0,))
     with pytest.raises(ResolutionError):
-        run(ShellAtom(D, 1e5, 1.0), grid, SolverControls(t_end=0.5, density_cap=1e30))
+        run(ShellAtom(D, 1e5, 1.0), grid, SolverControls(t_end=0.5))
 
 
 class TestStepFloor:
-    """A step below ``dt_floor`` witnesses blowup only where the origin density has grown."""
+    """A step below the floor witnesses blowup only where the origin density has grown."""
 
     GRID = build_grid(10.0, 40, 0.5)
-    CONTROLS = SolverControls(t_end=0.5, dt_floor=1e-2)
+    CONTROLS = SolverControls(t_end=0.5)
+    FLOOR = 1e-2
+
+    @pytest.fixture(autouse=True)
+    def coarse_floor(self, monkeypatch):
+        monkeypatch.setattr(solver_module, "_STEP_FLOOR", self.FLOOR / self.CONTROLS.t_end)
 
     def test_small_steps_without_growth_run_to_the_end(self):
         # the decaying bump takes most of its steps below the floor (85 of 97)
         res = run(Gaussian(D, 1.0, 0.2), self.GRID, self.CONTROLS)
-        assert np.count_nonzero(res.dt[1:] < self.CONTROLS.dt_floor) > res.n_steps // 2
+        assert np.count_nonzero(res.dt[1:] < self.FLOOR) > res.n_steps // 2
         assert np.max(res.origin_density) <= res.origin_density[0]
         assert res.event is None
         assert res.t_final == self.CONTROLS.t_end
@@ -361,9 +365,10 @@ class TestNewtonFactorization:
         monkeypatch.setattr(solver_module, "_factor_tridiagonal", recording_factor)
         monkeypatch.setattr(_CountingBDF, "starts", 0)
         monkeypatch.setattr(scipy.integrate, "BDF", _CountingBDF)
+        # an unreachable cap keeps the run on its restarting path to the step floor
+        monkeypatch.setattr(solver_module, "_origin_density_cap", _unreachable_cap)
         grid = build_grid(8.0, 800, 0.6, breakpoints=(1.0,))
-        # an unreachable cap keeps the run on its restarting path to the dt floor
-        res = run(ShellAtom(D, 100.0, 1.0), grid, SolverControls(t_end=1.0, density_cap=1e30))
+        res = run(ShellAtom(D, 100.0, 1.0), grid, SolverControls(t_end=1.0))
         assert res.blew_up
         assert res.n_rejected >= 10
         assert res.n_lu == len(calls) > 0
@@ -471,17 +476,11 @@ class TestComparison:
 class TestTruncationScaling:
     def test_needs_three_radii(self):
         with pytest.raises(ValidationError):
-            truncation_scaling(4.0, (0.5,), d=3)
+            truncation_scaling(4.0, (0.5,), grid=build_grid(20.0, 600, 0.5), t_end=1.0, d=3)
 
     def test_quadratic_scaling_small(self):
         grid = build_grid(20.0, 900, 0.5)
-        res = truncation_scaling(
-            4.0,
-            (0.25, 0.5, 1.0),
-            d=3,
-            grid=grid,
-            controls=SolverControls(t_end=60.0, density_cap=3.0 / grid.r[0] ** 2),
-        )
+        res = truncation_scaling(4.0, (0.25, 0.5, 1.0), grid=grid, t_end=60.0, d=3)
         assert 1.6 <= res.exponent <= 2.4
         # doubling R quadruples the blowup time
         assert res.blowup_times[1] / res.blowup_times[0] == pytest.approx(4.0, rel=0.2)
@@ -490,10 +489,4 @@ class TestTruncationScaling:
     def test_non_blowing_up_run_is_inconclusive(self):
         grid = build_grid(20.0, 600, 0.5)
         with pytest.raises(NumericsError):
-            truncation_scaling(
-                4.0,
-                (0.25, 0.5, 1.0),
-                d=3,
-                grid=grid,
-                controls=SolverControls(t_end=1e-4, density_cap=3.0 / grid.r[0] ** 2),
-            )
+            truncation_scaling(4.0, (0.25, 0.5, 1.0), grid=grid, t_end=1e-4, d=3)
