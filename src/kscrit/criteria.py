@@ -74,10 +74,9 @@ __all__ = [
 ]
 
 _T_DECADES = (-4.0, 4.0)
-#: entries of one (T, rho) block of the criterion curve.  The scan's whole matrix
-#: (257 x ~450, about 1 MB per temporary) is big enough for malloc to map and unmap
-#: each temporary, with its page faults, on every call; 256 KB blocks are reused.
-_CURVE_BLOCK = 32_768
+#: a T whose offset from the first T, in lattice steps, is this close to an integer
+#: lies on the first T's lattice; a T of ``np.geomspace`` misses by about 1e-12
+_LATTICE_TOL = 1e-9
 #: decimal exponents of the smallest and largest normal floats
 _LOG10_NORMAL = (math.log10(sys.float_info.min), math.log10(sys.float_info.max))
 _MASS_2D_THRESHOLD = 8.0 * math.pi
@@ -267,13 +266,21 @@ def _discretely_unimodal(vals: np.ndarray) -> bool:
 
 
 class _CurveEvaluator:
-    """Vectorized T * W0(T) on the kernel's trapezoid nodes.
+    """T * W0(T) for a whole scan of T as one correlation on a shared log-lattice.
 
-    W0(T) = T^(-d/alpha) int M(T^(1/alpha) rho) |R'(rho)| rho dlog(rho) over
-    the kernel's ``gradient_nodes``.  For alpha < 2 the mass past the last
-    node RHO_CUT is continued as M(s RHO_CUT) (rho/RHO_CUT)^p with p the
-    datum's tail exponent, which ``tail_moment`` integrates against |R'|, and
-    the trapezoid sum gets the Euler-Maclaurin end term of that power law.
+    W0(T) = T^(-d/alpha) int M(T^(1/alpha) rho) |R'(rho)| rho dlog(rho), a
+    trapezoid sum over the kernel's ``gradient_nodes``, uniform in log(rho)
+    with spacing h.  ``values`` takes T ascending, as every scan is.  A T whose
+    log(T)/alpha lies a whole number of steps h past the first T's has its
+    products T^(1/alpha) rho on the first T's lattice, so M is evaluated once
+    per lattice point and every such T's sum is one output of ``np.correlate``
+    of those values with the end-halved weights.  The scan's step is k steps h,
+    and every k-th output is kept.  Any other T, such as a golden-section
+    point, is a one-row lattice of its own.  For
+    alpha < 2 the mass past the last node RHO_CUT is continued as
+    M(s RHO_CUT) (rho/RHO_CUT)^p with p the datum's tail exponent, which
+    ``tail_moment`` integrates against |R'|, and the trapezoid sum gets the
+    Euler-Maclaurin end term of that power law; both ride on the last weight.
     Point masses are split off and added in closed form.
     """
 
@@ -282,35 +289,46 @@ class _CurveEvaluator:
         self.alpha = alpha
         self.d = mass.d
         self.kernel = radial_kernel(mass.d, alpha)
-        self.rho, self.h, self.weight = self.kernel.gradient_nodes
-        self.atoms = mass.atoms
+        rho, self.h, weight = self.kernel.gradient_nodes
+        self.x0 = math.log(rho[0])
+        #: rho-part of the lattice, e^(x0 + h m), grown to the longest lattice asked for
+        self._lattice = np.exp(self.x0 + self.h * np.arange(rho.size))
+        self.weights = self.h * weight
+        self.weights[[0, -1]] *= 0.5
         if alpha < 2.0:
             p = max(mass.tail_exponent, 0.0)
-            self._tail = RHO_CUT**-p * tail_moment(self.d, alpha, p + 1.0, True)
-            self._end = self.h**2 / 12.0 * (p - self.d - alpha)
+            tail = RHO_CUT**-p * tail_moment(self.d, alpha, p + 1.0, True)
+            self.weights[-1] += tail - self.h**2 / 12.0 * (p - self.d - alpha) * weight[-1]
+        self.atoms = mass.atoms
 
     def values(self, T: np.ndarray) -> np.ndarray:
-        rows = max(1, _CURVE_BLOCK // self.rho.size)
-        return np.concatenate([self._block_values(T[i : i + rows]) for i in range(0, T.size, rows)])
+        log_scale = np.log(T) / self.alpha
+        steps = (log_scale - log_scale[0]) / self.h
+        offsets = np.rint(steps)
+        on = np.abs(steps - offsets) <= _LATTICE_TOL
+        out = np.empty(T.size)
+        out[on] = self._lattice_values(T[0], T[on], offsets[on].astype(np.intp))
+        for i in np.flatnonzero(~on):
+            out[i] = self._lattice_values(T[i], T[i : i + 1], np.zeros(1, np.intp))[0]
+        return out
 
-    def _block_values(self, T: np.ndarray) -> np.ndarray:
+    def _lattice_values(self, t0: float, T: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        """T * W0(T) for T = t0 e^(alpha h offsets), offsets >= 0."""
+        size = int(offsets[-1]) + self.weights.size
+        if self._lattice.size < size:
+            self._lattice = np.exp(self.x0 + self.h * np.arange(size))
         # overflow at extreme T shows up as a non-finite value, which criterion_curve rejects
         with np.errstate(over="ignore", invalid="ignore"):
             scale = T ** (1.0 / self.alpha)
-            r_matrix = scale[:, None] * self.rho[None, :]
-            mvals = self.mass.fn(r_matrix)
+            r = t0 ** (1.0 / self.alpha) * self._lattice[:size]
+            mvals = self.mass.fn(r)
             for r_atom, m_atom in self.atoms:
-                mvals = mvals - m_atom * (r_matrix >= r_atom)
-            f = mvals * self.weight[None, :]
-            integral = np.trapezoid(f, dx=self.h, axis=1)
-            if self.alpha < 2.0:
-                integral += mvals[:, -1] * self._tail - self._end * f[:, -1]
-            out = T ** (1.0 - self.d / self.alpha) * integral
+                mvals = mvals - m_atom * (r >= r_atom)
+            t_factor = T ** (1.0 - self.d / self.alpha)
+            out = t_factor * np.correlate(mvals, self.weights)[offsets]
             # point masses in closed form: N * t^(1-d/alpha) R(R0 t^(-1/alpha))
             for r_atom, m_atom in self.atoms:
-                out = out + m_atom * T ** (1.0 - self.d / self.alpha) * np.exp(
-                    self.kernel.log_R(r_atom / scale)
-                )
+                out = out + m_atom * t_factor * np.exp(self.kernel.log_R(r_atom / scale))
         return out
 
 

@@ -40,7 +40,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import IntegrabilityError, NumericsError
-from .radial import check_alpha, check_dimension, sphere_area
+from .radial import _SCAN_PER_DECADE, check_alpha, check_dimension, sphere_area
 from .subordinator import StableSubordinator
 
 __all__ = [
@@ -84,8 +84,6 @@ _HALVING_TOL = 3e-7
 _STALL_STEP = 1e-4
 #: a grid that would need more nodes than this is a NumericsError
 _MAX_NODES = 1 << 18
-#: trapezoid nodes per decade of rho in ``SubordinatedKernel.gradient_nodes``
-_NODES_PER_DECADE = 64
 
 
 def tail_coefficient(d: int, alpha: float, k: int = 1) -> float:
@@ -146,26 +144,31 @@ class SubordinatedKernel:
     def gradient_nodes(self) -> tuple[np.ndarray, float, np.ndarray]:
         """Trapezoid nodes in x = log(rho) for int M(s rho) |R'(rho)| rho dx, built once.
 
-        The nodes are uniform, 64 per decade, over the window ``log_window``
-        finds for the two weights |R'(rho)| rho^2 and |R'(rho)| rho^(d+2).  On
-        the left every datum's M(r) vanishes at least like r, so no integrand
-        decays slower than the first.  On the right M(r) <= c r^(d-alpha), c the
-        datum's d/alpha-radial concentration, so no integrand grows faster than
+        The nodes are uniform over the window ``log_window`` finds for the two
+        weights |R'(rho)| rho^2 and |R'(rho)| rho^(d+2).  On the left every
+        datum's M(r) vanishes at least like r, so no integrand decays slower
+        than the first.  On the right M(r) <= c r^(d-alpha), c the datum's
+        d/alpha-radial concentration, so no integrand grows faster than
         |R'| rho^(d+1); the second weight bounds it with room to spare and ends
         the nodes for alpha = 2.  For alpha < 2 they end at RHO_CUT instead, past
-        which ``tail_moment`` carries the integral.  Returns (rho, h, |R'(rho)| rho)
-        as read-only arrays, shared by every curve on this kernel.
+        which ``tail_moment`` carries the integral.  The spacing h is the step of
+        the criterion scan in log(T)/alpha divided by k = ceil(2/alpha), so the
+        products T^(1/alpha) rho of a whole scan lie on one lattice of spacing h:
+        64 nodes per decade at alpha = 2, between 64 and 64 + 32 alpha otherwise.
+        The nodes are anchored at the window's right end.  Returns
+        (rho, h, |R'(rho)| rho) as read-only arrays, shared by every curve on
+        this kernel.
         """
         powers = np.array([[2.0], [self.d + 2.0]])
         x_lo, x_hi, _ = log_window(lambda x: self.log_abs_Rp(np.exp(x)) + powers * x)
         if self.alpha < 2.0:
             x_hi = math.log(RHO_CUT)
-        n = round(_NODES_PER_DECADE * (x_hi - x_lo) / math.log(10.0)) + 1
-        x = np.linspace(x_lo, x_hi, n)
+        h = math.log(10.0) / (_SCAN_PER_DECADE * self.alpha * math.ceil(2.0 / self.alpha))
+        x = x_hi - h * np.arange(math.ceil((x_hi - x_lo) / h), -1, -1)
         rho = np.exp(x)
         weight = np.exp(self.log_abs_Rp(rho) + x)
         rho.flags.writeable = weight.flags.writeable = False
-        return rho, float(x[1] - x[0]), weight
+        return rho, h, weight
 
     def _log_mix_weight(self, log_f: np.ndarray, s: np.ndarray) -> np.ndarray:
         """log of f(lam) lam (4 pi lam)^(-d/2) at s = log(lam), given log f."""

@@ -60,6 +60,12 @@ MAX_DIMENSION = 200
 _SCAN_PER_DECADE = 32
 #: golden-section stopping width of ``scan_max``, in log coordinates
 _SCAN_TOL = 1e-6
+#: scanned values this close to the maximum, relative to it, are a plateau of it
+_PLATEAU_REL = 1e-12
+#: a limit of r^(alpha-d) M(r) this close to the scanned sup continues the scan's
+#: plateau.  Tighter than _PLATEAU_REL: the concentration scan ends where a limit
+#: approached like r^-2 (the exact datum's) is 1e-12 away
+_LIMIT_REL = 1e-13
 
 
 def check_dimension(d: int) -> int:
@@ -425,6 +431,8 @@ class ExplicitBlowupDatum(RadialProfile):
 
     The mass profile is M(r) = 4*sigma_d*r^d/(r^2 + 2(d-2)T) and the density is
     its radial derivative 4(d-2)(r^2 + 2dT)/(r^2 + 2(d-2)T)^2.  Requires d >= 3.
+    Both are formed in s = r^2/b, b = 2(d-2)T, so that neither r^d nor
+    (r^2 + b)^2 under- or overflows at tiny or huge T.
     """
 
     kind = "exact_datum"
@@ -443,15 +451,21 @@ class ExplicitBlowupDatum(RadialProfile):
     def _density_at(self, r):
         d = self.d
         b = 2.0 * (d - 2) * self.T
-        return 4.0 * (d - 2) * (r**2 + d * b / (d - 2)) / (r**2 + b) ** 2
+        s = r**2 / b
+        return 4.0 * (d - 2) / b * ((s + d / (d - 2)) / (1.0 + s) / (1.0 + s))
 
     def _mass_profile(self) -> MassProfile:
         d = self.d
         b = 2.0 * (d - 2) * self.T
         c = 4.0 * sphere_area(d)
+
+        def fn(r):
+            s = r**2 / b
+            return c * r ** (d - 2) * s / (1.0 + s)
+
         return MassProfile(
             d=d,
-            fn=lambda r, c=c, b=b: c * r**d / (r**2 + b),
+            fn=fn,
             total_mass=math.inf,
             r_char=math.sqrt(b),
             head_exponent=d,
@@ -593,7 +607,8 @@ def scale_profile(profile: RadialProfile, lam: float, alpha: float) -> RadialPro
 class ConcentrationValue:
     """sup_R R^(alpha-d) M(R), with the radius that (approximately) attains it.
 
-    ``attained_radius`` is 0 or inf when the sup is only attained in a limit;
+    ``attained_radius`` is 0 or inf when the sup is only attained in a limit,
+    and the left end of a plateau where the sup is attained along one;
     an infinite ``value`` flags a datum outside the critical Morrey class.
     """
 
@@ -624,8 +639,10 @@ def scan_max(
     calling ``f`` on one-point arrays, until the bracket is ``_SCAN_TOL``
     wide in log coordinates, so the same relative width at every scale.  The
     larger of the scanned and the refined maximum is kept, since a kink at a
-    breakpoint can push the refinement off it.  Returns (grid, values,
-    argmax, max).
+    breakpoint can push the refinement off it.  A run of scanned values within
+    ``_PLATEAU_REL`` of the maximum is a plateau: it is not refined, and its
+    left end is the argmax, so last-digit changes cannot move it.  Returns
+    (grid, values, argmax, max).
     """
     n = int(round(_SCAN_PER_DECADE * math.log10(hi / lo))) + 1
     grid = np.geomspace(lo, hi, max(n, 2))
@@ -635,6 +652,10 @@ def scan_max(
         grid = np.unique(np.concatenate([grid, inside]))
     values = f(grid)
     k = int(np.argmax(values))
+    near = values >= values[k] - _PLATEAU_REL * abs(values[k])
+    if (k > 0 and near[k - 1]) or (k + 1 < grid.size and near[k + 1]):
+        below = np.flatnonzero(~near[:k])
+        return grid, values, float(grid[below[-1] + 1 if below.size else 0]), float(values[k])
 
     def at(s: float) -> float:
         return float(f(np.array([math.exp(s)]))[0])
@@ -663,8 +684,9 @@ def radial_concentration(mass: MassProfile, alpha: float) -> ConcentrationValue:
 
     ``scan_max`` scans +-6 decades around the characteristic radius
     (breakpoints included) and refines the best gridpoint; the result is
-    compared against the analytic R -> 0 and R -> inf limits.  Infinite
-    results are returned flagged, not raised.
+    compared against the analytic R -> 0 and R -> inf limits, and the
+    leftmost of the three within ``_LIMIT_REL`` of the largest gives the
+    radius.  Infinite results are returned flagged, not raised.
     """
     alpha = check_alpha(alpha)
     d, shift = mass.d, alpha - mass.d
@@ -685,8 +707,11 @@ def radial_concentration(mass: MassProfile, alpha: float) -> ConcentrationValue:
             return np.where(np.isfinite(v), v, np.exp(shift * np.log(r) + np.log(m)))
 
     _, _, r_best, v_best = scan_max(scaled, mass.r_char * 1e-6, mass.r_char * 1e6, mass.breakpoints)
-    best = max((v_best, r_best), (lim0, 0.0), (liminf, math.inf))
-    return ConcentrationValue(float(best[0]), float(best[1]))
+    top = max(lim0, v_best, liminf)
+    # as in scan_max, a plateau is reported at its left end
+    candidates = ((lim0, 0.0), (v_best, r_best), (liminf, math.inf))
+    radius = next((r for v, r in candidates if v >= top - _LIMIT_REL * top), r_best)
+    return ConcentrationValue(float(top), radius)
 
 
 # ---------------------------------------------------------------------------

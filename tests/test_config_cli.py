@@ -279,6 +279,20 @@ class TestCli:
         assert report["verdict"]["kind"] in ("blowup", "global", "indeterminate")
         assert np.isfinite(report["concentration"]["value"]) and np.isfinite(report["curve_sup"])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("d", [3, 5, 10])
+    @pytest.mark.parametrize("T", [1e-300, 1e-250, 1e-200, 1e-150, 1e-100])
+    def test_exact_datum_at_tiny_time(self, T, d, capsys, tmp_path):
+        # the datum blows up at time T at every scale, so no T may turn the verdict:
+        # r^d and (r^2 + b)^2 must not underflow into a global or indeterminate one
+        out = tmp_path / "e"
+        code = run_cli(["classify", "--profile", f"exact_datum(T={T!r})", "--d", str(d), "--out", str(out)])
+        if code == 2:
+            assert "numerical failure" in capsys.readouterr().err
+            return
+        assert code == 0
+        assert json.loads((out / "report.json").read_text())["verdict"]["kind"] == "blowup"
+
     def test_wide_gaussian_at_high_dimension(self, tmp_path):
         # the density's normalization pi^(d/2) w^d holds w^d = 1e320 (w = 1e4, d = 80), beyond the float range
         out = tmp_path / "g"
@@ -429,7 +443,7 @@ class TestCli:
         # matrices' representation must not move a single step
         counts = {k: summary[k] for k in ("n_steps", "n_rejected", "n_rhs", "n_jac", "n_lu")}
         assert counts == {"n_steps": 131, "n_rejected": 0, "n_rhs": 479, "n_jac": 20, "n_lu": 34}
-        assert summary["t_final"] == 1.000025663180777
+        assert summary["t_final"] == 1.0000256631807718
 
     def test_simulate_rejects_fractional(self, capsys, tmp_path):
         code = run_cli(

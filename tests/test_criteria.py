@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from semigroup_oracle import singular_semigroup_quadrature
 
 from kscrit.criteria import (
@@ -291,18 +293,40 @@ class TestCriterionCurve:
         cur = criterion_curve(mass_profile(Gaussian(3, 0.0)), 2.0)
         assert np.all(cur.values == 0.0)
 
-    @pytest.mark.parametrize("alpha", [2.0, 1.5])
-    def test_blocked_curve_is_the_whole_matrix(self, monkeypatch, alpha):
-        # the scan is evaluated in blocks of T rows; each row is the same sum
-        import kscrit.criteria as criteria
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        d=st.integers(3, 10),
+        alpha=st.sampled_from([2.0, 1.5, 0.9, 0.3]),
+        kind=st.sampled_from(["shell", "gauss", "trunc"]),
+        decades=st.sampled_from([8, 4]),
+    )
+    def test_scan_equals_one_row_evaluations(self, d, alpha, kind, decades):
+        # the scan lies on one lattice, k = ceil(2/alpha) steps apart, and the
+        # correlation over it gives every T the sum of its own one-row lattice
+        from kscrit.criteria import _CurveEvaluator
 
-        m = mass_profile(ShellAtom(3, 1.0, 2.0))
-        ev = criteria._CurveEvaluator(m, alpha)
-        T = np.geomspace(1e-4, 1e4, 257)
-        assert criteria._CURVE_BLOCK // ev.rho.size < T.size  # more than one block
-        blocked = ev.values(T)
-        monkeypatch.setattr(criteria, "_CURVE_BLOCK", T.size * ev.rho.size)
-        np.testing.assert_array_equal(ev.values(T), blocked)
+        profile = {
+            "shell": ShellAtom(d, 1.0, 2.0),
+            "gauss": Gaussian(d, 5.0, 1.3),
+            "trunc": TruncatedChandrasekhar(d, 0.7, 0.3, 20.0, gamma=alpha),
+        }[kind]
+        m = mass_profile(profile)
+        t_lo = 10.0 ** (-decades / 2) * m.r_char**alpha
+        cur = criterion_curve(m, alpha, T_range=(t_lo, t_lo * 10.0**decades))
+        ev = _CurveEvaluator(m, alpha)
+        steps = np.log(cur.T / cur.T[0]) / (alpha * ev.h)
+        np.testing.assert_allclose(steps, math.ceil(2.0 / alpha) * np.arange(cur.T.size), rtol=0, atol=1e-9)
+        rows = np.array([ev.values(cur.T[i : i + 1])[0] for i in range(cur.T.size)])
+        np.testing.assert_allclose(cur.values, rows, rtol=1e-13, atol=0)
+
+    def test_flat_supremum_is_reported_at_its_left_end(self):
+        # T W0(T) of eta u_C and r^(alpha-d) M(r) are constant: the reported argmaxes
+        # are the plateaus' left ends, which last-digit changes of eta cannot move
+        reports = [
+            classify(Chandrasekhar(5, eta, 1.5), 5, 1.5) for eta in (0.719229, 0.719229 * (1.0 + 1e-13))
+        ]
+        assert reports[0].curve.T_at_sup == reports[1].curve.T_at_sup == reports[0].curve.T[0]
+        assert reports[0].concentration.attained_radius == reports[1].concentration.attained_radius == 0.0
 
     def test_exact_datum_crosses_threshold_at_blowup_time(self):
         # the criterion curve of the explicit blowing-up datum equals C(d)

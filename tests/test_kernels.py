@@ -6,6 +6,7 @@ import pytest
 from kscrit.criteria import criterion_curve
 from kscrit.errors import IntegrabilityError
 from kscrit.kernels import (
+    RHO_CUT,
     SubordinatedKernel,
     build_kernel_table,
     radial_kernel,
@@ -13,6 +14,7 @@ from kscrit.kernels import (
     validate_kernel,
 )
 from kscrit.radial import (
+    _SCAN_PER_DECADE,
     Chandrasekhar,
     Gaussian,
     MassProfile,
@@ -112,6 +114,22 @@ class TestSubordinatedKernel:
         for name in ("log_R", "log_abs_Rp", "Rpp", "curvature_ratio"):
             assert np.array_equal(getattr(k, name)(rho), getattr(shared, name)(rho))
         assert (k.log_R0, k.R0) == (shared.log_R0, shared.R0)
+
+
+@pytest.mark.parametrize(
+    "d,alpha", [(2, 2.0), (10, 2.0), (3, 1.5), (5, 1.99), (4, 1.2), (5, 0.9), (3, 0.3), (2, 0.05)]
+)
+def test_gradient_nodes_divide_the_scan_step(d, alpha):
+    # k steps of the nodes make one step of the criterion scan in log(T)/alpha,
+    # so every product T^(1/alpha) rho of a scan lies on one lattice
+    rho, h, _ = radial_kernel(d, alpha).gradient_nodes
+    k = math.ceil(2.0 / alpha)
+    assert k * h == pytest.approx(math.log(10.0) / (_SCAN_PER_DECADE * alpha), rel=1e-14)
+    np.testing.assert_allclose(np.diff(np.log(rho)), h, rtol=1e-9)
+    per_decade = math.log(10.0) / h
+    assert 64.0 * (1.0 - 1e-14) <= per_decade < 64.0 + 32.0 * alpha
+    if alpha < 2.0:
+        assert rho[-1] == pytest.approx(RHO_CUT, rel=1e-14)
 
 
 class TestKernelTable:
