@@ -293,6 +293,20 @@ class TestCriterionCurve:
         cur = criterion_curve(mass_profile(Gaussian(3, 0.0)), 2.0)
         assert np.all(cur.values == 0.0)
 
+    @pytest.mark.parametrize("alpha", [2.0, 1.5])
+    def test_blocked_curve_is_the_whole_matrix(self, alpha):
+        # a scan evaluated in blocks of T rows, each block a lattice of its own,
+        # gives the same rows as the whole scan on one lattice
+        from kscrit.criteria import _CurveEvaluator
+
+        m = mass_profile(ShellAtom(3, 1.0, 2.0))
+        cur = criterion_curve(m, alpha, T_range=(1e-4, 1e4))
+        ev = _CurveEvaluator(m, alpha)
+        whole = ev.values(cur.T)
+        np.testing.assert_array_equal(whole, cur.values)
+        blocked = np.concatenate([ev.values(block) for block in np.array_split(cur.T, 7)])
+        np.testing.assert_array_equal(blocked, whole)
+
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
         d=st.integers(3, 10),
