@@ -491,6 +491,11 @@ def classify(datum: RadialProfile | MassProfile, d: int, alpha: float = 2.0) -> 
                 "density and above the blowup threshold"
             )
         if fires_blowup:
+            if curve.T_star is None:
+                warnings_list.append(
+                    f"only the refined supremum {curve.sup:.10g} of the criterion curve exceeds "
+                    f"C = {constants.C:.10g}, no scanned T does: no t_star"
+                )
             verdict = Verdict(
                 kind="blowup",
                 t_star=curve.T_star,

@@ -22,7 +22,8 @@ class IntegrabilityError(NumericsError):
 
 
 class ResolutionError(NumericsError):
-    """The solver grid is too coarse: steps collapse without density growth."""
+    """The solver grid is too coarse: BDF failed, or a step broke finiteness, nonnegativity
+    or monotonicity of M, before t_end or the blowup cap."""
 
 
 class AcceptanceError(KscritError):

@@ -641,8 +641,9 @@ def scan_max(
     larger of the scanned and the refined maximum is kept, since a kink at a
     breakpoint can push the refinement off it.  A run of scanned values within
     ``_PLATEAU_REL`` of the maximum is a plateau: it is not refined, and its
-    left end is the argmax, so last-digit changes cannot move it.  Returns
-    (grid, values, argmax, max).
+    left end is the argmax, so last-digit changes cannot move it.  A scan
+    whose maximum is not finite is returned unrefined.  Returns (grid, values,
+    argmax, max).
     """
     n = int(round(_SCAN_PER_DECADE * math.log10(hi / lo))) + 1
     grid = np.geomspace(lo, hi, max(n, 2))
@@ -652,6 +653,8 @@ def scan_max(
         grid = np.unique(np.concatenate([grid, inside]))
     values = f(grid)
     k = int(np.argmax(values))
+    if not math.isfinite(values[k]):
+        return grid, values, float(grid[k]), float(values[k])
     near = values >= values[k] - _PLATEAU_REL * abs(values[k])
     if (k > 0 and near[k - 1]) or (k + 1 < grid.size and near[k + 1]):
         below = np.flatnonzero(~near[:k])

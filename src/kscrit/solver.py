@@ -12,19 +12,16 @@ second-order centered gradient.  The stiff system is stepped one step at a
 time by scipy's BDF on the analytic tridiagonal Jacobian.  The Jacobian and
 BDF's Newton matrices I - c J are kept as their three bands, so no sparse
 matrix is built, and LAPACK's tridiagonal LU (gttrf/gttrs) replaces BDF's
-SuperLU; a step that breaks nonnegativity or radial monotonicity of M
-restarts it at half the step.
-Blowup is witnessed discretely: either the origin density M(r_1) d/(sigma_d
-r_1^d) crosses a cap, or the step collapses to the floor (or BDF fails) while
-that density has grown far past its initial scale.  Both thresholds are derived,
-not set: the cap (``_origin_density_cap``) is the grid's resolution limit
-d / r_1^2, where the core sqrt(2(d-2)(T-t)) of the explicit solution is two
-inner cells wide, raised to 100 x the initial density scale where the datum
-starts above it, and the floor is ``_STEP_FLOOR`` x t_end.  A run that stays
-resolved ends at the cap; the floor witnesses a collapse before it.  The
-absolute tolerance is set per node, so BDF controls the near-axis masses that
-the cap reads.  The detected time must be insensitive to both thresholds (that
-insensitivity is part of the test suite).
+SuperLU.  A run ends in one of three ways: at t_end; at a blowup, witnessed
+when the origin density M(r_1) d/(sigma_d r_1^d) crosses a cap; or with a
+``ResolutionError`` when BDF fails or a step breaks finiteness, nonnegativity
+or radial monotonicity of M.  The cap (``_origin_density_cap``) is derived,
+not set: the grid's resolution limit d / r_1^2, where the core
+sqrt(2(d-2)(T-t)) of the explicit solution is two inner cells wide, raised to
+100 x the initial density scale where the datum starts above it.  The absolute
+tolerance is set per node, so BDF controls the near-axis masses that the cap
+reads.  The detected time must be insensitive to the cap (that insensitivity
+is part of the test suite).
 """
 
 from __future__ import annotations
@@ -54,10 +51,9 @@ __all__ = [
 #: local error control: relative tolerance, and absolute tolerance per unit of max M
 _RTOL = 1e-6
 _ATOL_FACTOR = 1e-9
-#: growth of the origin density past its initial scale that a blowup event needs
+#: growth of the origin density past its initial scale that a blowup event needs, so no
+#: datum that starts above the resolution limit blows up at t = 0
 _GROWTH_FACTOR = 100.0
-#: a step below this multiple of t_end has collapsed
-_STEP_FLOOR = 1e-12
 _MAX_STEPS = 50_000_000
 #: M is recorded at these multiples of the datum's characteristic radius
 _PROBE_FACTORS = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
@@ -141,7 +137,7 @@ class SolverControls:
 @dataclass(frozen=True)
 class BlowupEvent:
     detected_time: float
-    trigger: str  # "origin_density_cap" | "step_floor"
+    trigger: str  # always "origin_density_cap", the one blowup witness
     origin_density: float
 
 
@@ -159,9 +155,10 @@ class SimResult:
     event: BlowupEvent | None
     snapshots: dict
     n_steps: int
-    #: monotonicity restarts and BDF failures (its error-test rejections stay internal)
+    #: 0 on every returned run: a rejected step ends the run, and BDF's own
+    #: error-test rejections are not counted
     n_rejected: int
-    n_rhs: int  # rhs evaluations, Jacobians and LU factorizations, summed over restarts
+    n_rhs: int  # rhs evaluations, Jacobians and LU factorizations of the run's one BDF
     n_jac: int
     n_lu: int
     warnings: tuple[str, ...]
@@ -286,7 +283,7 @@ def gaussian_moment(r: np.ndarray, M: np.ndarray, d: int, t: float, target: floa
 
 def _origin_density_cap(d: int, r_1: float, density_scale0: float) -> float:
     """Blowup cap on the origin density: the grid's resolution limit d / r_1^2, raised to
-    the growth a step collapse needs where the datum starts above it."""
+    ``_GROWTH_FACTOR`` x the initial density scale where the datum starts above it."""
     return max(d / r_1**2, _GROWTH_FACTOR * density_scale0)
 
 
@@ -314,7 +311,6 @@ def run(
         )
     disc = _Discretization(grid, d, pinned)
     M = np.asarray(mass.fn(disc.r), dtype=float)
-    floor = _STEP_FLOOR * controls.t_end
     if np.any(np.diff(M) < 0) or np.any(M < 0):
         raise ValidationError("initial mass profile is not nondecreasing and nonnegative")
 
@@ -324,8 +320,7 @@ def run(
 
     mono_tol = 1e-11 * max(float(np.max(M)), 1.0)
     ball = disc.sigma * disc.r**d / d  # |B_r|, the volume inside each node
-    # largest initial cell-average density; a step collapse witnesses blowup
-    # only when the origin density has grown far beyond it
+    # largest initial cell-average density; the cap lies far beyond it
     density_scale0 = max(float(np.max(np.diff(M, prepend=0.0) / np.diff(ball, prepend=0.0))), 1e-300)
     cap = _origin_density_cap(d, float(disc.r[0]), density_scale0)
     rec: dict[str, list] = {k: [] for k in ("t", "dt", "rho", "W", "probes")}
@@ -348,46 +343,27 @@ def run(
         np.minimum(_ATOL_FACTOR * max(float(np.max(M)), 1e-14), _RTOL * ball * density_scale0),
         np.finfo(float).tiny,
     )
-    counts = np.zeros(3, dtype=int)  # rhs evaluations, Jacobians, LU factorizations
+    # BDF only checks the shape of the empty stand-in jac; the banded Jacobian replaces it
+    solver = BDF(lambda _t, y: disc.rhs(y), 0.0, M, controls.t_end, rtol=_RTOL, atol=atol,
+                 jac=csc_matrix((grid.n, grid.n)))
 
-    # BDF only checks the shape of this empty stand-in; start swaps in the banded Jacobian
-    placeholder_jac = csc_matrix((grid.n, grid.n))
-    identity_bands = np.array([[0.0], [1.0], [0.0]])
+    def jac(_t, y: np.ndarray) -> np.ndarray:
+        solver.njev += 1
+        return disc.jacobian(y)
 
-    def solve_lu(lu: tuple, b: np.ndarray) -> np.ndarray:
-        return _solve_tridiagonal(dgttrs, lu, b)
+    def lu(A: np.ndarray) -> tuple:
+        solver.nlu += 1
+        return _factor_tridiagonal(A, dgttrf)
 
-    def start(t0: float, y0: np.ndarray, first_step: float | None = None) -> BDF:
-        solver = BDF(lambda _t, y: disc.rhs(y), t0, y0, controls.t_end, rtol=_RTOL, atol=atol,
-                     jac=placeholder_jac, first_step=first_step)
-
-        def jac(_t, y: np.ndarray) -> np.ndarray:
-            solver.njev += 1
-            return disc.jacobian(y)
-
-        def lu(A: np.ndarray) -> tuple:
-            solver.nlu += 1
-            return _factor_tridiagonal(A, dgttrf)
-
-        # J and the Newton matrices I - c J stay three bands: BDF's `self.I - c * J` is then
-        # NumPy on 3n numbers, factored by LAPACK's tridiagonal LU instead of SuperLU.  The
-        # initial Jacobian counts in njev, as on BDF's own path for a callable jac
-        solver.jac, solver.J, solver.I = jac, jac(solver.t, solver.y), identity_bands
-        solver.lu, solver.solve_lu = lu, solve_lu
-        return solver
-
-    def retire(solver: BDF) -> None:
-        counts[:] += (solver.nfev, solver.njev, solver.nlu)
-        vars(solver).clear()  # its closures refer back to it: free the LU factors now
-
-    def collapse_event(t: float) -> BlowupEvent | None:
-        rho = disc.origin_density(M)
-        return BlowupEvent(t, "step_floor", rho) if rho > _GROWTH_FACTOR * density_scale0 else None
+    # J and the Newton matrices I - c J stay three bands: BDF's `self.I - c * J` is then
+    # NumPy on 3n numbers, factored by LAPACK's tridiagonal LU instead of SuperLU.  The
+    # initial Jacobian counts in njev, as on BDF's own path for a callable jac
+    solver.jac, solver.J, solver.I = jac, jac(solver.t, solver.y), np.array([[0.0], [1.0], [0.0]])
+    solver.lu, solver.solve_lu = lu, lambda factors, b: _solve_tridiagonal(dgttrs, factors, b)
 
     t = 0.0
-    solver = start(t, M)
     event: BlowupEvent | None = None
-    n_steps = n_rejected = 0
+    n_steps = 0
     record(0.0, float(solver.h_abs))
 
     while t < controls.t_end and event is None:
@@ -398,21 +374,10 @@ def run(
         if solver.status == "failed" or not (
             np.all(np.isfinite(y)) and np.all(np.diff(y) >= -mono_tol) and np.all(y >= -mono_tol)
         ):
-            # restart from the last accepted state at half the step
-            n_rejected += 1
-            dt = 0.0 if message else 0.5 * float(solver.step_size)
-            if dt < floor:
-                event = collapse_event(t)
-                if event is None:
-                    raise ResolutionError(
-                        f"{message or 'monotonicity failures'} at t={t:.6g} below dt={floor:.3e} "
-                        "without density growth; the grid is too coarse for this datum"
-                    )
-                break
-            retire(solver)
-            solver = start(t, M, first_step=dt)
-            continue
-
+            raise ResolutionError(
+                f"{message or 'a step broke finiteness, nonnegativity or monotonicity of M'} "
+                f"at t={t:.6g} with r_1={disc.r[0]:.6g}; the grid is too coarse for this datum"
+            )
         dt = float(solver.step_size)
         while snapshots_due and snapshots_due[0] <= solver.t:
             s = snapshots_due.pop(0)
@@ -425,11 +390,10 @@ def run(
         rho = disc.origin_density(M)
         if rho > cap:
             event = BlowupEvent(t, "origin_density_cap", rho)
-        elif dt < floor:
-            event = collapse_event(t)
 
-    retire(solver)
     record(t, dt)
+    n_rhs, n_jac, n_lu = solver.nfev, solver.njev, solver.nlu
+    vars(solver).clear()  # its closures refer back to it: free the LU factors now
 
     return SimResult(
         grid=grid,
@@ -444,10 +408,10 @@ def run(
         event=event,
         snapshots=snapshots,
         n_steps=n_steps,
-        n_rejected=n_rejected,
-        n_rhs=int(counts[0]),
-        n_jac=int(counts[1]),
-        n_lu=int(counts[2]),
+        n_rejected=0,
+        n_rhs=n_rhs,
+        n_jac=n_jac,
+        n_lu=n_lu,
         warnings=tuple(warnings_list),
     )
 

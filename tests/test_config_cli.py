@@ -396,6 +396,25 @@ class TestCli:
         assert report["verdict"]["kind"] == "blowup" and report["verdict"]["t_star"] is None
         assert any("the last T scanned" in w for w in report["warnings"])
 
+    def test_blowup_without_t_star_warns_above_the_plane(self, capsys, tmp_path):
+        # only the refined supremum exceeds C (by 1.8e-6 relative): no scanned T gives t_star
+        out = tmp_path / "c"
+        profile = "trunc_chandrasekhar(eta=1.294953194,rin=0.3,rout=20,alpha=1.2)"
+        assert run_cli(["classify", "--profile", profile, "--d", "4", "--alpha", "1.2", "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["verdict"]["kind"] == "blowup" and report["verdict"]["t_star"] is None
+        assert any("only the refined supremum" in w and "no t_star" in w for w in report["warnings"])
+
+    @pytest.mark.parametrize(
+        "profile, d, alpha",
+        [("exact_datum(T=1)", "80", "2"), ("chandrasekhar(eta=0.3,alpha=1.597)", "80", "1.722")],
+    )
+    def test_non_finite_scan_is_a_numerical_failure(self, profile, d, alpha, capsys, tmp_path):
+        # the scan holds +-inf: refining its maximum once formed inf - inf, a RuntimeWarning
+        args = ["classify", "--profile", profile, "--d", d, "--alpha", alpha, "--out", str(tmp_path / "c")]
+        assert run_cli(args) == 2
+        assert "criterion curve is not finite" in capsys.readouterr().err
+
     def test_simulate_outputs(self, tmp_path):
         out = tmp_path / "s"
         code = run_cli(

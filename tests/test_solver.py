@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -35,6 +36,22 @@ SIG = sphere_area(D)
 
 def _unreachable_cap(*_args):
     return 1e30
+
+
+class _CountingBDF(scipy_bdf.BDF):
+    starts = 0
+
+    def __init__(self, *args, **kwargs):
+        type(self).starts += 1
+        super().__init__(*args, **kwargs)
+
+
+@pytest.fixture
+def counting_bdf(monkeypatch):
+    """Route run's BDF through _CountingBDF, with its start count reset."""
+    monkeypatch.setattr(_CountingBDF, "starts", 0)
+    monkeypatch.setattr(scipy.integrate, "BDF", _CountingBDF)
+    return _CountingBDF
 
 
 def exact_mass(r, t, T=1.0, d=3):
@@ -196,23 +213,22 @@ class TestRun:
         assert np.all(res.M_final >= 0.0)
         assert np.all(np.diff(res.M_final) >= -1e-9 * np.max(res.M_final))
 
-    def test_step_floor_detection_with_unreachable_cap(self, monkeypatch):
-        # a cap beyond any density the grid can resolve: collapse must
-        # still be witnessed through the step floor, near the true time
+    def test_unreachable_cap_ends_in_a_resolution_error_at_the_blowup_time(self, monkeypatch):
+        # a cap beyond any density the grid can resolve: the collapse is no
+        # blowup event, but the error it raises names a t near the true time
         monkeypatch.setattr(solver_module, "_origin_density_cap", _unreachable_cap)
         grid = build_grid(15.0, 600, 0.5)
-        res = run(ExplicitBlowupDatum(D, 0.25), grid, SolverControls(t_end=0.5, stride=200))
-        assert res.event is not None
-        assert res.event.trigger == "step_floor"
-        assert res.event.detected_time == pytest.approx(0.25, rel=0.05)
+        with pytest.raises(ResolutionError, match="too coarse") as info:
+            run(ExplicitBlowupDatum(D, 0.25), grid, SolverControls(t_end=0.5, stride=200))
+        t = float(re.search(r"at t=(\S+) with r_1=", str(info.value)).group(1))
+        assert t == pytest.approx(0.25, rel=0.05)
 
     def test_blowup_time_stable_under_thresholds(self, monkeypatch):
         grid = build_grid(30.0, 1000, 0.5)
         cap = 0.25 * D / grid.r[0] ** 2
         times = []
-        for f_cap, f_floor in ((1.0, 1.0), (2.0, 0.5)):
+        for f_cap in (1.0, 2.0):
             monkeypatch.setattr(solver_module, "_origin_density_cap", lambda *_: cap * f_cap)
-            monkeypatch.setattr(solver_module, "_STEP_FLOOR", 1e-12 * f_floor)
             res = run(ExplicitBlowupDatum(D, 1.0), grid, SolverControls(t_end=1.5, stride=200))
             times.append(res.event.detected_time)
         assert abs(times[1] / times[0] - 1.0) < 0.02
@@ -303,29 +319,37 @@ def test_resolution_error_on_hopeless_grid(monkeypatch):
         run(ShellAtom(D, 1e5, 1.0), grid, SolverControls(t_end=0.5))
 
 
+def test_failed_step_is_not_retried(counting_bdf):
+    # the simulate defaults for this datum once restarted at ever smaller steps for
+    # 134 s before the step floor gave up; the first bad step now ends the run
+    mass = mass_profile(Gaussian(D, 84.09, 0.1677))
+    grid = build_grid(55.4, 133, 0.5, breakpoints=mass.breakpoints[:1] + mass.breakpoints[-1:])
+    with pytest.raises(ResolutionError, match="too coarse"):
+        run(mass, grid, SolverControls(t_end=1.075))
+    assert counting_bdf.starts == 1
+
+
 class TestStepFloor:
-    """A step below the floor witnesses blowup only where the origin density has grown."""
+    """Small steps end no run; a step that breaks monotonicity ends it with a ResolutionError."""
 
     GRID = build_grid(10.0, 40, 0.5)
     CONTROLS = SolverControls(t_end=0.5)
-    FLOOR = 1e-2
-
-    @pytest.fixture(autouse=True)
-    def coarse_floor(self, monkeypatch):
-        monkeypatch.setattr(solver_module, "_STEP_FLOOR", self.FLOOR / self.CONTROLS.t_end)
+    SMALL = 1e-2
 
     def test_small_steps_without_growth_run_to_the_end(self):
-        # the decaying bump takes most of its steps below the floor (85 of 97)
+        # the decaying bump takes most of its steps below SMALL (85 of 97)
         res = run(Gaussian(D, 1.0, 0.2), self.GRID, self.CONTROLS)
-        assert np.count_nonzero(res.dt[1:] < self.FLOOR) > res.n_steps // 2
+        assert np.count_nonzero(res.dt[1:] < self.SMALL) > res.n_steps // 2
         assert np.max(res.origin_density) <= res.origin_density[0]
         assert res.event is None
         assert res.t_final == self.CONTROLS.t_end
 
-    def test_restart_below_floor_without_growth_is_a_resolution_error(self):
-        # a monotonicity restart halves the step below the floor at t ~ 2e-3
-        with pytest.raises(ResolutionError, match="without density growth"):
+    def test_monotonicity_break_without_growth_is_a_resolution_error(self, counting_bdf):
+        # the first step past t ~ 2e-3 breaks monotonicity; it is not retried at a smaller step
+        r_1 = f"{self.GRID.r[0]:.6g}"
+        with pytest.raises(ResolutionError, match=rf"at t=0\.0020\d* with r_1={r_1}; the grid is too coarse"):
             run(Gaussian(D, 50.0, 0.2), self.GRID, self.CONTROLS)
+        assert counting_bdf.starts == 1
 
 
 def _raises(message):
@@ -335,18 +359,10 @@ def _raises(message):
     return fail
 
 
-class _CountingBDF(scipy_bdf.BDF):
-    starts = 0
-
-    def __init__(self, *args, **kwargs):
-        type(self).starts += 1
-        super().__init__(*args, **kwargs)
-
-
 class TestNewtonFactorization:
-    def test_restarting_blowup_factors_with_lapack_only(self, monkeypatch):
-        # BDF builds a fresh SuperLU path and a sparse identity on every restart;
-        # each one must be replaced, and no Jacobian or Newton matrix may be sparse
+    def test_blowup_factors_with_lapack_only(self, monkeypatch, counting_bdf):
+        # BDF builds a SuperLU path and a sparse identity when it starts; both must be
+        # replaced, and no Jacobian or Newton matrix may be sparse
         calls, matrices = [], []
 
         def counting_dgttrf(*args, **kwargs):
@@ -363,19 +379,16 @@ class TestNewtonFactorization:
         monkeypatch.setattr("scipy.sparse.csc_matrix.__rmul__", _raises("BDF scaled a sparse Jacobian"))
         monkeypatch.setattr("scipy.linalg.lapack.dgttrf", counting_dgttrf)
         monkeypatch.setattr(solver_module, "_factor_tridiagonal", recording_factor)
-        monkeypatch.setattr(_CountingBDF, "starts", 0)
-        monkeypatch.setattr(scipy.integrate, "BDF", _CountingBDF)
-        # an unreachable cap keeps the run on its restarting path to the step floor
-        monkeypatch.setattr(solver_module, "_origin_density_cap", _unreachable_cap)
         grid = build_grid(8.0, 800, 0.6, breakpoints=(1.0,))
         res = run(ShellAtom(D, 100.0, 1.0), grid, SolverControls(t_end=1.0))
-        assert res.blew_up
-        assert res.n_rejected >= 10
+        assert res.event.trigger == "origin_density_cap"
+        assert res.n_rejected == 0
         assert res.n_lu == len(calls) > 0
         assert set(calls) == {grid.n}
         assert set(matrices) == {(np.ndarray, (3, grid.n))}
-        # BDF re-evaluated Jacobians within a start, not only at each start
-        assert res.n_jac > _CountingBDF.starts >= res.n_rejected
+        # one BDF for the whole run, which re-evaluated its Jacobian along the way
+        assert counting_bdf.starts == 1
+        assert res.n_jac > 1
 
     def test_singular_factor_is_a_numerics_error(self):
         # rows (1, 1, 0), (1, 1, 0), (0, 0, 1) as bands: J[0, i], J[1, i], J[2, i]
