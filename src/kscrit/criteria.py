@@ -256,13 +256,8 @@ class CriterionCurve:
 def _discretely_unimodal(vals: np.ndarray) -> bool:
     tol = 1e-9 * max(float(np.max(np.abs(vals))), 1e-300)
     d = np.diff(vals)
-    fell = False
-    for step in d:
-        if step < -tol:
-            fell = True
-        elif step > tol and fell:
-            return False
-    return True
+    falls = np.flatnonzero(d < -tol)
+    return not (falls.size and np.any(d[falls[0] + 1 :] > tol))
 
 
 class _CurveEvaluator:
@@ -275,8 +270,8 @@ class _CurveEvaluator:
     products T^(1/alpha) rho on the first T's lattice, so M is evaluated once
     per lattice point and every such T's sum is one output of ``np.correlate``
     of those values with the end-halved weights.  The scan's step is k steps h,
-    and every k-th output is kept.  Any other T, such as a golden-section
-    point, is a one-row lattice of its own.  For
+    and every k-th output is kept.  Any other T, such as a refinement
+    point of ``scan_max``, is a one-row lattice of its own.  For
     alpha < 2 the mass past the last node RHO_CUT is continued as
     M(s RHO_CUT) (rho/RHO_CUT)^p with p the datum's tail exponent, which
     ``tail_moment`` integrates against |R'|, and the trapezoid sum gets the

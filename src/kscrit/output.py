@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Mapping
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -120,10 +121,19 @@ def write_svg_lineplot(
         f'<text x="{pad - 4}" y="{height - pad}" text-anchor="end" font-size="11">{y0!r}</text>',
         f'<text x="{pad - 4}" y="{pad + 4}" text-anchor="end" font-size="11">{y1!r}</text>',
     ]
+    # every series shares the x text, and a constant series repeats one y text:
+    # each distinct float is formatted once
+    x_text = _column_text(sx(tx))
     for i, (name, ys) in enumerate(series.items()):
         ty = transform(ys, log_y)
         ok = np.isfinite(tx) & np.isfinite(ty)
-        pts = " ".join(map(",".join, zip(_column_text(sx(tx[ok])), _column_text(sy(ty[ok])))))
+        y_px = sy(ty[ok])
+        bits = y_px.view(np.uint64)
+        if bits.size and np.all(bits == bits[0]):
+            y_text = _column_text(y_px[:1]) * bits.size
+        else:
+            y_text = _column_text(y_px)
+        pts = " ".join(map(",".join, zip(compress(x_text, ok), y_text)))
         color = colors[i % len(colors)]
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>')
         parts.append(

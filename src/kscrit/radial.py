@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, ClassVar
@@ -58,7 +59,7 @@ MAX_DIMENSION = 200
 #: points per decade of every supremum scan (``scan_max``); the criterion
 #: curve's T grid is this scan
 _SCAN_PER_DECADE = 32
-#: golden-section stopping width of ``scan_max``, in log coordinates
+#: stopping width of the Brent refinement in ``scan_max``, in log coordinates
 _SCAN_TOL = 1e-6
 #: scanned values this close to the maximum, relative to it, are a plateau of it
 _PLATEAU_REL = 1e-12
@@ -634,16 +635,20 @@ def scan_max(
     """Scan a vectorized ``f`` over [lo, hi] and refine its maximum: every supremum's search.
 
     The grid is geometric, ``_SCAN_PER_DECADE`` points per decade, plus the
-    ``extra`` points (breakpoints) strictly inside.  Golden section then runs
-    in log coordinates between the grid neighbours of the scanned argmax,
-    calling ``f`` on one-point arrays, until the bracket is ``_SCAN_TOL``
-    wide in log coordinates, so the same relative width at every scale.  The
-    larger of the scanned and the refined maximum is kept, since a kink at a
-    breakpoint can push the refinement off it.  A run of scanned values within
-    ``_PLATEAU_REL`` of the maximum is a plateau: it is not refined, and its
-    left end is the argmax, so last-digit changes cannot move it.  A scan
-    whose maximum is not finite is returned unrefined.  Returns (grid, values,
-    argmax, max).
+    ``extra`` points (breakpoints) strictly inside.  Brent's localmin on -f
+    (Brent 1973, ch. 5: parabolic steps, golden-section steps where a parabola
+    is not trusted) then runs in log coordinates between the grid neighbours
+    of the scanned argmax, calling ``f`` on one-point arrays, until the bracket
+    is ``_SCAN_TOL`` wide in log coordinates, so the same relative width at
+    every scale.  The scanned argmax and its neighbours seed it, so the first
+    parabola costs no call.  At a smooth maximum the value is resolved to the
+    rounding of ``f``, the argmax only to about its square root.  The larger of
+    the scanned and the refined maximum is kept (the grid point itself when no
+    refined value beats it), since a kink at a breakpoint can push the
+    refinement off it.  A run of scanned values within ``_PLATEAU_REL`` of the
+    maximum is a plateau: it is not refined, and its left end is the argmax,
+    so last-digit changes cannot move it.  A scan whose maximum is not finite
+    is returned unrefined.  Returns (grid, values, argmax, max).
     """
     n = int(round(_SCAN_PER_DECADE * math.log10(hi / lo))) + 1
     grid = np.geomspace(lo, hi, max(n, 2))
@@ -660,26 +665,53 @@ def scan_max(
         below = np.flatnonzero(~near[:k])
         return grid, values, float(grid[below[-1] + 1 if below.size else 0]), float(values[k])
 
-    def at(s: float) -> float:
-        return float(f(np.array([math.exp(s)]))[0])
-
-    a, b = math.log(grid[max(k - 1, 0)]), math.log(grid[min(k + 1, grid.size - 1)])
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1, x2 = b - invphi * (b - a), a + invphi * (b - a)
-    f1, f2 = at(x1), at(x2)
-    while b - a > _SCAN_TOL:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = at(x2)
+    # Brent's localmin on -f in log coordinates, seeded with the scan so that the
+    # first parabola is free: x is the scanned argmax, w the better of its
+    # neighbours and v the other (at a grid end, both are the one there is)
+    lo_k, hi_k = max(k - 1, 0), min(k + 1, grid.size - 1)
+    a, b = math.log(grid[lo_k]), math.log(grid[hi_k])
+    x, fx = math.log(grid[k]), -float(values[k])
+    seeds = sorted((-float(values[j]), math.log(grid[j])) for j in {lo_k, hi_k} - {k})
+    (fw, w), (fv, v) = seeds[0], seeds[-1]
+    step = last = b - a
+    c = (3.0 - math.sqrt(5.0)) / 2.0
+    while True:
+        m = 0.5 * (a + b)
+        tol1 = 0.25 * _SCAN_TOL + sys.float_info.epsilon * abs(x)
+        if abs(x - m) <= 2.0 * tol1 - 0.5 * (b - a):
+            break
+        p = q = r = 0.0
+        if abs(last) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, last = last, step
+        if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+            step = p / q
+            u = x + step
+            if u - a < 2.0 * tol1 or b - u < 2.0 * tol1:
+                step = tol1 if x < m else -tol1
         else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = at(x1)
-    s_best, v_best = (x1, f1) if f1 >= f2 else (x2, f2)
-    if values[k] > v_best:
+            last = (a if x >= m else b) - x
+            step = c * last
+        u = x + (step if abs(step) >= tol1 else math.copysign(tol1, step))
+        fu = -float(f(np.array([math.exp(u)]))[0])
+        if fu <= fx:
+            a, b = (a, x) if u < x else (x, b)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    if values[k] >= -fx:
         return grid, values, float(grid[k]), float(values[k])
-    return grid, values, math.exp(s_best), v_best
+    return grid, values, math.exp(x), -fx
 
 
 def radial_concentration(mass: MassProfile, alpha: float) -> ConcentrationValue:

@@ -384,6 +384,34 @@ class TestCriterionCurve:
         assert cur2.T_star <= cur1.T_star
 
 
+def _unimodal_loop(vals):
+    """The step-by-step form of ``_discretely_unimodal``, kept as its reference."""
+    tol = 1e-9 * max(float(np.max(np.abs(vals))), 1e-300)
+    fell = False
+    for step in np.diff(vals):
+        if step < -tol:
+            fell = True
+        elif step > tol and fell:
+            return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.sampled_from([-1.0, -1e-12, 0.0, 1e-12, 1.0]), st.floats(-10.0, 10.0)),
+        min_size=0,
+        max_size=30,
+    )
+)
+def test_discretely_unimodal_matches_the_loop(steps):
+    # steps of 1e-12 lie inside the tolerance, steps of 1 outside it
+    from kscrit.criteria import _discretely_unimodal
+
+    vals = np.cumsum([1.0, *steps])
+    assert _discretely_unimodal(vals) is _unimodal_loop(vals)
+
+
 class TestClassify:
     def test_super_threshold_singular_datum(self):
         rep = classify(Chandrasekhar(3, 2.5), 3, 2.0)

@@ -97,3 +97,24 @@ def test_svg_plot_written_and_deterministic(tmp_path):
     p2 = write_svg_lineplot(tmp_path / "b.svg", x, y, title="t")
     assert p1.read_bytes() == p2.read_bytes()
     assert b"<svg" in p1.read_bytes()
+
+
+def test_svg_text_is_unchanged_by_formatting_shared_numbers_once(tmp_path):
+    # two series with non-finite points in different places, one of them constant,
+    # and y data holding both 0.0 and -0.0 (the linear plot's y axis label is -0.0);
+    # the sha256 of each file was taken from the formatter that wrote every
+    # coordinate of every series separately
+    import hashlib
+
+    x = np.array([0.01, 0.1, 0.5, 1.0, math.nan, 2.5, 10.0, 40.0])
+    series = {
+        "f": np.array([-0.0, 0.0, 1 / 3, math.nan, 2.0, math.inf, 0.1, 1e-3]),
+        "C": np.array([0.7, math.nan, 0.7, 0.7, 0.7, 0.7, 0.7, 0.7]),
+    }
+    expected = {
+        False: "a2ce0cd7a829bf358c121d476f074f3a942b9d4a5766ad957c541ec1cecf85f2",
+        True: "5a3961a6ae9e1b91b7a6cc1e3df4e51f5f126f15703172f9639c763e82d48982",
+    }
+    for log, digest in expected.items():
+        path = write_svg_lineplot(tmp_path / f"{log}.svg", x, series, title="t", log_x=log, log_y=log)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

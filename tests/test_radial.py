@@ -100,7 +100,7 @@ class TestDensity:
 
     @pytest.mark.parametrize("d,mass,width", [(3, 5.0, 1.0), (10, 0.3, 2.5), (60, 1.0, 1.0)])
     def test_gaussian_weighted_sup_matches_the_scan(self, d, mass, width):
-        # the closed form against the generic grid scan and golden-section refinement
+        # the closed form against the generic grid scan and its refinement
         g = Gaussian(d, mass, width)
         for alpha in (0.3, 1.0, 2.0):
             assert g.weighted_sup(alpha) == pytest.approx(RadialProfile.weighted_sup(g, alpha), rel=1e-12)
@@ -382,3 +382,56 @@ class TestScanMax:
     def test_monotone_maximum_is_the_grid_end(self):
         grid, values, r_max, v_max = scan_max(np.log1p, 0.1, 10.0)
         assert (r_max, v_max) == (grid[-1], values[-1]) == (10.0, math.log1p(10.0))
+
+    @pytest.mark.parametrize("p,q", [(1.0, 1.0), (3.0, 2.0), (0.5, 4.0)])
+    def test_smooth_maximum_takes_few_calls(self, p, q):
+        # Brent's parabolic steps, seeded with the scan, need at most 12 one-point
+        # calls where golden section to the same bracket takes about 27
+        sizes = []
+
+        def f(r):
+            sizes.append(r.size)
+            return r**p * np.exp(-(r**q))
+
+        scan_max(f, 1e-3, 1e3)
+        assert 0 < sizes.count(1) <= 12
+
+    @pytest.mark.parametrize(
+        "profile,alpha",
+        [
+            (Gaussian(3, 5.0, 1.0), 2.0),
+            (Gaussian(5, 5.0, 1.3), 1.5),
+            (ShellAtom(3, 1.0, 2.0), 1.5),
+            (ExplicitBlowupDatum(3, 1.0), 2.0),
+            (Chandrasekhar(5, 1.0, 1.0), 1.0),
+        ],
+        ids=["gauss-d3", "gauss-d5", "shell-d3", "exact-d3", "chandrasekhar-d5"],
+    )
+    def test_curve_sup_matches_a_tight_refinement(self, profile, alpha):
+        # the cases of the quadrature oracle: golden section on the same evaluator,
+        # to a bracket of 1e-12 in log T, finds the same sup to 1e-10
+        from kscrit.criteria import _CurveEvaluator
+
+        m = mass_profile(profile)
+        cur = criterion_curve(m, alpha)
+        ev = _CurveEvaluator(m, alpha)
+
+        def g(s):
+            return ev.values(np.array([math.exp(s)]))[0]
+
+        k = int(np.argmax(cur.values))
+        a, b = math.log(cur.T[max(k - 1, 0)]), math.log(cur.T[min(k + 1, cur.T.size - 1)])
+        invphi = (math.sqrt(5.0) - 1.0) / 2.0
+        x1, x2 = b - invphi * (b - a), a + invphi * (b - a)
+        f1, f2 = g(x1), g(x2)
+        while b - a > 1e-12:
+            if f1 < f2:
+                a, x1, f1 = x1, x2, f2
+                x2 = a + invphi * (b - a)
+                f2 = g(x2)
+            else:
+                b, x2, f2 = x2, x1, f1
+                x1 = b - invphi * (b - a)
+                f1 = g(x1)
+        reference = max(f1, f2, cur.values[k])
+        assert cur.sup == pytest.approx(reference, rel=1e-10)
