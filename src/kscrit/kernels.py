@@ -13,11 +13,16 @@ lambda-integrands.  The lambda-integral is a trapezoid sum in s = log(lam),
 whose integrand is analytic, so the error falls geometrically in 1/h: the
 window is probed until the integrand is dead at both ends, and the spacing is
 halved until two levels agree (at alpha = 2 the grid is the one node s = 0
-with weight 1).  Everything is accumulated in log space so large d is no worse
-than small d.  Each sum keeps only the s-nodes within 60 nats of its own
-peak, which drops at most n_s e^(-60) of it relative (n_s nodes), and reads
-them from a band of the grid shared by radii of similar size; the band never
-changes a result, so no value depends on which radii are evaluated together.
+with weight 1).  From alpha = 4/3 on, the nodes are uniform in t and mapped to
+s by an analytic, increasing s = g(t), which keeps the geometric convergence
+(Trefethen & Weideman, SIAM Rev. 56, 2014): they are c = beta/(1 - beta)
+times closer on the left cliff of f_beta, about 1/c wide, than over the rest
+of the window, 50-200 wide, so the node count no longer grows like c.
+Everything is accumulated in log space so large d is no worse than small d.
+Each sum keeps only the s-nodes within 60 nats of its own peak, which drops
+at most n_s e^(-60) of it relative (n_s nodes), and reads them from a band of
+the grid shared by radii of similar size; the band never changes a result, so
+no value depends on which radii are evaluated together.
 
 Facts used as validation anchors:
 
@@ -41,7 +46,7 @@ import numpy as np
 
 from .errors import IntegrabilityError, NumericsError
 from .radial import _SCAN_PER_DECADE, check_alpha, check_dimension, sphere_area
-from .subordinator import StableSubordinator
+from .subordinator import _SERIES_SWITCH, StableSubordinator
 
 __all__ = [
     "SubordinatedKernel",
@@ -105,7 +110,8 @@ class SubordinatedKernel:
 
     Construction evaluates log f_beta once per node of an s = log(lam)
     trapezoid grid sized by its error (``_build_grid``): the window comes from
-    probing the rho = 0 integrand, the spacing from nested halving.  At
+    probing the rho = 0 integrand, the node map from f_beta's cliff
+    (``_cliff_map``), the spacing from nested halving.  At
     alpha = 2 (beta = 1) the subordinator is the point mass at lam = 1, so the
     grid is the single node s = 0 with weight 1 and the kernel is
     Gauss-Weierstrass.
@@ -183,9 +189,12 @@ class SubordinatedKernel:
         170/(beta + d/2) past 2 log(_RHO_SUPPORT); a left end that would need
         lam below the smallest normal float is a NumericsError.  The grid starts
         one probe step left of the first live point and ends with the probe.  The
-        spacing starts at most 1 and is halved until ``log_sums`` at
-        ``_HALVING_RHO`` moves by at most ``_HALVING_TOL`` times
-        max(1, |log_sums|); each level adds only the midpoints, so log f is
+        nodes are uniform in t and mapped to s = g(t) by ``_cliff_map``, which
+        puts them 1/c times closer at the left cliff of f_beta than elsewhere
+        (or is the identity, for c < 2); each weight is the t-trapezoid weight
+        times g'(t).  The t-spacing starts at most 1 and is halved until
+        ``log_sums`` at ``_HALVING_RHO`` moves by at most ``_HALVING_TOL`` times
+        max(1, |log_sums|); each level adds only the midpoints in t, so log f is
         evaluated once per node of the final grid.  A halving that stalls (see
         ``_STALL_STEP``) keeps its level and adds a warning; a grid that needs
         more than ``_MAX_NODES`` nodes is a NumericsError.
@@ -219,14 +228,19 @@ class SubordinatedKernel:
             raise NumericsError("could not window the subordination integral")
         lo = probe[np.argmax(live) - 1]
 
-        s = np.linspace(lo, hi, math.ceil(hi - lo) + 1)
+        grid_map = _cliff_map(sub, d)
+        t_lo, t_hi = grid_map.t_range(lo, hi)
+        t = np.linspace(t_lo, t_hi, math.ceil(t_hi - t_lo) + 1)
+        s, log_slope = grid_map(t)
         log_f = sub.log_pdf(np.exp(s))
-        self._set_grid(s, _trapezoid_log_weights(s) + log_f)
+        self._set_grid(s, _trapezoid_log_weights(t) + log_slope + log_f)
         coarse, last_step = self.log_sums(_HALVING_RHO), math.inf
         while 2 * s.size - 1 <= _MAX_NODES:
-            mid = 0.5 * (s[:-1] + s[1:])
-            s, log_f = _interleave(s, mid), _interleave(log_f, sub.log_pdf(np.exp(mid)))
-            self._set_grid(s, _trapezoid_log_weights(s) + log_f)
+            mid = 0.5 * (t[:-1] + t[1:])
+            s_mid, slope_mid = grid_map(mid)
+            t, s, log_slope = _interleave(t, mid), _interleave(s, s_mid), _interleave(log_slope, slope_mid)
+            log_f = _interleave(log_f, sub.log_pdf(np.exp(s_mid)))
+            self._set_grid(s, _trapezoid_log_weights(t) + log_slope + log_f)
             fine = self.log_sums(_HALVING_RHO)
             step = float(np.max(np.abs(fine - coarse) / np.maximum(1.0, np.abs(fine))))
             if step <= _HALVING_TOL:
@@ -380,6 +394,77 @@ def _trapezoid_log_weights(s: np.ndarray) -> np.ndarray:
     logw = np.full(s.size, math.log((s[-1] - s[0]) / (s.size - 1)))
     logw[[0, -1]] += math.log(0.5)
     return logw
+
+
+class _UniformMap:
+    """The identity s = t: a grid uniform in s."""
+
+    def __call__(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """s = g(t) and log g'(t)."""
+        return t, np.zeros_like(t)
+
+    def t_range(self, lo: float, hi: float) -> tuple[float, float]:
+        """The t-interval that g maps onto [lo, hi]."""
+        return lo, hi
+
+
+class _CliffMap(_UniformMap):
+    """s = g(t) = centre + eps t + (1 - eps)(log(1 + e^t) - log 2), so g(0) = centre.
+
+    g'(t) = eps + (1 - eps)/(1 + e^(-t)) rises from eps left of the centre to 1
+    right of it within a few units of t: a grid uniform in t has spacing eps h
+    left of the centre and h right of it.  g is analytic (the poles of g' lie
+    pi off the real axis), strictly increasing and convex.
+    """
+
+    def __init__(self, eps: float, centre: float):
+        self.eps, self.centre = eps, centre
+
+    def __call__(self, t):
+        eps = self.eps
+        s = self.centre + eps * t + (1.0 - eps) * (np.logaddexp(0.0, t) - math.log(2.0))
+        return s, np.log(eps + (1.0 - eps) * 0.5 * (1.0 + np.tanh(0.5 * t)))
+
+    def t_range(self, lo, hi):
+        # g is increasing and convex, so Newton's steps from the right of a root
+        # fall monotonically to it; g(t) - centre >= eps t for t >= 0 gives the start
+        target = np.array([lo, hi])
+        t = (np.abs(target - self.centre) + 1.0) / self.eps
+        for _ in range(100):
+            s, log_slope = self(t)
+            step = (s - target) * np.exp(-log_slope)
+            if not np.any(step > 0.0):
+                break
+            t = t - np.maximum(step, 0.0)
+        return float(t[0]), float(t[1])
+
+
+def _cliff_map(sub: StableSubordinator, d: int) -> _UniformMap:
+    """The map s = g(t) of the s-grid of f_beta at dimension d.
+
+    In the left-tail form log f ~ -a0 e^(-c s) - (1 + c/2) s, order k of the
+    rho = 0 integrand peaks where a0 c e^(-c s) = (c + d)/2 + k and falls
+    doubly exponentially left of it, on the scale 1/c: a cliff, which sets
+    the spacing of a uniform grid.  Right of the peaks every row is smooth on
+    the scale 1.  The cliff map spaces the nodes 1/c times the coarse spacing
+    at the cliff: its centre, where the spacing is half-way, sits 3/c + 1/2
+    past the order-0 peak (the rightmost), so the spacing is within twice the
+    fine one up to about 3/c - 0.2 past that peak.  Where the density jumps
+    at lam = 2, its switch from the Zolotarev integral to the series, by more
+    than _HALVING_TOL^2 (the accuracy of a converged level), the trapezoid
+    error there is first order in the spacing, so the centre moves to 1 past
+    lam = 2 and the fine spacing covers lam = 2.  With c < 2 the fine spacing
+    would be more than half the coarse one and could not save a halving, so
+    the grid stays uniform in s, node for node.
+    """
+    c = sub.c
+    if c < 2.0:
+        return _UniformMap()
+    centre = math.log(2.0 * sub.a0 * c / (c + d)) / c + 3.0 / c + 0.5
+    left, right = sub.log_pdf(np.array([np.nextafter(_SERIES_SWITCH, 0.0), _SERIES_SWITCH]))
+    if abs(right - left) > _HALVING_TOL**2:
+        centre = max(centre, math.log(_SERIES_SWITCH) + 1.0)
+    return _CliffMap(1.0 / c, centre)
 
 
 def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:

@@ -23,6 +23,9 @@ __all__ = ["write_csv", "write_json", "write_svg_lineplot", "to_jsonable"]
 
 def _column_text(col) -> list[str]:
     """The text of each cell of a column (an ndarray or a list)."""
+    if isinstance(col, np.ndarray) and col.dtype == np.float64:
+        # tolist gives Python floats, each its own repr
+        return list(map(repr, col.tolist()))
     values = col.tolist() if isinstance(col, np.ndarray) else col
     return [
         repr(float(v)) if isinstance(v, (float, np.floating)) else "" if v is None else str(v)

@@ -641,8 +641,10 @@ def scan_max(
     of the scanned argmax, calling ``f`` on one-point arrays, until the bracket
     is ``_SCAN_TOL`` wide in log coordinates, so the same relative width at
     every scale.  The scanned argmax and its neighbours seed it, so the first
-    parabola costs no call.  At a smooth maximum the value is resolved to the
-    rounding of ``f``, the argmax only to about its square root.  The larger of
+    parabola costs no call.  A scanned argmax at a grid end is returned after
+    one call ``_SCAN_TOL`` inside it shows ``f`` no larger there.  At a smooth
+    maximum the value is resolved to the rounding of ``f``, the argmax only to
+    about its square root.  The larger of
     the scanned and the refined maximum is kept (the grid point itself when no
     refined value beats it), since a kink at a breakpoint can push the
     refinement off it.  A run of scanned values within ``_PLATEAU_REL`` of the
@@ -664,6 +666,15 @@ def scan_max(
     if (k > 0 and near[k - 1]) or (k + 1 < grid.size and near[k + 1]):
         below = np.flatnonzero(~near[:k])
         return grid, values, float(grid[below[-1] + 1 if below.size else 0]), float(values[k])
+
+    if k in (0, grid.size - 1):
+        # a maximum at a grid end: the parabola through the end and its one
+        # neighbour is degenerate, so Brent would take golden-section steps down
+        # to the bracket.  Where f still rises into the end over the bracket's
+        # width, the end is the bracket's maximum
+        inner = math.log(grid[k]) + (_SCAN_TOL if k == 0 else -_SCAN_TOL)
+        if float(f(np.array([math.exp(inner)]))[0]) <= values[k]:
+            return grid, values, float(grid[k]), float(values[k])
 
     # Brent's localmin on -f in log coordinates, seeded with the scan so that the
     # first parabola is free: x is the scanned argmax, w the better of its

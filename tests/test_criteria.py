@@ -91,7 +91,8 @@ class TestBlowupConstant:
 
     @pytest.mark.slow
     def test_continuity_gap_keeps_shrinking(self):
-        # the alpha = 1.995 kernel stops halving at 1.4e5 subordinator nodes
+        # the alpha = 1.995 kernel stops halving at 3 961 subordinator nodes (1.4e5
+        # on a grid uniform in s)
         assert _gap_to_classical(5, 1.995) < _gap_to_classical(5, 1.99)
 
 

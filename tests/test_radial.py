@@ -383,6 +383,35 @@ class TestScanMax:
         grid, values, r_max, v_max = scan_max(np.log1p, 0.1, 10.0)
         assert (r_max, v_max) == (grid[-1], values[-1]) == (10.0, math.log1p(10.0))
 
+    def test_maximum_rising_into_the_scan_end_takes_one_call(self):
+        # T W0(T) of a Gaussian at d = 2 still rises at T = 1e4 r_char^alpha, the
+        # scan's end: one call inside the end shows it, where Brent's
+        # golden-section steps down to the bracket took 13
+        from kscrit.criteria import _CurveEvaluator
+
+        m = mass_profile(Gaussian(2, 5.0, 1.0))
+        ev, sizes = _CurveEvaluator(m, 2.0), []
+
+        def f(T):
+            sizes.append(T.size)
+            return ev.values(T)
+
+        grid, values, t_at, sup = scan_max(f, 1e-4 * m.r_char**2, 1e4 * m.r_char**2)
+        assert int(np.argmax(values)) == grid.size - 1
+        assert (t_at, sup) == (grid[-1], values[-1])
+        assert sizes.count(1) == 1
+
+    def test_maximum_falling_from_the_scan_start_takes_one_call(self):
+        sizes = []
+
+        def f(r):
+            sizes.append(r.size)
+            return np.exp(-r)
+
+        grid, values, r_max, v_max = scan_max(f, 1e-3, 1e3)
+        assert (r_max, v_max) == (grid[0], values[0])
+        assert sizes.count(1) == 1
+
     @pytest.mark.parametrize("p,q", [(1.0, 1.0), (3.0, 2.0), (0.5, 4.0)])
     def test_smooth_maximum_takes_few_calls(self, p, q):
         # Brent's parabolic steps, seeded with the scan, need at most 12 one-point

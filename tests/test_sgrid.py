@@ -1,12 +1,14 @@
 """The subordination s-grid against exact oracles.
 
-Every fractional kernel sums over one trapezoid grid in s = log(lam).  Its
-weights must reproduce the closed-form negative moments of the stable
-subordinator, and its ``log_sums`` must match a grid 4x finer on a window
-that reaches 400 nats below the integrand's peak.  The pairs are the seven
-``sweep`` strata and three ``verdicts`` pairs of the benchmark, the curve's
-small-alpha pair (4, 0.3), the smallest alpha (3, 0.05) and the high
-dimension (80, 1.5).
+Every fractional kernel sums over one trapezoid grid in s = log(lam), uniform
+in a variable t that its map sends to s.  Its weights must reproduce the
+closed-form negative moments of the stable subordinator, and its ``log_sums``
+must match the same map on a t-lattice 4x finer, on a window that reaches
+400 nats below the integrand's peak.  The map may not cost nodes, must cut
+them where c = beta/(1 - beta) is large, and is the identity for c < 2.  The
+pairs are the seven ``sweep`` strata and three ``verdicts`` pairs of the
+benchmark, the curve's small-alpha pair (4, 0.3), the smallest alpha
+(3, 0.05) and the high dimension (80, 1.5).
 """
 
 import math
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 
 from kscrit.errors import NumericsError
-from kscrit.kernels import _RHO_SUPPORT, SubordinatedKernel
+from kscrit.kernels import _RHO_SUPPORT, SubordinatedKernel, _cliff_map
 
 PAIRS = [
     (4, 0.0997), (9, 0.4175), (3, 0.7175), (10, 1.0175), (5, 1.2675), (6, 1.7675), (8, 1.9075),
@@ -41,21 +43,32 @@ def _log_sum(x):
     return top + math.log(np.exp(x - top).sum())
 
 
+def _t_lattice(kernel):
+    """The kernel's grid as its map sees it: the uniform t-lattice and the map s = g(t)."""
+    grid_map = _cliff_map(kernel.subordinator, kernel.d)
+    t_lo, t_hi = grid_map.t_range(kernel._s[0], kernel._s[-1])
+    return np.linspace(t_lo, t_hi, kernel._s.size), grid_map
+
+
 def _series_tail(kernel, p):
     """The trapezoid nodes past the grid's right end, summed from the lam > 2 series.
 
-    f(lam) lam^(1-p) = sum_k a_k lam^(-k beta - p), so the half-weighted last
-    node and every node beyond it add a_k e^(-b s_N) (h/2) coth(b h / 2), b = k beta + p.
+    The t-lattice goes on past its last node with the mapped weights h g'(t),
+    the last node half-weighted, until lam^(-beta - p) has fallen by e^-40;
+    there f(lam) lam^(1-p) = sum_k a_k lam^(-k beta - p).
     """
-    b_sub, s = kernel.beta, kernel._s
-    h, s_n = s[1] - s[0], s[-1]
+    b_sub = kernel.beta
+    t, grid_map = _t_lattice(kernel)
+    h = t[1] - t[0]
+    s, log_slope = grid_map(t[-1] + h * np.arange(math.ceil(40.0 / ((b_sub + p) * h)) + 1))
+    w = h * np.exp(log_slope)
+    w[0] *= 0.5
     total = 0.0
     for k in range(1, 60):
-        b = k * b_sub + p
         a_k = (-1) ** (k + 1) * math.exp(math.lgamma(1 + k * b_sub) - math.lgamma(k + 1.0)) * math.sin(
             math.pi * k * b_sub
         ) / math.pi
-        total += a_k * math.exp(-b * s_n) * 0.5 * h / math.tanh(0.5 * b * h)
+        total += a_k * float(np.sum(w * np.exp(-(k * b_sub + p) * s)))
     return total
 
 
@@ -73,11 +86,11 @@ def test_weights_give_the_negative_moments(kernel):
 
 
 def _reference(kernel, refine=4, drop=400.0):
-    """The kernel's own lattice refined ``refine`` times and widened to ``drop`` nats.
+    """The kernel's own t-lattice refined ``refine`` times and widened to ``drop`` nats.
 
     Left, it reaches until orders 0-2 of the rho = 0 integrand are ``drop``
     below their maxima; right, to 2 log(_RHO_SUPPORT) + drop/(beta + d/2).
-    Returns the nodes and log(weight * f) there.
+    Returns the nodes s = g(t) and log(weight * f) there, the weights h g'(t).
     """
     sub, d, s = kernel.subordinator, kernel.d, kernel._s
     orders = np.arange(3.0)[:, None]
@@ -90,10 +103,12 @@ def _reference(kernel, refine=4, drop=400.0):
     while np.any(mix(np.array([lo]))[:, 0] >= tops - drop):
         lo -= 5.0
     hi = max(s[-1], 2.0 * math.log(_RHO_SUPPORT) + drop / (kernel.beta + 0.5 * d))
-    h = (s[1] - s[0]) / refine
-    n_lo, n_hi = math.ceil((s[0] - lo) / h), math.ceil((hi - s[-1]) / h)
-    x = s[0] + h * np.arange(-n_lo, (s.size - 1) * refine + n_hi + 1)
-    return x, math.log(h) + sub.log_pdf(np.exp(x))
+    t, grid_map = _t_lattice(kernel)
+    t_lo, t_hi = grid_map.t_range(lo, hi)
+    h = (t[1] - t[0]) / refine
+    n_lo, n_hi = math.ceil((t[0] - t_lo) / h), math.ceil((t_hi - t[-1]) / h)
+    x, log_slope = grid_map(t[0] + h * np.arange(-n_lo, (t.size - 1) * refine + n_hi + 1))
+    return x, math.log(h) + log_slope + sub.log_pdf(np.exp(x))
 
 
 def _sums_on(d, x, log_wf):
@@ -141,3 +156,42 @@ def test_a_grid_past_the_node_cap_is_a_numerics_error(monkeypatch):
     monkeypatch.setattr(kernels, "_MAX_NODES", 100)
     with pytest.raises(NumericsError, match="did not converge within 100 nodes"):
         SubordinatedKernel(5, 1.0)
+
+
+#: nodes of each PAIRS grid when every grid was uniform in s
+_UNIFORM_NODES = {
+    (4, 0.0997): 1665, (9, 0.4175): 593, (3, 0.7175): 945, (10, 1.0175): 433, (5, 1.2675): 601,
+    (6, 1.7675): 1985, (8, 1.9075): 3329, (5, 0.9): 657, (4, 1.2): 697, (5, 1.5): 1153,
+    (4, 0.3): 1009, (3, 0.05): 2873, (80, 1.5): 769,
+}
+
+
+def test_no_grid_gains_nodes_over_the_uniform_one(kernel):
+    assert kernel._s.size <= _UNIFORM_NODES[(kernel.d, kernel.alpha)]
+
+
+@pytest.mark.parametrize("alpha", [1.5, 1.77, 1.9, 1.95])
+@pytest.mark.parametrize("d", [5, 8])
+def test_high_alpha_grids_do_not_grow_like_c(d, alpha):
+    # uniform in s these grids had 881 (d = 8, alpha = 1.5) to 8577 (d = 5,
+    # alpha = 1.95) nodes, growing like c = beta/(1 - beta) = 3 ... 39
+    assert SubordinatedKernel(d, alpha)._s.size <= 1100
+
+
+@pytest.mark.parametrize(
+    "d, alpha", [(3, 0.05), (4, 0.0997), (4, 0.3), (9, 0.4175), (5, 0.9), (5, 1.0), (4, 1.2), (5, 1.2675)]
+)
+def test_grids_with_c_below_2_are_uniform_in_s(d, alpha):
+    # c = beta/(1 - beta) < 2: the nested uniform grid in s, bit for bit, with
+    # the plain trapezoid weights
+    kernel = SubordinatedKernel(d, alpha)
+    s = kernel._s
+    expected = np.linspace(s[0], s[-1], math.ceil(s[-1] - s[0]) + 1)
+    while expected.size < s.size:
+        mid = 0.5 * (expected[:-1] + expected[1:])
+        expected = np.insert(mid, np.arange(expected.size), expected)
+    assert np.array_equal(s, expected)
+    log_h = np.full(s.size, math.log((s[-1] - s[0]) / (s.size - 1)))
+    log_h[[0, -1]] += math.log(0.5)
+    log_f = kernel.subordinator.log_pdf(np.exp(s))
+    assert np.array_equal(kernel._logw, kernel._log_mix_weight(log_h + log_f, s))
