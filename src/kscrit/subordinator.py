@@ -8,16 +8,22 @@ Evaluation is piecewise:
 
 * beta = 1/2: the explicit Levy density (2 sqrt(pi))^-1 lam^(-3/2) e^(-1/(4 lam)).
 * lam >= 2: the convergent power series
-      f(lam) = (1/pi) sum_{k>=1} (-1)^(k+1) Gamma(1+k beta)/k! sin(pi k beta) lam^(-1-k beta).
+      f(lam) = (1/pi) sum_{k>=1} (-1)^(k+1) Gamma(1+k beta)/k! sin(pi k beta) lam^(-1-k beta),
+  summed by Horner's rule in z = lam^(-beta) over coefficients cached per beta.
 * otherwise: the Zolotarev/Kanter single integral
       f(lam) = (beta/(1-beta)) lam^(-1/(1-beta)) (1/pi)
                int_0^pi A(u) exp(-A(u) s) du,   s = lam^(-beta/(1-beta)),
-      A(u) = [sin(beta u)^beta sin((1-beta)u)^(1-beta) / sin(u)]^(1/(1-beta)),
-  on two fixed Gauss-Legendre panels split at the width ~ 1/sqrt(beta*s) of
-  the u = 0 boundary layer.
-* a0*s large (a0 = beta^(beta/(1-beta)) (1-beta) = A(0)): the saddle-point
-  left-tail form f ~ (beta/(1-beta)) sqrt(a0/(2 pi beta s)) lam^(-1/(1-beta)) e^(-a0 s),
-  which is exact for beta = 1/2.
+      A(u) = [sin(beta u)^beta sin((1-beta)u)^(1-beta) / sin(u)]^(1/(1-beta)).
+  The integrand depends on lam only through s, so its Gauss-Legendre nodes,
+  log(weight * A) and A are built once per beta: panels in u that halve
+  towards the u = 0 layer, then panels in v = log(pi - u) that each span a
+  fixed rise of log A, where the integrand peaks at A s ~ 1 (after Nolan,
+  Commun. Statist. Stochastic Models 13, 1997).  Each lam sums a band of at
+  most a few hundred nodes around its peak: one exponential per node.
+* a0*s large (a0 = beta^(beta/(1-beta)) (1-beta) = A(0)), where f is below
+  the smallest normal float: the saddle-point left-tail form
+  f ~ (beta/(1-beta)) sqrt(a0/(2 pi beta s)) lam^(-1/(1-beta)) e^(-a0 s), which
+  is exact for beta = 1/2 and otherwise good to O(1/(a0 s)) relative.
 
 Negative Mellin moments are closed form: E[S^-p] = Gamma(1+p/beta)/Gamma(1+p).
 """
@@ -34,8 +40,24 @@ from .errors import ValidationError
 __all__ = ["StableSubordinator"]
 
 _SERIES_SWITCH = 2.0  # lam above which the power series converges fast
-_LEFT_SWITCH = 500.0  # a0*s above which the saddle-point tail takes over
 _SERIES_MAX_TERMS = 200
+#: log of the smallest normal float: the saddle-point tail takes over where f falls below it
+_LOG_TINY = math.log(np.finfo(float).tiny)
+#: log A above which the Zolotarev nodes keep A as its log, since s and A would leave the floats
+_LOG_HUGE = 700.0
+#: Gauss-Legendre nodes per panel of the Zolotarev integral
+_PANEL_NODES = 20
+#: rise of log A across one panel near u = pi, and its most width in v = log(pi - u)
+_PANEL_LOG_A = 3.0
+_PANEL_V = 2.0
+#: a lam's band leaves out nodes before its peak that add at most e^(-_BAND_DROP) of the integral
+_BAND_DROP = 32.0
+#: ... and nodes where s A exceeds the peak's own by this much (e^(-38) left out)
+_BAND_SA = 38.0
+#: a0 s from which the u = 0 layer is narrow enough to need the layer set's panels
+_LAYER_A0S = 4.0
+#: entries of one block of the Zolotarev sum: it sets how many lam share one block
+_CHUNK_ELEMENTS = 65_536
 
 
 @lru_cache(maxsize=None)
@@ -76,15 +98,28 @@ class StableSubordinator:
         sign = np.where(np.sin(math.pi * k * b) >= 0, 1.0, -1.0) * (-1.0) ** (k + 1)
         return sign, log_mag, 1.0 + k * b
 
-    def _log_pdf_series(self, lam: np.ndarray) -> np.ndarray:
+    @cached_property
+    def _series_coefficients(self) -> np.ndarray:
+        """a_k of f(lam) = (1/(pi lam)) sum_k a_k z^k, z = lam^-beta, up to the last term that
+        reaches e^(-40) of the largest at lam = _SERIES_SWITCH, where every term is largest."""
         sign, log_mag, exponent = self._series_terms
-        # terms: sign * exp(log_mag) * lam^(-1-k*beta)
-        log_lam = np.log(lam)[:, None]
-        terms = sign[None, :] * np.exp(log_mag[None, :] - exponent[None, :] * log_lam)
-        total = np.sum(terms, axis=1) / math.pi
-        return np.log(np.maximum(total, 1e-300))
+        at_switch = log_mag - (exponent - 1.0) * math.log(_SERIES_SWITCH)
+        last = int(np.flatnonzero(at_switch >= at_switch.max() - 40.0)[-1])
+        return sign[: last + 1] * np.exp(log_mag[: last + 1])
+
+    def _log_pdf_series(self, lam: np.ndarray) -> np.ndarray:
+        # Horner's rule in z: f(lam) = (z/(pi lam)) (a_1 + z (a_2 + z (a_3 + ...)))
+        coefficients = self._series_coefficients
+        log_lam = np.log(lam)
+        z = np.exp(-self.beta * log_lam)
+        total = np.full_like(z, coefficients[-1])
+        for a_k in coefficients[-2::-1]:
+            total *= z
+            total += a_k
+        return np.log(np.maximum(total, 1e-300)) - (1.0 + self.beta) * log_lam - math.log(math.pi)
 
     def _zolotarev_log_a(self, u: np.ndarray) -> np.ndarray:
+        """log A(u) for 0 < u <= pi/2, where every sine's argument is at most pi/2."""
         b = self.beta
         return (
             b * np.log(np.sin(b * u))
@@ -92,58 +127,149 @@ class StableSubordinator:
             - np.log(np.sin(u))
         ) / (1.0 - b)
 
+    def _zolotarev_log_a_near_pi(self, eps: np.ndarray) -> np.ndarray:
+        """log A(pi - eps) for 0 < eps <= pi/2, each sine taken at an argument of at most pi/2.
+
+        sin(x) = sin(pi - x), and of x = b u and pi - x = (1 - b) pi + b eps (and
+        likewise for (1 - b) u) the smaller is formed without cancellation from
+        eps; sin(u) is sin(eps).  A rounded u = pi - eps would cost the digits
+        of eps.
+        """
+        b = self.beta
+        sin_bu = np.sin(np.minimum(b * (math.pi - eps), (1.0 - b) * math.pi + b * eps))
+        sin_cu = np.sin(np.minimum((1.0 - b) * (math.pi - eps), b * math.pi + (1.0 - b) * eps))
+        return (b * np.log(sin_bu) + (1.0 - b) * np.log(sin_cu) - np.log(np.sin(eps))) / (1.0 - b)
+
+    @cached_property
+    def _left_switch(self) -> float:
+        """log(a0 s) past which the saddle-point form puts f below the smallest normal float.
+
+        With L = log(a0 s) that form is log f = k + (1/beta - 1/2) L - e^L, so
+        X = a0 s solves X = k - log(tiny) + (1/beta - 1/2) log X: iterated from
+        X = 1000, a contraction, since X stays above 700 + (1/beta - 1/2) log 700
+        and so above 3 (1/beta - 1/2).
+        """
+        b, a0 = self.beta, self.a0
+        k = math.log(b / (1.0 - b)) + math.log(a0) - 0.5 * math.log(2.0 * math.pi * b) - math.log(a0) / b
+        x = 1000.0
+        for _ in range(60):
+            x = k - _LOG_TINY + (1.0 / b - 0.5) * math.log(x)
+        return math.log(x)
+
+    @cached_property
+    def _zolotarev_nodes(self) -> tuple[tuple, tuple]:
+        """The Zolotarev integral's nodes, built once per beta: (layer set, interior set).
+
+        Each set is (log(W A), A, log A, first) over nodes in increasing u, W the
+        quadrature weight in u; log(W A) and A are read as windows of ``width``
+        nodes (row j starts at node j; dead nodes, W A = 0, pad the last rows).
+        A is kept as its log where it would overflow (beta > 0.999).  A lam
+        whose s A first reaches 1 at node k (k = 0 where a0 s >= 1) sums the
+        window that starts at first[k].
+
+        Both sets end with the same panels on [pi/2, pi): 20-point Gauss-Legendre
+        in v = log(pi - u), from u = pi/2 to where log A passes
+        c log(2 _SERIES_SWITCH) + log(_BAND_SA), the largest log A that any
+        lam < 2 _SERIES_SWITCH needs; a panel spans a rise of ``_PANEL_LOG_A`` in
+        log A and at most ``_PANEL_V`` in v.  On [0, pi/2] the layer set, for
+        a0 s >= ``_LAYER_A0S``, halves its panels towards u = 0 down to the width
+        1/sqrt(beta a0 s) of the u = 0 layer at the left switch, and every lam
+        sums from node 0.  The interior set, for a0 s < ``_LAYER_A0S``, has two
+        panels there, and first[k] drops the nodes before the peak whose W A
+        add at most e^(-1 - _BAND_DROP) of those before node k: with s A <= 1
+        there, the integral is at least e^(-1) times that.  ``width`` reaches
+        from first[k] to where s A passes its value at node k by ``_BAND_SA``,
+        for every k and s a lam of the set can have.
+        """
+        b, c, a0 = self.beta, self.c, self.a0
+        x, w = _leggauss(_PANEL_NODES)
+        half = 0.5 * math.pi
+        log_a_half = float(self._zolotarev_log_a(np.array([half]))[0])
+        log_a_top = c * math.log(2.0 * _SERIES_SWITCH) + math.log(_BAND_SA)
+        # v at which log A reaches each value, interpolated in a table from v = log(pi/2)
+        # down past log_a_top: near eps = 0, (1 - b) log A -> log sin(b pi) - log eps
+        v_low = math.log(math.sin(b * math.pi)) - (1.0 - b) * (log_a_top + 1.0)
+        while self._zolotarev_log_a_near_pi(np.array([math.exp(v_low)]))[0] < log_a_top:
+            v_low -= 1.0
+        table = np.linspace(math.log(half), v_low, 513)
+        table_log_a = self._zolotarev_log_a_near_pi(np.exp(table))
+        steps = log_a_half + _PANEL_LOG_A * np.arange(1, math.ceil((log_a_top - log_a_half) / _PANEL_LOG_A) + 1)
+
+        def node_set(u_edges: list[float], log_a_edges: np.ndarray, banded: bool) -> tuple:
+            v_edges = np.concatenate([[table[0]], np.interp(log_a_edges, table_log_a, table)])
+            # each panel cut into equal pieces at most _PANEL_V wide
+            widths = v_edges[:-1] - v_edges[1:]
+            pieces = np.ceil(widths / _PANEL_V).astype(int)
+            panel = np.repeat(np.arange(widths.size), pieces)
+            part = np.arange(panel.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+            v_edges = np.append(v_edges[panel] - part / pieces[panel] * widths[panel], v_edges[-1])
+            hu = 0.5 * np.diff(u_edges)[:, None]
+            hv = 0.5 * (v_edges[:-1] - v_edges[1:])[:, None]
+            u = (np.array(u_edges[:-1])[:, None] + hu * (x + 1.0)).ravel()
+            v = (v_edges[:-1, None] - hv * (x + 1.0)).ravel()
+            log_a = np.concatenate([self._zolotarev_log_a(u), self._zolotarev_log_a_near_pi(np.exp(v))])
+            log_wa = np.concatenate([np.log(hu * w).ravel(), np.log(hv * w).ravel() + v]) + log_a
+            key = np.maximum.accumulate(log_a)
+            if banded:
+                below = np.concatenate([[-np.inf], np.logaddexp.accumulate(log_wa)[:-1]])
+                first = np.searchsorted(below, below - 1.0 - _BAND_DROP, side="right") - 1
+            else:
+                first = np.zeros(key.size, dtype=np.intp)
+            if banded:
+                reach = key + math.log(_LAYER_A0S + _BAND_SA)
+            else:
+                # every lam of the layer set has s A = a0 s >= _LAYER_A0S at node 0
+                reach = key[:1] + math.log(1.0 + _BAND_SA / _LAYER_A0S)
+            width = int((np.searchsorted(key, reach, side="right") - first[: reach.size]).max())
+            pad = np.full(width, -np.inf)
+            log_a = np.concatenate([log_a, pad])
+            a = np.exp(log_a) if key[-1] < _LOG_HUGE else log_a
+            windows = np.lib.stride_tricks.sliding_window_view
+            return windows(np.concatenate([log_wa, pad]), width), windows(a, width), key, first
+
+        # the layer set's panels halve in u, so log(A/a0) ~ beta u^2/2 quarters; past
+        # pi/2 they keep quartering it, so that a layer still alive there (small beta)
+        # stays resolved, until the panels of the common tail are finer
+        layer_width = 1.0 / math.sqrt(b * math.exp(self._left_switch))
+        u_edges = [half]
+        while u_edges[0] > 2.0 * layer_width:
+            u_edges.insert(0, 0.5 * u_edges[0])
+        log_a0, layer_edges = math.log(a0), []
+        edge = log_a0 + 4.0 * (log_a_half - log_a0)
+        while edge < steps[0]:
+            layer_edges.append(edge)
+            edge = log_a0 + 4.0 * (edge - log_a0)
+        layer = node_set([0.0] + u_edges, np.concatenate([layer_edges, steps]), banded=False)
+        interior = node_set([0.0, 0.5 * half, half], steps, banded=True)
+        return layer, interior
+
     def _log_pdf_zolotarev(self, lam: np.ndarray) -> np.ndarray:
+        """log f from the cached nodes: per lam, a max-shifted log-sum-exp of log(W A) - s A.
+
+        Each lam sums the ``width`` nodes of its set that start at its band's
+        first node (see ``_zolotarev_nodes``): one exponential per node, and a
+        value that does not depend on the other lam it is evaluated with.
+        """
         b = self.beta
         log_s = -self.c * np.log(lam)
         s = np.exp(log_s)
-        x, w = _leggauss(64)
-        # Panel layout (5 x 64 Gauss-Legendre nodes per lambda):
-        #   P1: u in [0, u0], linear -- the u = 0 layer of width ~(a0*beta*s)^-1/2.
-        #   B1-B3: eps = pi - u on a geometric bridge, integrated in v = log(eps)
-        #     where A ~ (sin(pi*b)/eps)^(1/(1-b)) makes the integrand a smooth
-        #     exponential in v.
-        #   P5: the A(u)*s ~ beta maximum near u = pi, covering A*s in
-        #     [1e-3, 60]; below 1e-27 relative nothing survives.
-        u0 = np.minimum(1.0, 8.0 / np.sqrt(1.0 + self.a0 * b * s))
-        log_S = math.log(math.sin(math.pi * b))
-        eps_bridge_hi = math.pi - u0
-        eps_peak_hi = np.minimum(
-            np.exp(log_S + (1.0 - b) * (log_s - math.log(1e-3))), eps_bridge_hi
-        )
-        eps_peak_lo = np.minimum(
-            np.exp(log_S + (1.0 - b) * (log_s - math.log(60.0))), eps_peak_hi
-        )
-        v_edges = [
-            np.log(eps_peak_lo),
-            np.log(eps_peak_hi),
-        ]
-        # bridge [eps_peak_hi, eps_bridge_hi] in three geometric sub-panels
-        v_lo, v_hi = np.log(eps_peak_hi), np.log(eps_bridge_hi)
-        for k in (1, 2, 3):
-            v_edges.append(v_lo + (v_hi - v_lo) * k / 3.0)
-
-        half1 = 0.5 * u0[:, None]
-        nodes = [half1 * (x[None, :] + 1.0)]
-        logw = [np.log(half1 * w[None, :])]
-        for lo_edge, hi_edge in zip(v_edges[:-1], v_edges[1:]):
-            span = np.maximum(0.5 * (hi_edge - lo_edge)[:, None], 1e-300)
-            v_nodes = lo_edge[:, None] + span * (x[None, :] + 1.0)
-            nodes.append(math.pi - np.exp(v_nodes))
-            logw.append(np.log(span * w[None, :]) + v_nodes)
-        nodes = np.concatenate(nodes, axis=1)
-        logw = np.concatenate(logw, axis=1)
-
-        log_a = self._zolotarev_log_a(np.clip(nodes, 1e-300, math.pi * (1 - 1e-16)))
-        a_times_s = np.exp(np.minimum(log_a + log_s[:, None], 700.0))
-        log_terms = logw + log_a - a_times_s
-        peak = log_terms.max(axis=1)
-        log_integral = peak + np.log(np.exp(log_terms - peak[:, None]).sum(axis=1))
-        return (
-            math.log(b / (1.0 - b))
-            - math.log(math.pi)
-            - np.log(lam) / (1.0 - b)
-            + log_integral
-        )
+        log_integral = np.empty_like(lam)
+        layer = self.a0 * s >= _LAYER_A0S
+        for rows, (windows_wa, windows_a, key, first_of) in zip((layer, ~layer), self._zolotarev_nodes):
+            rows = np.flatnonzero(rows)
+            step = max(1, _CHUNK_ELEMENTS // windows_wa.shape[1])
+            for lo in range(0, rows.size, step):
+                chunk = rows[lo : lo + step]
+                first = first_of[np.minimum(np.searchsorted(key, -log_s[chunk]), key.size - 1)]
+                if key[-1] < _LOG_HUGE:
+                    terms = windows_wa[first] - s[chunk, None] * windows_a[first]
+                else:
+                    terms = windows_wa[first] - np.exp(log_s[chunk, None] + windows_a[first])
+                peak = terms.max(axis=1)
+                terms -= peak[:, None]
+                np.exp(terms, out=terms)
+                log_integral[chunk] = peak + np.log(terms.sum(axis=1))
+        return math.log(b / (1.0 - b)) - math.log(math.pi) - np.log(lam) / (1.0 - b) + log_integral
 
     def _log_pdf_left_tail(self, lam: np.ndarray) -> np.ndarray:
         b, c, a0 = self.beta, self.c, self.a0
@@ -167,7 +293,7 @@ class StableSubordinator:
             out[:] = self._log_pdf_levy(lam_arr)
         else:
             log_a0s = math.log(self.a0) - self.c * np.log(lam_arr)
-            left = log_a0s > math.log(_LEFT_SWITCH)
+            left = log_a0s > self._left_switch
             series = ~left & (lam_arr >= _SERIES_SWITCH)
             mid = ~left & ~series
             if np.any(left):

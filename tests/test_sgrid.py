@@ -5,7 +5,8 @@ in a variable t that its map sends to s.  Its weights must reproduce the
 closed-form negative moments of the stable subordinator, and its ``log_sums``
 must match the same map on a t-lattice 4x finer, on a window that reaches
 400 nats below the integrand's peak.  The map may not cost nodes, must cut
-them where c = beta/(1 - beta) is large, and is the identity for c < 2.  The
+them where c = beta/(1 - beta) is large, and is the identity for c < 2; next
+to alpha = 2 the grids converge without a warning.  The
 pairs are the seven ``sweep`` strata and three ``verdicts`` pairs of the
 benchmark, the curve's small-alpha pair (4, 0.3), the smallest alpha
 (3, 0.05) and the high dimension (80, 1.5).
@@ -17,7 +18,8 @@ import numpy as np
 import pytest
 
 from kscrit.errors import NumericsError
-from kscrit.kernels import _RHO_SUPPORT, SubordinatedKernel, _cliff_map
+import kscrit.kernels as kernels
+from kscrit.kernels import _RHO_SUPPORT, SubordinatedKernel, _UniformMap, build_kernel_table, radial_kernel
 
 PAIRS = [
     (4, 0.0997), (9, 0.4175), (3, 0.7175), (10, 1.0175), (5, 1.2675), (6, 1.7675), (8, 1.9075),
@@ -45,7 +47,7 @@ def _log_sum(x):
 
 def _t_lattice(kernel):
     """The kernel's grid as its map sees it: the uniform t-lattice and the map s = g(t)."""
-    grid_map = _cliff_map(kernel.subordinator, kernel.d)
+    grid_map = kernel._grid_map
     t_lo, t_hi = grid_map.t_range(kernel._s[0], kernel._s[-1])
     return np.linspace(t_lo, t_hi, kernel._s.size), grid_map
 
@@ -168,6 +170,26 @@ _UNIFORM_NODES = {
 
 def test_no_grid_gains_nodes_over_the_uniform_one(kernel):
     assert kernel._s.size <= _UNIFORM_NODES[(kernel.d, kernel.alpha)]
+
+
+@pytest.mark.parametrize("alpha", [round(1.30 + 0.04 * k, 2) for k in range(6)])
+@pytest.mark.parametrize("d", [20, 40, 60, 80])
+def test_no_large_d_grid_gains_nodes_over_the_uniform_one(d, alpha, monkeypatch):
+    # near alpha = 4/3 the cliff map can save one halving or none; where it saves
+    # none (d = 60 and 80 there) its grid would have more nodes than the uniform one
+    mapped = SubordinatedKernel(d, alpha)._s.size
+    monkeypatch.setattr(kernels, "_grid_maps", lambda sub, d: [_UniformMap()])
+    assert mapped <= SubordinatedKernel(d, alpha)._s.size
+
+
+@pytest.mark.parametrize("d, alpha", [(5, 1.99), (5, 1.995), (8, 1.999)])
+def test_kernels_next_to_alpha_2_converge_without_a_warning(d, alpha):
+    # the density is smooth across lam = 2, so the halving converges geometrically
+    # here too; the normalizations hold to rounding
+    table = build_kernel_table(d, alpha)
+    assert radial_kernel(d, alpha).warnings == ()
+    assert radial_kernel(d, alpha)._s.size <= 5000
+    assert abs(table.residuals["norm_R"]) <= 1e-12 and abs(table.residuals["norm_Rp"]) <= 1e-12
 
 
 @pytest.mark.parametrize("alpha", [1.5, 1.77, 1.9, 1.95])

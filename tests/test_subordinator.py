@@ -1,11 +1,14 @@
+import json
 import math
+import pathlib
+from functools import cached_property
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from kscrit.errors import ValidationError
-from kscrit.subordinator import StableSubordinator
+from kscrit.subordinator import _LAYER_A0S, _LOG_HUGE, StableSubordinator
 
 BETAS = (0.25, 0.5, 0.75, 0.9)
 
@@ -92,3 +95,90 @@ def test_rejects_bad_index_and_support():
         StableSubordinator(0.0)
     with pytest.raises(ValidationError):
         StableSubordinator(0.5).pdf(-1.0)
+
+
+_ORACLE = json.loads((pathlib.Path(__file__).with_name("density_oracle.json")).read_text())["rows"]
+_LOG_TINY = math.log(np.finfo(float).tiny)
+
+
+@pytest.mark.parametrize("beta", sorted({row["beta"] for row in _ORACLE}))
+def test_log_pdf_matches_the_frozen_oracle(beta):
+    # 30-digit mpmath values (tests/density_oracle.py) across every branch and
+    # both sides of each switch; f is a normal float at every frozen point
+    rows = [row for row in _ORACLE if row["beta"] == beta]
+    lam = np.array([row["lam"] for row in rows])
+    expected = np.array([float(row["log_f"]) for row in rows])
+    assert np.all(expected > _LOG_TINY)
+    got = StableSubordinator(beta).log_pdf(lam)
+    np.testing.assert_array_less(np.abs(got - expected), 1e-13 * np.maximum(1.0, np.abs(expected)))
+
+
+def _counting(monkeypatch, name, calls):
+    original = getattr(StableSubordinator, name)
+
+    def counted(self, *args):
+        calls[name] = calls.get(name, 0) + 1
+        return original(self, *args)
+
+    monkeypatch.setattr(StableSubordinator, name, counted)
+
+
+def test_zolotarev_nodes_are_built_once_per_subordinator(monkeypatch):
+    calls = {}
+    for name in ("_zolotarev_log_a", "_zolotarev_log_a_near_pi"):
+        _counting(monkeypatch, name, calls)
+    builder = StableSubordinator.__dict__["_zolotarev_nodes"]
+    builds = []
+
+    def build(self):
+        builds.append(self)
+        return builder.func(self)
+
+    prop = cached_property(build)
+    prop.__set_name__(StableSubordinator, "_zolotarev_nodes")
+    monkeypatch.setattr(StableSubordinator, "_zolotarev_nodes", prop)
+
+    sub = StableSubordinator(0.7)
+    assert "_zolotarev_nodes" not in vars(sub)
+    sub.log_pdf(np.geomspace(1e-2, 1.9, 50))
+    after_first = dict(calls)
+    assert len(builds) == 1 and after_first
+    # a second call evaluates no sine of its own
+    sub.log_pdf(np.geomspace(3e-2, 1.7, 70))
+    assert len(builds) == 1 and calls == after_first
+
+
+def _full_sum(sub, lam):
+    """The Zolotarev integral over every node of the set each lam uses, unbanded."""
+    log_s = -sub.c * np.log(lam)
+    out = np.empty_like(lam)
+    layer = sub.a0 * np.exp(log_s) >= _LAYER_A0S
+    for rows, (windows_wa, windows_a, key, first) in zip((layer, ~layer), sub._zolotarev_nodes):
+        # window j starts at node j, so the windows' first column holds every node
+        log_wa, a = windows_wa[: key.size, 0], windows_a[: key.size, 0]
+        log_a = np.log(a) if key[-1] < _LOG_HUGE else a
+        terms = log_wa - np.exp(log_s[rows, None] + log_a)
+        top = terms.max(axis=1)
+        out[rows] = top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
+    return math.log(sub.beta / (1.0 - sub.beta)) - math.log(math.pi) - np.log(lam) / (1.0 - sub.beta) + out
+
+
+@pytest.mark.parametrize("beta", [0.05, 0.5086, 0.954, 0.99, 0.9975])
+def test_each_lam_sums_at_most_320_nodes_and_drops_nothing(beta):
+    # 320 is what every lam summed on the earlier five fixed 64-node panels
+    sub = StableSubordinator(beta)
+    assert max(windows_wa.shape[1] for windows_wa, *_ in sub._zolotarev_nodes) <= 320
+    lam_left = math.exp(-(sub._left_switch - math.log(sub.a0)) / sub.c)
+    lam = np.geomspace(lam_left, 2.0, 400, endpoint=False)
+    banded = sub._log_pdf_zolotarev(lam)
+    np.testing.assert_allclose(banded, _full_sum(sub, lam), rtol=1e-14, atol=1e-14)
+
+
+def test_log_pdf_does_not_depend_on_its_companions():
+    # each lam sums a fixed number of nodes from its own band, so a value is the
+    # same bit for bit whichever other lam share the call
+    sub = StableSubordinator(0.9)
+    lam = np.geomspace(0.05, 50.0, 301)
+    whole = sub.log_pdf(lam)
+    assert np.array_equal(whole[::3], sub.log_pdf(lam[::3]))
+    assert np.array_equal(whole[7:9], sub.log_pdf(lam[7:9]))
