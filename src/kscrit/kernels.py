@@ -89,9 +89,12 @@ _HALVING_TOL = 3e-7
 _STALL_STEP = 1e-4
 #: a grid that would need more nodes than this is a NumericsError
 _MAX_NODES = 1 << 18
-#: c = beta/(1 - beta) from which the cliff map saved a halving over the uniform grid at
-#: every d from 2 to 80 measured (it saved none at d = 60, c = 2.6)
+#: c = beta/(1 - beta) from which the cliff map saved nodes over the uniform grid at every
+#: d measured (2 to 80, 100, 140 and 200)
 _SURE_CLIFF_C = 3.0
+#: below _SURE_CLIFF_C, the largest d at which the cliff map saved nodes at every alpha
+#: measured; past it, it cost nodes at about one alpha in two
+_NEAR_CLIFF_MAX_D = 50
 #: c from which (alpha >= 1.93) the cliff map's fine spacing reaches lam = _SERIES_SWITCH
 _WIDE_CLIFF_C = 27.5
 
@@ -116,7 +119,7 @@ class SubordinatedKernel:
     Construction evaluates log f_beta once per node of an s = log(lam)
     trapezoid grid sized by its error (``_build_grid``): the window comes from
     probing the rho = 0 integrand, the node map from f_beta's cliff
-    (``_grid_maps``), the spacing from nested halving.  At
+    (``_cliff_map``), the spacing from nested halving.  At
     alpha = 2 (beta = 1) the subordinator is the point mass at lam = 1, so the
     grid is the single node s = 0 with weight 1 and the kernel is
     Gauss-Weierstrass.
@@ -194,12 +197,11 @@ class SubordinatedKernel:
         170/(beta + d/2) past 2 log(_RHO_SUPPORT); a left end that would need
         lam below the smallest normal float is a NumericsError.  The grid starts
         one probe step left of the first live point and ends with the probe.  The
-        nodes are uniform in t and mapped to s = g(t) by a map of ``_grid_maps``,
-        which puts them 1/c times closer at the left cliff of f_beta than
-        elsewhere (or is the identity, for c < 2; where it offers both, the
-        grid with fewer nodes is kept); each weight is the t-trapezoid weight
-        times g'(t).  The t-spacing starts at most 1 and is halved until
-        ``log_sums`` at ``_HALVING_RHO`` moves by at most ``_HALVING_TOL`` times
+        nodes are uniform in t and mapped to s = g(t) by ``_cliff_map``, which
+        puts them 1/c times closer at the left cliff of f_beta than elsewhere
+        (or is the identity); each weight is the t-trapezoid weight times
+        g'(t).  The t-spacing starts at most 1 and is halved until ``log_sums``
+        at ``_HALVING_RHO`` moves by at most ``_HALVING_TOL`` times
         max(1, |log_sums|); each level adds only the midpoints in t, so log f is
         evaluated once per node of the final grid.  A halving that stalls (see
         ``_STALL_STEP``) keeps its level and adds a warning; a grid that needs
@@ -233,18 +235,8 @@ class SubordinatedKernel:
         else:
             raise NumericsError("could not window the subordination integral")
         lo = probe[np.argmax(live) - 1]
-        grids = [self._halved_grid(grid_map, lo, hi) for grid_map in _grid_maps(sub, d)]
-        self._grid_map, s, log_wf, warnings = min(grids, key=lambda grid: grid[1].size)
-        self._set_grid(s, log_wf)
-        self.warnings += warnings
 
-    def _halved_grid(self, grid_map, lo: float, hi: float) -> tuple:
-        """(grid_map, s, log(weight f), warnings) of the grid ``grid_map`` maps onto [lo, hi].
-
-        The t-spacing starts at most 1 and is halved until ``log_sums`` at
-        ``_HALVING_RHO`` settles; see ``_build_grid``.  Leaves the grid set.
-        """
-        sub = self.subordinator
+        grid_map = _cliff_map(sub, d)
         t_lo, t_hi = grid_map.t_range(lo, hi)
         t = np.linspace(t_lo, t_hi, math.ceil(t_hi - t_lo) + 1)
         s, log_slope = grid_map(t)
@@ -256,22 +248,22 @@ class SubordinatedKernel:
             s_mid, slope_mid = grid_map(mid)
             t, s, log_slope = _interleave(t, mid), _interleave(s, s_mid), _interleave(log_slope, slope_mid)
             log_f = _interleave(log_f, sub.log_pdf(np.exp(s_mid)))
-            log_wf = _trapezoid_log_weights(t) + log_slope + log_f
-            self._set_grid(s, log_wf)
+            self._set_grid(s, _trapezoid_log_weights(t) + log_slope + log_f)
             fine = self.log_sums(_HALVING_RHO)
             step = float(np.max(np.abs(fine - coarse) / np.maximum(1.0, np.abs(fine))))
             if step <= _HALVING_TOL:
-                return grid_map, s, log_wf, ()
+                return
             if step <= _STALL_STEP and step > 0.25 * last_step:
-                return grid_map, s, log_wf, (
+                self.warnings += (
                     f"the s-grid stopped at {s.size} nodes with log_sums still moving by "
                     f"{step:.1e} per halving: the subordinator density is not smooth "
                     f"enough at beta={self.beta}",
                 )
+                return
             coarse, last_step = fine, step
         raise NumericsError(
             f"the subordination grid did not converge within {_MAX_NODES} nodes "
-            f"(d={self.d}, alpha={self.alpha})"
+            f"(d={d}, alpha={self.alpha})"
         )
 
     def _set_grid(self, s: np.ndarray, log_wf: np.ndarray) -> None:
@@ -455,8 +447,8 @@ class _CliffMap(_UniformMap):
         return float(t[0]), float(t[1])
 
 
-def _grid_maps(sub: StableSubordinator, d: int) -> list[_UniformMap]:
-    """The maps s = g(t) worth trying for the s-grid of f_beta at dimension d.
+def _cliff_map(sub: StableSubordinator, d: int) -> _UniformMap:
+    """The map s = g(t) of the s-grid of f_beta at dimension d.
 
     In the left-tail form log f ~ -a0 e^(-c s) - (1 + c/2) s, order k of the
     rho = 0 integrand peaks where a0 c e^(-c s) = (c + d)/2 + k and falls
@@ -473,18 +465,19 @@ def _grid_maps(sub: StableSubordinator, d: int) -> list[_UniformMap]:
     costs a third more nodes at alpha = 1.94 and 1.95, and pays from 1.96).
     With c < 2 the fine spacing would be more than half the coarse one and
     could not save a halving, so the grid stays uniform in s, node for node.
-    Below c = ``_SURE_CLIFF_C`` the cliff map saves one halving or none, and
-    where it saves none (d = 60 and 80 near alpha = 4/3) its grid has more
-    nodes than the uniform one: both are built there and the smaller kept.
+    Below c = ``_SURE_CLIFF_C`` the map saves one halving or none: at
+    d <= ``_NEAR_CLIFF_MAX_D`` it saved one at every alpha measured, but past
+    that it saved none at about one alpha in two, and its wider t-range then
+    cost up to 16% more nodes than the uniform grid, so there the grid stays
+    uniform.
     """
     c = sub.c
-    if c < 2.0:
-        return [_UniformMap()]
+    if c < 2.0 or (c < _SURE_CLIFF_C and d > _NEAR_CLIFF_MAX_D):
+        return _UniformMap()
     centre = math.log(2.0 * sub.a0 * c / (c + d)) / c + 3.0 / c + 0.5
     if c >= _WIDE_CLIFF_C:
         centre = max(centre, math.log(_SERIES_SWITCH))
-    cliff = _CliffMap(1.0 / c, centre)
-    return [cliff] if c >= _SURE_CLIFF_C else [cliff, _UniformMap()]
+    return _CliffMap(1.0 / c, centre)
 
 
 def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:

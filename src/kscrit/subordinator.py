@@ -56,6 +56,8 @@ _BAND_DROP = 32.0
 _BAND_SA = 38.0
 #: a0 s from which the u = 0 layer is narrow enough to need the layer set's panels
 _LAYER_A0S = 4.0
+#: the Zolotarev nodes serve lam < _SERIES_SWITCH, and reach lam a little past it
+_TOP_LAM = 1.005 * _SERIES_SWITCH
 #: entries of one block of the Zolotarev sum: it sets how many lam share one block
 _CHUNK_ELEMENTS = 65_536
 
@@ -167,11 +169,12 @@ class StableSubordinator:
         whose s A first reaches 1 at node k (k = 0 where a0 s >= 1) sums the
         window that starts at first[k].
 
-        Both sets end with the same panels on [pi/2, pi): 20-point Gauss-Legendre
-        in v = log(pi - u), from u = pi/2 to where log A passes
-        c log(2 _SERIES_SWITCH) + log(_BAND_SA), the largest log A that any
-        lam < 2 _SERIES_SWITCH needs; a panel spans a rise of ``_PANEL_LOG_A`` in
-        log A and at most ``_PANEL_V`` in v.  On [0, pi/2] the layer set, for
+        On [pi/2, pi) both sets have 20-point Gauss-Legendre panels in
+        v = log(pi - u), from u = pi/2 to where log A passes
+        c log(_TOP_LAM) + log(_LAYER_A0S + _BAND_SA), the largest log A that any
+        lam < ``_TOP_LAM`` needs; a panel spans a rise of ``_PANEL_LOG_A`` in log A
+        and at most ``_PANEL_V`` in v.  Past the first rise the panels are the
+        same in both sets, and are built once.  On [0, pi/2] the layer set, for
         a0 s >= ``_LAYER_A0S``, halves its panels towards u = 0 down to the width
         1/sqrt(beta a0 s) of the u = 0 layer at the left switch, and every lam
         sums from node 0.  The interior set, for a0 s < ``_LAYER_A0S``, has two
@@ -185,7 +188,7 @@ class StableSubordinator:
         x, w = _leggauss(_PANEL_NODES)
         half = 0.5 * math.pi
         log_a_half = float(self._zolotarev_log_a(np.array([half]))[0])
-        log_a_top = c * math.log(2.0 * _SERIES_SWITCH) + math.log(_BAND_SA)
+        log_a_top = c * math.log(_TOP_LAM) + math.log(_LAYER_A0S + _BAND_SA)
         # v at which log A reaches each value, interpolated in a table from v = log(pi/2)
         # down past log_a_top: near eps = 0, (1 - b) log A -> log sin(b pi) - log eps
         v_low = math.log(math.sin(b * math.pi)) - (1.0 - b) * (log_a_top + 1.0)
@@ -195,20 +198,33 @@ class StableSubordinator:
         table_log_a = self._zolotarev_log_a_near_pi(np.exp(table))
         steps = log_a_half + _PANEL_LOG_A * np.arange(1, math.ceil((log_a_top - log_a_half) / _PANEL_LOG_A) + 1)
 
-        def node_set(u_edges: list[float], log_a_edges: np.ndarray, banded: bool) -> tuple:
-            v_edges = np.concatenate([[table[0]], np.interp(log_a_edges, table_log_a, table)])
-            # each panel cut into equal pieces at most _PANEL_V wide
+        def u_panels(u_edges: list[float]) -> tuple[np.ndarray, np.ndarray]:
+            """(log A, log(W A)) on the panels in u between u_edges."""
+            hu = 0.5 * np.diff(u_edges)[:, None]
+            u = (np.array(u_edges[:-1])[:, None] + hu * (x + 1.0)).ravel()
+            log_a = self._zolotarev_log_a(u)
+            return log_a, np.log(hu * w).ravel() + log_a
+
+        def v_panels(log_a_edges: np.ndarray, v_start: float) -> tuple[np.ndarray, np.ndarray]:
+            """(log A, log(W A)) on the panels in v from v_start through where log A passes
+            each of log_a_edges, each cut into equal pieces at most _PANEL_V wide."""
+            v_edges = np.concatenate([[v_start], np.interp(log_a_edges, table_log_a, table)])
             widths = v_edges[:-1] - v_edges[1:]
             pieces = np.ceil(widths / _PANEL_V).astype(int)
             panel = np.repeat(np.arange(widths.size), pieces)
             part = np.arange(panel.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)
             v_edges = np.append(v_edges[panel] - part / pieces[panel] * widths[panel], v_edges[-1])
-            hu = 0.5 * np.diff(u_edges)[:, None]
             hv = 0.5 * (v_edges[:-1] - v_edges[1:])[:, None]
-            u = (np.array(u_edges[:-1])[:, None] + hu * (x + 1.0)).ravel()
             v = (v_edges[:-1, None] - hv * (x + 1.0)).ravel()
-            log_a = np.concatenate([self._zolotarev_log_a(u), self._zolotarev_log_a_near_pi(np.exp(v))])
-            log_wa = np.concatenate([np.log(hu * w).ravel(), np.log(hv * w).ravel() + v]) + log_a
+            log_a = self._zolotarev_log_a_near_pi(np.exp(v))
+            return log_a, np.log(hv * w).ravel() + v + log_a
+
+        # the panels past log A = steps[0], common to both sets, are built once
+        v_first = float(np.interp(steps[0], table_log_a, table))
+        tail = v_panels(steps[1:], v_first)
+
+        def node_set(parts: list[tuple[np.ndarray, np.ndarray]], banded: bool) -> tuple:
+            log_a, log_wa = (np.concatenate(column) for column in zip(*parts))
             key = np.maximum.accumulate(log_a)
             if banded:
                 below = np.concatenate([[-np.inf], np.logaddexp.accumulate(log_wa)[:-1]])
@@ -239,9 +255,9 @@ class StableSubordinator:
         while edge < steps[0]:
             layer_edges.append(edge)
             edge = log_a0 + 4.0 * (edge - log_a0)
-        layer = node_set([0.0] + u_edges, np.concatenate([layer_edges, steps]), banded=False)
-        interior = node_set([0.0, 0.5 * half, half], steps, banded=True)
-        return layer, interior
+        layer_head = [u_panels([0.0] + u_edges), v_panels(np.append(layer_edges, steps[0]), table[0])]
+        interior_head = [u_panels([0.0, 0.5 * half, half]), v_panels(steps[:1], table[0])]
+        return node_set(layer_head + [tail], banded=False), node_set(interior_head + [tail], banded=True)
 
     def _log_pdf_zolotarev(self, lam: np.ndarray) -> np.ndarray:
         """log f from the cached nodes: per lam, a max-shifted log-sum-exp of log(W A) - s A.

@@ -19,7 +19,9 @@ import pytest
 
 from kscrit.errors import NumericsError
 import kscrit.kernels as kernels
-from kscrit.kernels import _RHO_SUPPORT, SubordinatedKernel, _UniformMap, build_kernel_table, radial_kernel
+from kscrit.kernels import (
+    _RHO_SUPPORT, SubordinatedKernel, _cliff_map, _UniformMap, build_kernel_table, radial_kernel,
+)
 
 PAIRS = [
     (4, 0.0997), (9, 0.4175), (3, 0.7175), (10, 1.0175), (5, 1.2675), (6, 1.7675), (8, 1.9075),
@@ -47,7 +49,7 @@ def _log_sum(x):
 
 def _t_lattice(kernel):
     """The kernel's grid as its map sees it: the uniform t-lattice and the map s = g(t)."""
-    grid_map = kernel._grid_map
+    grid_map = _cliff_map(kernel.subordinator, kernel.d)
     t_lo, t_hi = grid_map.t_range(kernel._s[0], kernel._s[-1])
     return np.linspace(t_lo, t_hi, kernel._s.size), grid_map
 
@@ -178,7 +180,7 @@ def test_no_large_d_grid_gains_nodes_over_the_uniform_one(d, alpha, monkeypatch)
     # near alpha = 4/3 the cliff map can save one halving or none; where it saves
     # none (d = 60 and 80 there) its grid would have more nodes than the uniform one
     mapped = SubordinatedKernel(d, alpha)._s.size
-    monkeypatch.setattr(kernels, "_grid_maps", lambda sub, d: [_UniformMap()])
+    monkeypatch.setattr(kernels, "_cliff_map", lambda sub, d: _UniformMap())
     assert mapped <= SubordinatedKernel(d, alpha)._s.size
 
 

@@ -148,6 +148,24 @@ def test_zolotarev_nodes_are_built_once_per_subordinator(monkeypatch):
     assert len(builds) == 1 and calls == after_first
 
 
+
+def test_zolotarev_panels_shared_by_both_node_sets_are_built_once(monkeypatch):
+    # past the first rise of log A near u = pi the layer set and the interior set
+    # have the same panels, so log A is taken there once for both
+    points = []
+    original = StableSubordinator._zolotarev_log_a_near_pi
+
+    def counted(self, eps):
+        points.append(np.size(eps))
+        return original(self, eps)
+
+    monkeypatch.setattr(StableSubordinator, "_zolotarev_log_a_near_pi", counted)
+    layer, interior = StableSubordinator(0.9975)._zolotarev_nodes
+    sizes = [key.size for _, _, key, _ in (layer, interior)]
+    # beyond the larger set's nodes: the 513-point v table and single probes
+    assert sum(n for n in points if n > 1) <= max(sizes) + 513
+
+
 def _full_sum(sub, lam):
     """The Zolotarev integral over every node of the set each lam uses, unbanded."""
     log_s = -sub.c * np.log(lam)
