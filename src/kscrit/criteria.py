@@ -39,10 +39,11 @@ import numpy as np
 from .errors import IntegrabilityError, NumericsError, ValidationError
 from .kernels import (
     RHO_CUT,
+    _cut_trapezoid_weights,
+    _tail_coefficients,
     log_quad,
     log_window,
     radial_kernel,
-    tail_coefficient,
     tail_moment,
 )
 from .radial import (
@@ -114,9 +115,19 @@ def blowup_constant_fractional(d: int, alpha: float) -> tuple[float, float]:
     scale = 2.0 * sphere_area(d)
     c = scale * math.exp(log_body)
     if alpha < 2.0:
-        # tail: integrand -> c_Rp rho^(-1-alpha)/(2d+alpha) with c_Rp = (d+alpha) c1
-        c_rp = (d + alpha) * tail_coefficient(d, alpha, 1)
-        c += scale * c_rp * RHO_CUT**-alpha / ((2.0 * d + alpha) * alpha)
+        # past the cut, with a_k = (d + alpha k) c_k the tail series of |R'| and
+        # z = rho^(-alpha), the integrand is rho^(-1-alpha) A(z)^2/B(z), where
+        # A = sum_k a_k z^(k-1) and B = sum_k a_k (2d + alpha k) z^(k-1): the tail is
+        # (1/alpha) int_0^{z_c} A^2/B dz, analytic, which 10-point Gauss-Legendre takes
+        # to about 13 digits
+        coeffs = _tail_coefficients(d, alpha)
+        k = np.arange(1, coeffs.size + 1)
+        a = (d + alpha * k) * coeffs
+        z_c = RHO_CUT**-alpha
+        nodes, weights = np.polynomial.legendre.leggauss(10)
+        powers = (0.5 * z_c * (1.0 + nodes))[:, None] ** (k - 1)
+        A, B = powers @ a, powers @ (a * (2.0 * d + alpha * k))
+        c += scale * 0.5 * z_c * float(weights @ (A * A / B)) / alpha
     return c, scale * float(err)
 
 
@@ -170,9 +181,9 @@ def shell_semigroup_peak(d: int, alpha: float = 2.0) -> tuple[float, float]:
         )
         return math.exp(log_l), 1.0 / (2.0 * (d - 2))
     kernel = radial_kernel(d, alpha)
-    x_lo, x_hi, _ = log_window(lambda x: (d - alpha) * x + kernel.log_R(np.exp(x)))
+    x, _ = log_window(lambda x: (d - alpha) * x + kernel.log_R(np.exp(x)))
     grid, logvals, rho_star, log_l = scan_max(
-        lambda rho: (d - alpha) * np.log(rho) + kernel.log_R(rho), math.exp(x_lo), math.exp(x_hi)
+        lambda rho: (d - alpha) * np.log(rho) + kernel.log_R(rho), math.exp(x[0]), math.exp(x[-1])
     )
     if int(np.argmax(logvals)) in (0, grid.size - 1):
         raise NumericsError("shell peak maximizer at scan boundary; extend the rho range")
@@ -274,9 +285,10 @@ class _CurveEvaluator:
     point of ``scan_max``, is a one-row lattice of its own.  For
     alpha < 2 the mass past the last node RHO_CUT is continued as
     M(s RHO_CUT) (rho/RHO_CUT)^p with p the datum's tail exponent, which
-    ``tail_moment`` integrates against |R'|, and the trapezoid sum gets the
-    Euler-Maclaurin end term of that power law; both ride on the last weight.
-    Point masses are split off and added in closed form.
+    ``tail_moment`` integrates against |R'| and adds to the last weight.  Like
+    every trapezoid sum in log(rho), the sum ends in Gregory's weights for
+    that cut (``_cut_trapezoid_weights``).  Point masses are split off and
+    added in closed form.
     """
 
     def __init__(self, mass: MassProfile, alpha: float):
@@ -288,12 +300,10 @@ class _CurveEvaluator:
         self.x0 = math.log(rho[0])
         #: rho-part of the lattice, e^(x0 + h m), grown to the longest lattice asked for
         self._lattice = np.exp(self.x0 + self.h * np.arange(rho.size))
-        self.weights = self.h * weight
-        self.weights[[0, -1]] *= 0.5
+        self.weights = _cut_trapezoid_weights(rho.size, self.h) * weight
         if alpha < 2.0:
             p = max(mass.tail_exponent, 0.0)
-            tail = RHO_CUT**-p * tail_moment(self.d, alpha, p + 1.0, True)
-            self.weights[-1] += tail - self.h**2 / 12.0 * (p - self.d - alpha) * weight[-1]
+            self.weights[-1] += RHO_CUT**-p * tail_moment(self.d, alpha, p + 1.0, True)
         self.atoms = mass.atoms
 
     def values(self, T: np.ndarray) -> np.ndarray:

@@ -70,7 +70,8 @@ _CHUNK_ELEMENTS = 65_536
 _LIVE_DROP = 60.0
 #: s-nodes per tile of log_sums, aligned to the whole grid
 _TILE = 64
-_TAIL_TERMS = 12
+#: a guard only: the tail series stops after two negligible terms
+_TAIL_TERMS = 64
 _WARN_DIMENSION = 60
 #: rho up to which the s-grid resolves the kernel
 _RHO_SUPPORT = 4.0e3
@@ -84,9 +85,6 @@ _LOG_TINY = math.log(np.finfo(float).tiny)
 #: at most 1.3 times the square on the benchmark's pairs).
 _HALVING_RHO = np.concatenate([[0.0], np.geomspace(1e-3, _RHO_SUPPORT, 24)])
 _HALVING_TOL = 3e-7
-#: a halving that shrinks a step below this by less than 4x cannot be the geometric
-#: rate: the integrand is not smooth, and halving further only costs nodes
-_STALL_STEP = 1e-4
 #: a grid that would need more nodes than this is a NumericsError
 _MAX_NODES = 1 << 18
 #: c = beta/(1 - beta) from which the cliff map saved nodes over the uniform grid at every
@@ -140,8 +138,7 @@ class SubordinatedKernel:
             raise NumericsError(
                 f"R(0) = exp({self.log_R0:.6g}) overflows a float at d={d}, alpha={alpha}"
             ) from None
-        #: accuracy caveats, reported by every result built on this kernel; both
-        #: concern the s-grid, which alpha = 2 does not have
+        #: accuracy caveats, reported by every result built on this kernel
         self.warnings: tuple[str, ...] = ()
         if alpha == 2.0:
             # beta = 1: the point mass at lam = 1, one node of weight 1
@@ -174,7 +171,8 @@ class SubordinatedKernel:
         this kernel.
         """
         powers = np.array([[2.0], [self.d + 2.0]])
-        x_lo, x_hi, _ = log_window(lambda x: self.log_abs_Rp(np.exp(x)) + powers * x)
+        probe, _ = log_window(lambda x: self.log_abs_Rp(np.exp(x)) + powers * x)
+        x_lo, x_hi = probe[0], probe[-1]
         if self.alpha < 2.0:
             x_hi = math.log(RHO_CUT)
         h = math.log(10.0) / (_SCAN_PER_DECADE * self.alpha * math.ceil(2.0 / self.alpha))
@@ -203,9 +201,8 @@ class SubordinatedKernel:
         g'(t).  The t-spacing starts at most 1 and is halved until ``log_sums``
         at ``_HALVING_RHO`` moves by at most ``_HALVING_TOL`` times
         max(1, |log_sums|); each level adds only the midpoints in t, so log f is
-        evaluated once per node of the final grid.  A halving that stalls (see
-        ``_STALL_STEP``) keeps its level and adds a warning; a grid that needs
-        more than ``_MAX_NODES`` nodes is a NumericsError.
+        evaluated once per node of the final grid.  A grid that needs more than
+        ``_MAX_NODES`` nodes is a NumericsError.
         """
         sub, d = self.subordinator, self.d
         # start guess: beyond the peak of f(lam) lam^(-d/2), located where
@@ -242,7 +239,7 @@ class SubordinatedKernel:
         s, log_slope = grid_map(t)
         log_f = sub.log_pdf(np.exp(s))
         self._set_grid(s, _trapezoid_log_weights(t) + log_slope + log_f)
-        coarse, last_step = self.log_sums(_HALVING_RHO), math.inf
+        coarse = self.log_sums(_HALVING_RHO)
         while 2 * s.size - 1 <= _MAX_NODES:
             mid = 0.5 * (t[:-1] + t[1:])
             s_mid, slope_mid = grid_map(mid)
@@ -253,14 +250,7 @@ class SubordinatedKernel:
             step = float(np.max(np.abs(fine - coarse) / np.maximum(1.0, np.abs(fine))))
             if step <= _HALVING_TOL:
                 return
-            if step <= _STALL_STEP and step > 0.25 * last_step:
-                self.warnings += (
-                    f"the s-grid stopped at {s.size} nodes with log_sums still moving by "
-                    f"{step:.1e} per halving: the subordinator density is not smooth "
-                    f"enough at beta={self.beta}",
-                )
-                return
-            coarse, last_step = fine, step
+            coarse = fine
         raise NumericsError(
             f"the subordination grid did not converge within {_MAX_NODES} nodes "
             f"(d={d}, alpha={self.alpha})"
@@ -481,8 +471,8 @@ def _cliff_map(sub: StableSubordinator, d: int) -> _UniformMap:
 
 
 def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
-    out = np.empty(even.size + odd.size)
-    out[::2], out[1::2] = even, odd
+    out = np.empty(even.shape[:-1] + (even.shape[-1] + odd.shape[-1],))
+    out[..., ::2], out[..., 1::2] = even, odd
     return out
 
 
@@ -526,57 +516,42 @@ def _tail_fit(log_rho: np.ndarray, log_val: np.ndarray) -> tuple[float, float]:
     return math.exp(min(max(intercept, -745.0), 700.0)), slope
 
 
-# Gauss-Kronrod 7-15 on [-1, 1] (QUADPACK qk15).  Kronrod abscissae from the
-# left end to the centre; the Gauss abscissae are every second one.
-_XGK = np.array([
-    0.991455371120812639206854697526329,
-    0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926,
-    0.741531185599394439863864773280788,
-    0.586087235467691130294144845693013,
-    0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245,
-    0.0,
-])
-_WGK = np.array([
-    0.022935322010529224963732008058970,
-    0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518,
-    0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550,
-    0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649,
-    0.209482141084727828012999174891714,
-])
-_WG = np.array([
-    0.129484966168869693270611432679082,
-    0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975,
-    0.417959183673469387755102040816327,
-])
-#: the 15 nodes on [-1, 1] and the Kronrod and Gauss weights over them
-GK15_NODES = np.concatenate([-_XGK, _XGK[-2::-1]])
-GK15_KRONROD = np.concatenate([_WGK, _WGK[-2::-1]])
-GK15_GAUSS = np.zeros(15)
-GK15_GAUSS[1:8:2] = _WG
-GK15_GAUSS[13:7:-2] = _WG[:3]
-
 #: a window keeps x = log(rho) where the log-integrand is within this of its maximum
 _WINDOW_DROP = 40.0
 #: probe points per unit of x, and the x-extent added per probe extension
 _PROBE_PER_UNIT = 4
 _PROBE_SPAN = 46.0
 _QUAD_EPSREL = 1e-10
-_QUAD_MAX_PANELS = 20_000
+#: log_quad reports no error below 50 rounding units of I, as QUADPACK does
+_ROUNDING = 50.0 * np.finfo(float).eps
+#: intervals a level of log_quad needs before it is compared with the next
+_QUAD_MIN_INTERVALS = 8
+_QUAD_MAX_NODES = 1 << 16
+#: Gregory's end correction on the last six trapezoid weights, in units of h: the
+#: backward differences of orders 1-5 with coefficients 1/12, 1/24, 19/720, 3/160, 863/60480
+_GREGORY_END = np.array([863.0, -5449.0, 14762.0, -22742.0, 23719.0, -11153.0]) / 60480.0
 
 
-def log_window(log_g) -> tuple[float, float, np.ndarray]:
-    """Window [x_lo, x_hi] of x <= log(RHO_CUT) that holds the mass of exp(log_g).
+def _cut_trapezoid_weights(n: int, h: float) -> np.ndarray:
+    """Weights of the n-node (n >= 6) trapezoid rule of spacing h, cut at its right end.
+
+    Every sum in x = log(rho) starts where its integrand is dead but may be
+    cut at RHO_CUT, so the right end carries Gregory's weights (Fornberg,
+    SIAM Rev. 63, 2021): the cut costs O(h^6), not O(h^2).
+    """
+    w = np.full(n, h)
+    w[[0, -1]] *= 0.5
+    w[-6:] += h * _GREGORY_END
+    return w
+
+
+def log_window(log_g) -> tuple[np.ndarray, np.ndarray]:
+    """Probe nodes x <= log(RHO_CUT) spanning the mass of exp(log_g), and log_g's rows there.
 
     ``log_g`` maps a 1-d x array to one row (or several rows) of log values.
     It is probed on a uniform grid that reaches left until every row has
     dropped ``_WINDOW_DROP`` below its maximum; the window reaches one probe
-    step past the first and the last point where any row is within that drop.  Returns the window and the probed maximum of each row.
+    step past the first and the last point where any row is within that drop.
     """
     x_hi = math.log(RHO_CUT)
     x_lo = x_hi - _PROBE_SPAN
@@ -590,7 +565,8 @@ def log_window(log_g) -> tuple[float, float, np.ndarray]:
             raise NumericsError("integrand vanishes on the whole probe")
         keep = np.nonzero(np.any(vals >= tops[:, None] - _WINDOW_DROP, axis=0))[0]
         if keep[0] > 0:
-            return float(x[keep[0] - 1]), float(x[min(keep[-1] + 1, x.size - 1)]), tops
+            window = slice(keep[0] - 1, keep[-1] + 2)
+            return x[window], vals[:, window]
         x_lo -= _PROBE_SPAN
     raise NumericsError(
         f"could not window the integrand: still significant at rho = {math.exp(x_lo):.3g}"
@@ -602,71 +578,70 @@ def log_quad(log_f):
 
     ``log_f`` maps a 1-d rho array to one row (or several rows sharing the
     nodes) of log-integrand values.  The integral runs in x = log(rho) over
-    the window ``log_window`` finds, by adaptive Gauss-Kronrod 7-15: every
-    pass evaluates all of its nodes in one call of ``log_f``, and panels are
-    bisected until sum |K15 - G7| <= 1e-10 |I| on every row.  A panel is
-    kept once its error is within half the tolerance prorated to its width.
-    Returns (log I, abserr) as arrays over the rows, abserr being that sum.
+    the window ``log_window`` finds, by the trapezoid rule of
+    ``_cut_trapezoid_weights``, whose error falls geometrically in 1/h on
+    these analytic integrands (Trefethen & Weideman, SIAM Rev. 56, 2014).
+    The window's probe nodes are the first level, and the spacing is halved,
+    evaluating ``log_f`` only at the midpoints, until no row moves by more
+    than 1e-10 of itself.  Returns (log I, abserr) as arrays over the rows,
+    abserr being that last move (at least 50 rounding units of I).
     """
 
     def log_g(x):
         return np.atleast_2d(log_f(np.exp(x))) + x
 
-    x_lo, x_hi, shift = log_window(log_g)
-    width = x_hi - x_lo
-    edges = np.linspace(x_lo, x_hi, max(4, math.ceil(width / 2.0)) + 1)
-    a, b = edges[:-1], edges[1:]
-    kept_val = np.zeros(shift.size)
-    kept_err = np.zeros(shift.size)
-    # ends with no panel left only if the kept ones were budgeted on a poor early estimate
-    while 0 < a.size <= _QUAD_MAX_PANELS:
-        half = 0.5 * (b - a)
-        x = (0.5 * (a + b))[:, None] + half[:, None] * GK15_NODES
-        g = np.exp(log_g(x.ravel()) - shift[:, None]).reshape(shift.size, a.size, 15)
-        if not np.all(np.isfinite(g)):
+    x, vals = log_window(log_g)
+    shift = vals.max(axis=1)
+    g = np.exp(vals - shift[:, None])
+    coarse = np.inf
+    while x.size <= _QUAD_MAX_NODES:
+        if x.size > _QUAD_MIN_INTERVALS:
+            fine = g @ _cut_trapezoid_weights(x.size, (x[-1] - x[0]) / (x.size - 1))
+            move = np.abs(fine - coarse)
+            if np.all(move <= _QUAD_EPSREL * fine):
+                # abserr is inf where I itself is beyond the float range
+                with np.errstate(divide="ignore", over="ignore"):
+                    return shift + np.log(fine), np.exp(shift) * np.maximum(move, _ROUNDING * fine)
+            coarse = fine
+        mid = 0.5 * (x[:-1] + x[1:])
+        g_mid = np.exp(log_g(mid) - shift[:, None])
+        if not np.all(np.isfinite(g_mid)):
             raise NumericsError("integrand is not finite at a quadrature node")
-        k15 = (g @ GK15_KRONROD) * half
-        err = np.abs(k15 - (g @ GK15_GAUSS) * half)
-        value = kept_val + k15.sum(axis=1)
-        error = kept_err + err.sum(axis=1)
-        if np.all(error <= _QUAD_EPSREL * np.abs(value)):
-            # abserr is inf where I itself is beyond the float range
-            with np.errstate(divide="ignore", over="ignore"):
-                return shift + np.log(value), np.exp(shift) * error
-        share = 0.5 * _QUAD_EPSREL * np.abs(value)[:, None] * (2.0 * half / width)
-        keep = np.all(err <= share, axis=0)
-        kept_val += k15[:, keep].sum(axis=1)
-        kept_err += err[:, keep].sum(axis=1)
-        mid = 0.5 * (a + b)[~keep]
-        a, b = np.concatenate([a[~keep], mid]), np.concatenate([mid, b[~keep]])
+        x, g = _interleave(x, mid), _interleave(g, g_mid)
     raise NumericsError(
-        f"quadrature did not reach epsrel={_QUAD_EPSREL:g} within {_QUAD_MAX_PANELS} panels"
+        f"quadrature did not reach epsrel={_QUAD_EPSREL:g} within {_QUAD_MAX_NODES} nodes"
     )
+
+
+def _tail_coefficients(d: int, alpha: float) -> np.ndarray:
+    """c_1, ..., c_K of R ~ sum_k c_k rho^(-d-alpha k), as many as the series at RHO_CUT needs.
+
+    Terms are taken until two in a row no longer move the sum (c_k vanishes
+    wherever alpha k is an even integer, so one small term proves nothing).
+    """
+    coeffs, total, small = [], 0.0, 0
+    while small < 2 and len(coeffs) < _TAIL_TERMS:
+        coeffs.append(tail_coefficient(d, alpha, len(coeffs) + 1))
+        term = coeffs[-1] * RHO_CUT ** (-alpha * len(coeffs))
+        total += term
+        small = small + 1 if abs(term) < 1e-16 * max(abs(total), 1e-300) else 0
+    return np.array(coeffs)
 
 
 def tail_moment(d: int, alpha: float, moment: float, derivative: bool) -> float:
     """int_{RHO_CUT}^inf rho^(moment-1) R(rho) drho, or the same against |R'| with ``derivative``.
 
-    Sums the algebraic tail series R ~ sum_k c_k rho^(-d-alpha k) term by term
-    until two terms in a row no longer move the total (c_k vanishes wherever
-    alpha k is an even integer, so one small term proves nothing); term k of
-    the |R'| series carries the factor (d + alpha k) and one more power of
-    1/rho.  Raises IntegrabilityError when the first term diverges.
+    Integrates the tail series term by term; term k of the |R'| series carries
+    the factor (d + alpha k) and one more power of 1/rho.  Raises
+    IntegrabilityError when the first term diverges.
     """
-    total, small = 0.0, 0
-    for k in range(1, _TAIL_TERMS + 1):
-        a = d + alpha * k
-        p = a + int(derivative) - moment
-        if p <= 0:
-            raise IntegrabilityError("tail remainder diverges: moment too large")
-        term = tail_coefficient(d, alpha, k) * RHO_CUT ** (-p) / p
-        if derivative:
-            term *= a
-        total += term
-        small = small + 1 if abs(term) < 1e-16 * max(abs(total), 1e-300) else 0
-        if small == 2:
-            break
-    return total
+    c = _tail_coefficients(d, alpha)
+    a = d + alpha * np.arange(1, c.size + 1)
+    p = a + int(derivative) - moment
+    if p[0] <= 0:
+        raise IntegrabilityError("tail remainder diverges: moment too large")
+    terms = c * RHO_CUT ** (-p) / p
+    return float(np.sum(terms * a if derivative else terms))
 
 
 #: geometric rho grid of the exported kernel table, up to RHO_CUT

@@ -4,7 +4,7 @@
 nodes.  ``semigroup_at_origin`` integrates the same quantity point by point
 with scipy's adaptive ``quad``, passing the datum's breakpoints to it, so it
 resolves kinks in M(r) that fixed nodes can miss.  ``singular_semigroup_quadrature``
-integrates K_alpha(d), which the package takes in closed form.
+integrates K_alpha(d), which the package takes in closed form, with ``quad`` too.
 """
 
 import math
@@ -14,7 +14,7 @@ from scipy.integrate import quad
 
 from kscrit.criteria import check_integrability
 from kscrit.errors import ValidationError
-from kscrit.kernels import RHO_CUT, log_quad, radial_kernel, tail_coefficient, tail_moment
+from kscrit.kernels import RHO_CUT, log_window, radial_kernel, tail_coefficient, tail_moment
 from kscrit.radial import MassProfile, check_alpha, check_dimension, singular_coefficient, sphere_area
 
 
@@ -30,14 +30,17 @@ def singular_semigroup_quadrature(d: int, alpha: float) -> tuple[float, float]:
         raise ValidationError("singular datum needs 2*alpha < d")
     kernel = radial_kernel(d, alpha)
 
-    def log_integrand(rho: np.ndarray) -> np.ndarray:
-        return kernel.log_sums(rho, (0,))[0] + (d - 1.0 - alpha) * np.log(rho)
+    # in x = log(rho) the integrand is R(rho) rho^(d-alpha), scaled by its probed peak
+    x, vals = log_window(lambda x: kernel.log_R(np.exp(x)) + (d - alpha) * x)
+    shift = float(vals.max())
 
-    (log_body,), (err,) = log_quad(log_integrand)
-    body = math.exp(log_body)
+    def integrand(x: float) -> float:
+        return math.exp(kernel.log_R(math.exp(x)) + (d - alpha) * x - shift)
+
+    body, err = quad(integrand, x[0], x[-1], limit=400, epsabs=0.0, epsrel=1e-12)
     tail = tail_moment(d, alpha, d - alpha, False)
     scale = singular_coefficient(d, alpha) * sphere_area(d)
-    return scale * (body + tail), scale * float(err)
+    return scale * (math.exp(shift) * body + tail), scale * math.exp(shift) * err
 
 
 def semigroup_at_origin(mass: MassProfile, t: float, alpha: float) -> float:

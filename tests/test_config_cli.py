@@ -218,13 +218,13 @@ class TestCli:
         assert all(np.isfinite(record[k]) for k in ("C", "K", "L", "N_threshold"))
         assert record["K"] <= record["C"]
         if alpha == 0.5:
-            assert (record["C"], record["K"], record["L"]) == pytest.approx((1.0269, 0.6854, 0.03927), rel=1e-4)
+            assert (record["C"], record["K"], record["L"]) == pytest.approx((1.0263, 0.6854, 0.03927), rel=1e-4)
 
     @pytest.mark.parametrize(
         "profile,kind",
         [
             ("gauss(mass=1,width=1)", "global"),
-            ("shell(N=30,R=1)", "blowup"),  # above N_threshold = 26.15
+            ("shell(N=30,R=1)", "blowup"),  # above N_threshold = 26.13
             ("chandrasekhar(eta=0.5,alpha=0.5)", "global"),
             ("chandrasekhar(eta=2.5,alpha=0.5)", "blowup"),
         ],

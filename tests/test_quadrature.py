@@ -1,5 +1,5 @@
-"""The batched criterion quadrature: the Gauss-Kronrod rule, the fused kernel
-reduction, and oracle values for the integrals that run through them."""
+"""The batched criterion quadrature: the halving trapezoid rule in log(rho), the
+fused kernel reduction, and oracle values for the integrals that run through them."""
 
 import math
 
@@ -14,9 +14,6 @@ from semigroup_oracle import singular_semigroup_quadrature
 from kscrit.criteria import blowup_constant_fractional, shell_semigroup_peak, singular_semigroup_value
 from kscrit.errors import IntegrabilityError, NumericsError
 from kscrit.kernels import (
-    GK15_GAUSS,
-    GK15_KRONROD,
-    GK15_NODES,
     RHO_CUT,
     build_kernel_table,
     log_quad,
@@ -28,45 +25,34 @@ EPSREL = 1e-10
 
 # (d, alpha) -> (C, L, norm_R residual, norm_Rp residual), as
 # scipy.integrate.quad (epsrel=1e-10, one scalar kernel call per point) gave
-# them before the batched path replaced it.  K by quadrature is checked
-# against its closed form instead.  The first three pairs are the fractional
-# verdict pairs of the benchmark, the rest one alpha per sweep band.
+# them before the batched path replaced it.  That C kept only the first term
+# of the tail series past RHO_CUT; the C column here is that value minus that
+# term plus a 30-digit mpmath quadrature of the whole series' tail.  K by
+# quadrature is checked against its closed form instead.  The first three
+# pairs are the fractional verdict pairs of the benchmark, the rest one alpha
+# per sweep band.
 QUAD_REFERENCE = {
-    (5, 0.9): (1.0141116994816728, 0.009399147239226172,
+    (5, 0.9): (1.014109819525417, 0.009399147239226172,
                1.2212453270876722e-14, 1.2878587085651816e-14),
-    (4, 1.2): (1.0484421172736007, 0.014094493174499057,
+    (4, 1.2): (1.048442201127034, 0.014094493174499057,
                -1.5543122344752192e-15, -1.3322676295501878e-15),
-    (5, 1.5): (1.0579785510998594, 0.00843605413730764,
+    (5, 1.5): (1.0579785572619569, 0.00843605413730764,
                -5.329070518200751e-15, -5.329070518200751e-15),
-    (4, 0.0997): (1.122578932385286, 0.0025741245593819705,
+    (4, 0.0997): (1.0001603623595494, 0.0025741245593819705,
                   -1.3211653993039363e-13, -1.4277468096679513e-13),
-    (9, 0.4175): (1.0040194030516307, 0.004909412555070341,
+    (9, 0.4175): (1.0006290061206427, 0.004909412555070341,
                   -2.5268676040468563e-13, 3.1530333899354446e-14),
-    (3, 0.7175): (1.0240943125397024, 0.022128543991319704,
+    (3, 0.7175): (1.0240631635501298, 0.022128543991319704,
                   -6.439293542825908e-15, -6.217248937900877e-15),
-    (10, 1.0175): (1.0049411427003174, 0.007097003067161899,
+    (10, 1.0175): (1.0049412953381187, 0.007097003067161899,
                    -5.218048215738236e-15, -4.9960036108132044e-15),
-    (5, 1.2675): (1.0360371407458633, 0.009291063954663344,
+    (5, 1.2675): (1.0360372028598668, 0.009291063954663344,
                   -1.3877787807814457e-14, -1.3100631690576847e-14),
-    (6, 1.7675): (1.0703466802633603, 0.0053642443366835576,
+    (6, 1.7675): (1.0703466805531432, 0.0053642443366835576,
                   1.1102230246251565e-14, 1.1546319456101628e-14),
-    (8, 1.9075): (1.06148594459073, 0.0037874649243719557,
+    (8, 1.9075): (1.0614859446355023, 0.0037874649243719557,
                   -1.587618925213974e-14, -1.5654144647214707e-14),
 }
-
-
-class TestGaussKronrodRule:
-    def test_gauss_part_is_seven_point_legendre(self):
-        nodes, weights = np.polynomial.legendre.leggauss(7)
-        used = GK15_GAUSS != 0.0
-        order = np.argsort(GK15_NODES[used])
-        np.testing.assert_allclose(GK15_NODES[used][order], nodes, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(GK15_GAUSS[used][order], weights, rtol=0, atol=1e-15)
-
-    def test_kronrod_rule_exact_to_degree_22(self):
-        for deg in range(23):
-            exact = (1.0 - (-1.0) ** (deg + 1)) / (deg + 1)
-            assert GK15_KRONROD @ GK15_NODES**deg == pytest.approx(exact, abs=1e-15)
 
 
 class TestLogQuad:
@@ -175,6 +161,30 @@ def test_matches_quad_reference(d, alpha):
     assert res["norm_Rp_abserr"] <= EPSREL
 
 
+#: C to 12 decimals from 30-digit mpmath values, the tail series summed in full
+C_MPMATH = {
+    (3, 0.05): 1.000070746765,
+    (4, 0.1): 1.000161347744,
+    (9, 0.4175): 1.000629006121,
+    (3, 0.7175): 1.024063163550,
+    (5, 0.9): 1.014109819525,
+}
+
+
+@pytest.mark.parametrize("d,alpha", list(C_MPMATH))
+def test_constant_does_not_depend_on_the_cut(d, alpha, monkeypatch):
+    # past RHO_CUT the whole tail series is integrated; its first term alone
+    # moved C by 4.0% at (3, 0.05) when the cut came down to 1e2
+    import kscrit.criteria as criteria
+    import kscrit.kernels as kernels
+
+    c = blowup_constant_fractional(d, alpha)[0]
+    assert c == pytest.approx(C_MPMATH[(d, alpha)], rel=0, abs=1e-11)
+    for module in (criteria, kernels):
+        monkeypatch.setattr(module, "RHO_CUT", 1e2)
+    assert blowup_constant_fractional(d, alpha)[0] == pytest.approx(c, rel=1e-12)
+
+
 @pytest.mark.parametrize("d", [3, 5])
 def test_table_is_poisson_kernel_at_alpha_one(d):
     table = build_kernel_table(d, 1.0)
@@ -188,11 +198,13 @@ def test_table_is_poisson_kernel_at_alpha_one(d):
     )
 
 
-@pytest.mark.parametrize("d,alpha", [(3, 1.0), (5, 0.5)])
+@pytest.mark.parametrize("d,alpha", [(3, 1.0), (5, 0.5), (3, 0.05)])
 def test_normalization_tail_passes_vanishing_terms(d, alpha):
     # c_k vanishes where alpha k is an even integer; a tail series that stops
-    # at the first small term leaves norm_R about 1e-9 off here
-    assert abs(build_kernel_table(d, alpha).residuals["norm_R"]) <= 1e-13
+    # at the first small term leaves norm_R about 1e-9 off at the first two.
+    # At alpha = 0.05 the series needs more than 12 terms at RHO_CUT.
+    res = build_kernel_table(d, alpha).residuals
+    assert abs(res["norm_R"]) <= 1e-13 and abs(res["norm_Rp"]) <= 1e-13
 
 
 @pytest.mark.parametrize(

@@ -139,19 +139,18 @@ def test_log_sums_match_a_finer_wider_grid(kernel):
     assert rel(kernel.log_sums(RHO), cut)[:, held].max() <= 1e-12
 
 
-def test_a_jump_in_the_density_stops_the_halving_with_a_warning(monkeypatch):
+def test_a_jump_in_the_density_runs_the_halving_into_the_node_cap(monkeypatch):
     # a step in log f makes the trapezoid error fall like h, not geometrically:
-    # halving further would only add nodes, so the grid stops and says so
+    # the halving keeps going until _MAX_NODES, and the kernel is a NumericsError
     from kscrit.subordinator import StableSubordinator
 
     smooth = StableSubordinator.log_pdf
     def jumpy(self, lam):
-        return smooth(self, lam) + 1e-3 * (lam > 2.0)
+        return smooth(self, lam) + 0.1 * (lam > 2.0)
 
     monkeypatch.setattr(StableSubordinator, "log_pdf", jumpy)
-    kernel = SubordinatedKernel(5, 1.0)
-    assert len(kernel.warnings) == 1 and "the s-grid stopped at" in kernel.warnings[0]
-    assert kernel._s.size < 20_000
+    with pytest.raises(NumericsError, match=f"did not converge within {kernels._MAX_NODES} nodes"):
+        SubordinatedKernel(5, 1.0)
 
 
 def test_a_grid_past_the_node_cap_is_a_numerics_error(monkeypatch):
