@@ -40,8 +40,6 @@ from .errors import IntegrabilityError, NumericsError, ValidationError
 from .kernels import (
     RHO_CUT,
     _cut_trapezoid_weights,
-    _tail_coefficients,
-    log_quad,
     log_window,
     radial_kernel,
     tail_moment,
@@ -87,48 +85,15 @@ def blowup_constant_fractional(d: int, alpha: float) -> tuple[float, float]:
     """C_alpha(d) = 2 sigma_d int rho^(d-1) R'^2 / ((d-1)|R'|/rho + R'') drho.
 
     For alpha = 2 this is the classical C(d), with C(2) = 2 and C(d) in
-    [1, 2) for d >= 3.  The denominator is the expanded form of
-    |d/drho(rho^(1-d) R')|; its positivity (equivalent to rho R'' - R' >= 0
-    plus d >= 2) is asserted on a 400-point probe and at every quadrature
-    node.  Returns (C, abserr) with the quadrature's error estimate for C.
+    [1, 2) for d >= 3.  It is read from ``SubordinatedKernel.rho_integrals``,
+    one quadrature shared with the kernel normalizations.  The denominator,
+    the expanded form of |d/drho(rho^(1-d) R')|, is positive for d >= 2
+    wherever the kernel sums are finite: its guard at every quadrature node
+    catches only non-finite sums, or an exp that underflows at d = 2.
+    Returns (C, abserr) with the quadrature's error estimate for C.
     """
-    d = check_dimension(d)
-    alpha = check_alpha(alpha)
-    kernel = radial_kernel(d, alpha)
-
-    def log_s1_and_denominator(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        log_s1, log_s2 = kernel.log_sums(rho, (1, 2))
-        # (d-1)/rho + R''/|R'| with R' = -(rho/2) S_1, R'' = (rho^2/4) S_2 - S_1/2,
-        # summed without the 1/rho - 1/rho cancellation
-        denom = (d - 2) / rho + 0.5 * rho * np.exp(log_s2 - log_s1)
-        if not np.all(denom > 0.0):
-            raise NumericsError("kernel table invalid: weighted-gradient denominator not positive")
-        return log_s1, denom
-
-    log_s1_and_denominator(np.geomspace(1e-6, RHO_CUT, 400))
-
-    def log_integrand(rho: np.ndarray) -> np.ndarray:
-        log_s1, denom = log_s1_and_denominator(rho)
-        return d * np.log(rho) + log_s1 - math.log(2.0) - np.log(denom)
-
-    (log_body,), (err,) = log_quad(log_integrand)
-    scale = 2.0 * sphere_area(d)
-    c = scale * math.exp(log_body)
-    if alpha < 2.0:
-        # past the cut, with a_k = (d + alpha k) c_k the tail series of |R'| and
-        # z = rho^(-alpha), the integrand is rho^(-1-alpha) A(z)^2/B(z), where
-        # A = sum_k a_k z^(k-1) and B = sum_k a_k (2d + alpha k) z^(k-1): the tail is
-        # (1/alpha) int_0^{z_c} A^2/B dz, analytic, which 10-point Gauss-Legendre takes
-        # to about 13 digits
-        coeffs = _tail_coefficients(d, alpha)
-        k = np.arange(1, coeffs.size + 1)
-        a = (d + alpha * k) * coeffs
-        z_c = RHO_CUT**-alpha
-        nodes, weights = np.polynomial.legendre.leggauss(10)
-        powers = (0.5 * z_c * (1.0 + nodes))[:, None] ** (k - 1)
-        A, B = powers @ a, powers @ (a * (2.0 * d + alpha * k))
-        c += scale * 0.5 * z_c * float(weights @ (A * A / B)) / alpha
-    return c, scale * float(err)
+    values, errors = radial_kernel(check_dimension(d), check_alpha(alpha)).rho_integrals
+    return float(values[2]), float(errors[2])
 
 
 def singular_semigroup_value(d: int, alpha: float = 2.0) -> float:
@@ -515,7 +480,8 @@ def classify(datum: RadialProfile | MassProfile, d: int, alpha: float = 2.0) -> 
                 epsilon=epsilon,
                 diagnostics={
                     "sup_over_C": curve.sup / constants.C,
-                    "density_over_singular": epsilon if epsilon is not None else math.nan,
+                    # None (JSON null) when the datum has no density
+                    "density_over_singular": epsilon,
                 },
             )
 

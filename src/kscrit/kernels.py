@@ -182,6 +182,53 @@ class SubordinatedKernel:
         rho.flags.writeable = weight.flags.writeable = False
         return rho, h, weight
 
+    @cached_property
+    def rho_integrals(self) -> tuple[np.ndarray, np.ndarray]:
+        """(values, abserr) of the kernel's rho-integrals, from one ``log_quad``, built once.
+
+        The values are sigma_d int R rho^(d-1) drho and (sigma_d/d) int |R'| rho^d
+        drho, both 1 exactly, and C_alpha(d) (``blowup_constant_fractional``),
+        each with its part past RHO_CUT, so a value never mixes two cuts.  Each
+        node calls ``log_sums`` once, for orders 0, 1 and 2.  Read-only arrays.
+        """
+        d, alpha = self.d, self.alpha
+
+        def log_f(rho):
+            log_s0, log_s1, log_s2 = self.log_sums(rho)
+            # C's denominator (d-1)/rho + R''/|R'| with R' = -(rho/2) S_1, R'' = (rho^2/4) S_2 - S_1/2,
+            # summed without the 1/rho - 1/rho cancellation
+            denom = (d - 2) / rho + 0.5 * rho * np.exp(log_s2 - log_s1)
+            if not np.all(denom > 0.0):
+                raise NumericsError(
+                    f"the denominator of C is not a positive float at d={d}, alpha={alpha}: "
+                    "the kernel sums are not finite, or their ratio underflows"
+                )
+            log_rho = np.log(rho)
+            log_c = d * log_rho + log_s1 - math.log(2.0) - np.log(denom)
+            return np.stack([log_s0 + (d - 1) * log_rho, _log_abs_rp(rho, log_s1) + d * log_rho, log_c])
+
+        sig = sphere_area(d)
+        scale = np.array([sig, sig / d, 2.0 * sig])
+        log_i, err = log_quad(log_f)
+        values, err = scale * np.exp(log_i), scale * err
+        if alpha < 2.0:
+            # C past the cut: with a_k = (d + alpha k) c_k the tail series of |R'| and
+            # z = rho^(-alpha), the integrand is rho^(-1-alpha) A(z)^2/B(z), where
+            # A = sum_k a_k z^(k-1) and B = sum_k a_k (2d + alpha k) z^(k-1): the tail is
+            # (1/alpha) int_0^{z_c} A^2/B dz, analytic, which 10-point Gauss-Legendre takes
+            # to about 13 digits
+            coeffs = _tail_coefficients(d, alpha)
+            k = np.arange(1, coeffs.size + 1)
+            a = (d + alpha * k) * coeffs
+            z_c = RHO_CUT**-alpha
+            nodes, weights = np.polynomial.legendre.leggauss(10)
+            powers = (0.5 * z_c * (1.0 + nodes))[:, None] ** (k - 1)
+            A, B = powers @ a, powers @ (a * (2.0 * d + alpha * k))
+            c_tail = 0.5 * z_c * float(weights @ (A * A / B)) / alpha
+            values += scale * [tail_moment(d, alpha, d, False), tail_moment(d, alpha, d + 1, True), c_tail]
+        values.flags.writeable = err.flags.writeable = False
+        return values, err
+
     def _log_mix_weight(self, log_f: np.ndarray, s: np.ndarray) -> np.ndarray:
         """log of f(lam) lam (4 pi lam)^(-d/2) at s = log(lam), given log f."""
         return log_f + s - 0.5 * self.d * (math.log(4.0 * math.pi) + s)
@@ -665,27 +712,14 @@ def build_kernel_table(d: int, alpha: float) -> KernelTable:
         "Rpp": _tail_fit(lr, np.log(np.maximum(np.abs(Rpp[last_decade]), 1e-300))),
     }
 
-    sig = sphere_area(d)
-
-    def log_f(r):
-        log_s0, log_s1 = kernel.log_sums(r, (0, 1))
-        log_r = np.log(r)
-        return np.stack([log_s0 + (d - 1) * log_r, _log_abs_rp(r, log_s1) + d * log_r])
-
-    (log_i1, log_i2), (err1, err2) = log_quad(log_f)
-    i1 = math.exp(math.log(sig) + log_i1)
-    i2 = math.exp(math.log(sig) - math.log(d) + log_i2)
-    if alpha < 2.0:
-        i1 += sig * tail_moment(d, alpha, d, False)
-        i2 += sig / d * tail_moment(d, alpha, d + 1, True)
-
+    (i1, i2, _), (err1, err2, _) = kernel.rho_integrals
     residuals = {
-        "norm_R": i1 - 1.0,
-        "norm_Rp": i2 - 1.0,
+        "norm_R": float(i1) - 1.0,
+        "norm_Rp": float(i2) - 1.0,
         "R0": math.exp(kernel.log_R(np.array([0.0]))[0] - kernel.log_R0) - 1.0,
         # quadrature error estimates of the two normalization integrals
-        "norm_R_abserr": sig * float(err1),
-        "norm_Rp_abserr": sig / d * float(err2),
+        "norm_R_abserr": float(err1),
+        "norm_Rp_abserr": float(err2),
     }
     table = KernelTable(
         d=d,

@@ -127,6 +127,26 @@ class TestCli:
         assert (out / "curve.svg").exists()
         assert (out / "resolved.json").exists()
 
+    @pytest.mark.filterwarnings("error")
+    def test_indeterminate_report_without_a_density_writes_null(self, tmp_path):
+        # a shell has no density to compare with the singular one: that ratio is
+        # null in report.json, never the string "nan"
+        out = tmp_path / "r"
+        args = ["classify", "--profile", "shell(N=0.328435,R=0.360752)", "--d", "6", "--alpha", "0.742"]
+        assert run_cli(args + ["--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["verdict"]["kind"] == "indeterminate"
+        assert report["verdict"]["diagnostics"]["density_over_singular"] is None
+
+        def leaves(node):
+            if isinstance(node, dict):
+                node = list(node.values())
+            if isinstance(node, list):
+                return [leaf for child in node for leaf in leaves(child)]
+            return [node]
+
+        assert not [v for v in leaves(report) if v in ("nan", "inf", "-inf")]
+
     def test_constants_json_matches_csv(self, tmp_path):
         out = tmp_path / "c"
         args = ["constants", "--d-range", "3:5", "--alpha", "2.0,0.5,1.5", "--format", "json"]

@@ -172,17 +172,78 @@ C_MPMATH = {
 
 
 @pytest.mark.parametrize("d,alpha", list(C_MPMATH))
-def test_constant_does_not_depend_on_the_cut(d, alpha, monkeypatch):
+def test_constant_does_not_depend_on_the_cut(d, alpha, monkeypatch, request):
     # past RHO_CUT the whole tail series is integrated; its first term alone
     # moved C by 4.0% at (3, 0.05) when the cut came down to 1e2
     import kscrit.criteria as criteria
     import kscrit.kernels as kernels
 
+    kernel = radial_kernel(d, alpha)
     c = blowup_constant_fractional(d, alpha)[0]
     assert c == pytest.approx(C_MPMATH[(d, alpha)], rel=0, abs=1e-11)
     for module in (criteria, kernels):
         monkeypatch.setattr(module, "RHO_CUT", 1e2)
+    # a kernel caches its integrals: the lower cut needs a kernel of its own,
+    # and no kernel built under it may reach a later test
+    radial_kernel.cache_clear()
+    request.addfinalizer(radial_kernel.cache_clear)
+    assert radial_kernel(d, alpha) is not kernel
     assert blowup_constant_fractional(d, alpha)[0] == pytest.approx(c, rel=1e-12)
+
+
+@pytest.mark.parametrize("d,alpha", [(5, 0.9), (3, 2.0)])
+def test_table_and_constant_share_one_quadrature(d, alpha, monkeypatch):
+    import kscrit.criteria as criteria
+    import kscrit.kernels as kernels
+
+    radial_kernel.cache_clear()
+    c_alone = blowup_constant_fractional(d, alpha)
+    radial_kernel.cache_clear()
+    residuals_alone = build_kernel_table(d, alpha).residuals
+    radial_kernel.cache_clear()
+    calls = []
+
+    def counted(log_f):
+        calls.append(log_f)
+        return log_quad(log_f)
+
+    for module in (kernels, criteria):
+        # criteria once ran a quadrature of its own for C
+        monkeypatch.setattr(module, "log_quad", counted, raising=False)
+    assert build_kernel_table(d, alpha).residuals == residuals_alone
+    assert blowup_constant_fractional(d, alpha) == c_alone
+    assert len(calls) == 1
+
+
+# the poisoned call: the window's probe, or the first level of midpoints
+@pytest.mark.parametrize("poisoned_call", [0, 1])
+def test_constant_guard_runs_at_every_quadrature_node(poisoned_call, monkeypatch, capsys, tmp_path, request):
+    # the denominator of C is positive wherever the kernel sums are finite, so
+    # its guard is what turns a non-finite sum at any node into a NumericsError
+    from kscrit.cli import main
+    from kscrit.criteria import criterion_constants
+
+    radial_kernel.cache_clear()
+    criterion_constants.cache_clear()
+    request.addfinalizer(radial_kernel.cache_clear)
+    request.addfinalizer(criterion_constants.cache_clear)
+    kernel = radial_kernel(5, 0.9)
+    original, calls = kernel.log_sums, []
+
+    def poisoned(rho, orders=(0, 1, 2)):
+        out = original(rho, orders)
+        if len(calls) == poisoned_call:
+            out[:, rho.size // 2] = np.nan
+        calls.append(rho.size)
+        return out
+
+    monkeypatch.setattr(kernel, "log_sums", poisoned)
+    with pytest.raises(NumericsError, match="denominator of C is not a positive float"):
+        blowup_constant_fractional(5, 0.9)
+    calls.clear()
+    args = ["constants", "--d-range", "5", "--alpha", "0.9", "--out", str(tmp_path / "c")]
+    assert main(args) == 2
+    assert "denominator of C is not a positive float" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("d", [3, 5])
