@@ -52,6 +52,7 @@ from .radial import (
     check_dimension,
     mass_profile,
     radial_concentration,
+    refine_max,
     scan_max,
     singular_coefficient,
     sphere_area,
@@ -88,8 +89,9 @@ def blowup_constant_fractional(d: int, alpha: float) -> tuple[float, float]:
     [1, 2) for d >= 3.  It is read from ``SubordinatedKernel.rho_integrals``,
     one quadrature shared with the kernel normalizations.  The denominator,
     the expanded form of |d/drho(rho^(1-d) R')|, is positive for d >= 2
-    wherever the kernel sums are finite: its guard at every quadrature node
-    catches only non-finite sums, or an exp that underflows at d = 2.
+    wherever the kernel sums are finite: its guard, which runs at every node
+    the quadrature evaluates (the window's probe pieces included), catches only
+    non-finite sums, or an exp that underflows at d = 2.
     Returns (C, abserr) with the quadrature's error estimate for C.
     """
     values, errors = radial_kernel(check_dimension(d), check_alpha(alpha)).rho_integrals
@@ -126,10 +128,11 @@ def shell_semigroup_peak(d: int, alpha: float = 2.0) -> tuple[float, float]:
     """L_alpha(d) = sup_t t P_t(unit shell)(0) = sup_rho rho^(d-alpha) R(rho).
 
     Returns (value, maximizing time); the time for a unit-radius shell is
-    rho*^(-alpha).  Closed form for alpha = 2; otherwise ``scan_max`` of the
-    log over the window where rho^(d-alpha) R is within reach of its peak
-    (the window the quadratures probe), with a range error if the scanned
-    maximizer lands on the window's boundary.
+    rho*^(-alpha).  Closed form for alpha = 2; otherwise ``log_window`` probes
+    the log of rho^(d-alpha) R, 4 nodes per unit of log(rho), and
+    ``refine_max`` refines the probe's maximum by Brent's method on one radius
+    per call, with a range error if the probe's maximizer lands on the
+    window's boundary.
     """
     d = check_dimension(d)
     alpha = check_alpha(alpha)
@@ -146,12 +149,12 @@ def shell_semigroup_peak(d: int, alpha: float = 2.0) -> tuple[float, float]:
         )
         return math.exp(log_l), 1.0 / (2.0 * (d - 2))
     kernel = radial_kernel(d, alpha)
-    x, _ = log_window(lambda x: (d - alpha) * x + kernel.log_R(np.exp(x)))
-    grid, logvals, rho_star, log_l = scan_max(
-        lambda rho: (d - alpha) * np.log(rho) + kernel.log_R(rho), math.exp(x[0]), math.exp(x[-1])
+    x, logvals = log_window(lambda x: (d - alpha) * x + kernel.log_R(np.exp(x)))
+    if int(np.argmax(logvals[0])) in (0, x.size - 1):
+        raise NumericsError("shell peak maximizer at the window boundary; extend the rho range")
+    rho_star, log_l = refine_max(
+        lambda rho: (d - alpha) * np.log(rho) + kernel.log_R(rho), np.exp(x), logvals[0]
     )
-    if int(np.argmax(logvals)) in (0, grid.size - 1):
-        raise NumericsError("shell peak maximizer at scan boundary; extend the rho range")
     return math.exp(log_l), rho_star**-alpha
 
 

@@ -19,10 +19,10 @@ s by an analytic, increasing s = g(t), which keeps the geometric convergence
 times closer on the left cliff of f_beta, about 1/c wide, than over the rest
 of the window, 50-200 wide, so the node count no longer grows like c.
 Everything is accumulated in log space so large d is no worse than small d.
-Each sum keeps only the s-nodes within 60 nats of its own peak, which drops
-at most n_s e^(-60) of it relative (n_s nodes), and reads them from a band of
-the grid shared by radii of similar size; the band never changes a result, so
-no value depends on which radii are evaluated together.
+Each sum drops the 64-node tiles whose terms sum below 64 e^(-60) of its own
+peak, which drops at most n_s e^(-60) of it relative (n_s nodes), and reads
+them from a band of the grid shared by radii of similar size; the band never
+changes a result, so no value depends on which radii are evaluated together.
 
 Facts used as validation anchors:
 
@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import IntegrabilityError, NumericsError
 from .radial import _SCAN_PER_DECADE, check_alpha, check_dimension, sphere_area
-from .subordinator import _SERIES_SWITCH, StableSubordinator
+from .subordinator import _SERIES_SWITCH, StableSubordinator, _leggauss
 
 __all__ = [
     "SubordinatedKernel",
@@ -66,7 +66,7 @@ RHO_CUT = 1.0e3
 #: entries of one full-width exponent block in SubordinatedKernel.log_sums: it sets how
 #: many sorted radii share one s-band
 _CHUNK_ELEMENTS = 65_536
-#: log_sums drops every s-tile whose exponents all lie this far below the row's peak
+#: log_sums drops every s-tile whose terms sum below _TILE e^(-_LIVE_DROP) of the row's peak
 _LIVE_DROP = 60.0
 #: s-nodes per tile of log_sums, aligned to the whole grid
 _TILE = 64
@@ -221,7 +221,7 @@ class SubordinatedKernel:
             k = np.arange(1, coeffs.size + 1)
             a = (d + alpha * k) * coeffs
             z_c = RHO_CUT**-alpha
-            nodes, weights = np.polynomial.legendre.leggauss(10)
+            nodes, weights = _leggauss(10)
             powers = (0.5 * z_c * (1.0 + nodes))[:, None] ** (k - 1)
             A, B = powers @ a, powers @ (a * (2.0 * d + alpha * k))
             c_tail = 0.5 * z_c * float(weights @ (A * A / B)) / alpha
@@ -318,20 +318,23 @@ class SubordinatedKernel:
         """log sum_j w_j exp(-rho^2/(4 lam_j)) lam_j^(-k) for each k in ``orders``.
 
         The exponent of node j is E_j = log w_j - rho^2 q_j - k s_j with
-        q_j = e^(-s_j)/4, and a node more than ``_LIVE_DROP`` = 60 nats below
-        its row's peak is dropped: the n_s nodes so dropped add at most
-        n_s e^(-60) relative.  The radii are sorted by |rho| and taken in
-        chunks of at most ``_CHUNK_ELEMENTS`` // n_s.  Each chunk exponentiates
-        only the s-band where its smallest radius's live set begins and its
-        largest radius's ends: both ends of the live set are nondecreasing in
-        rho (the penalty rho^2 q_j grows with rho and falls with s), so the band
-        holds the live set of every radius in the chunk.  Within the band the
-        sum runs over tiles of ``_TILE`` nodes aligned to the whole grid, each
-        kept only when its maximum is within 60 nats of the row's peak and
-        added in grid order, so every row is bit-identical however the radii
-        are grouped.  Each order has its own max shift, so none over- or
-        underflows.  At alpha = 2 the one node is its own sum, taken directly.
-        Returns shape ``(len(orders),) + shape(rho)``.
+        q_j = e^(-s_j)/4.  Each row is shifted by its peak, its own for each
+        order, so none over- or underflows, and the sum runs over tiles of
+        ``_TILE`` nodes aligned to the whole grid: a tile whose shifted terms
+        sum below ``_TILE`` e^(-``_LIVE_DROP``) is dropped, so the n_s nodes
+        of the dropped tiles add at most n_s e^(-60) relative, and the kept
+        tiles are added in grid order.  The radii are sorted by |rho| and taken
+        in chunks of at most ``_CHUNK_ELEMENTS`` // n_s.  Each chunk
+        exponentiates only the s-band where its smallest radius's live set
+        (within 61 nats of the peak) begins and its largest radius's ends:
+        both ends of the live set are nondecreasing in rho (the penalty
+        rho^2 q_j grows with rho and falls with s), so the band holds the live
+        set of every radius in the chunk.  A tile outside it has every term
+        below e^(-61) of the peak, up to rounding, so it would be dropped
+        anyway, and every row is bit-identical however the radii are grouped.
+        One exponent block and one work block, allocated per call, serve every
+        chunk and order.  At alpha = 2 the one node is its own sum, taken
+        directly.  Returns shape ``(len(orders),) + shape(rho)``.
         """
         rho = np.asarray(rho, dtype=float)
         r2 = rho.reshape(-1) ** 2
@@ -346,6 +349,9 @@ class SubordinatedKernel:
         out = np.empty((len(orders), r2.size))
         by_size = np.argsort(r2)
         step = max(1, _CHUNK_ELEMENTS // n)
+        expo_buf = np.empty(min(step, r2.size) * logw.size)
+        work_buf, order_shift = np.empty_like(expo_buf), np.empty_like(logw)
+        tile_floor = _TILE * math.exp(-_LIVE_DROP)
         # rho^2 e^(-s)/4 overflows to inf on grids that reach lam near 1e-308,
         # where the term it multiplies is exactly 0
         with np.errstate(over="ignore"):
@@ -354,18 +360,17 @@ class SubordinatedKernel:
                 chunk = r2[rows, None]
                 # the band's two edge rows cost as much as two rows of the whole grid
                 a, b = self._band(chunk[[0, -1]], orders) if rows.size > 2 else (0, logw.size)
-                expo = logw[a:b] - chunk * quarter_inv_lam[a:b]
+                expo = expo_buf[: rows.size * (b - a)].reshape(rows.size, b - a)
+                work = work_buf[: expo.size].reshape(expo.shape)
+                np.subtract(logw[a:b], np.multiply(chunk, quarter_inv_lam[a:b], out=work), out=expo)
                 for i, k in enumerate(orders):
-                    block = expo if i == len(orders) - 1 else expo.copy()
+                    block = expo
                     if k:
-                        block += k * neg_s[a:b]
-                    tiles = block.reshape(rows.size, -1, _TILE)
-                    tile_max = tiles.max(axis=-1)
-                    peak = tile_max.max(axis=-1)
-                    tiles -= peak[:, None, None]
-                    np.exp(tiles, out=tiles)
-                    sums = tiles.sum(axis=-1)
-                    sums[tile_max < peak[:, None] - _LIVE_DROP] = 0.0
+                        block = np.add(expo, np.multiply(neg_s[a:b], k, out=order_shift[: b - a]), out=work)
+                    peak = block.max(axis=-1)
+                    np.exp(np.subtract(block, peak[:, None], out=work), out=work)
+                    sums = work.reshape(rows.size, -1, _TILE).sum(axis=-1)
+                    sums[sums < tile_floor] = 0.0
                     # a running sum adds the kept tiles in grid order, whatever the band
                     out[i, rows] = peak + np.log(np.cumsum(sums, axis=-1)[:, -1])
         return out.reshape((len(orders),) + rho.shape)
@@ -568,6 +573,8 @@ _WINDOW_DROP = 40.0
 #: probe points per unit of x, and the x-extent added per probe extension
 _PROBE_PER_UNIT = 4
 _PROBE_SPAN = 46.0
+#: probe nodes per piece of log_window, 16 units of x
+_PROBE_PIECE = 64
 _QUAD_EPSREL = 1e-10
 #: log_quad reports no error below 50 rounding units of I, as QUADPACK does
 _ROUNDING = 50.0 * np.finfo(float).eps
@@ -596,24 +603,37 @@ def log_window(log_g) -> tuple[np.ndarray, np.ndarray]:
     """Probe nodes x <= log(RHO_CUT) spanning the mass of exp(log_g), and log_g's rows there.
 
     ``log_g`` maps a 1-d x array to one row (or several rows) of log values.
-    It is probed on a uniform grid that reaches left until every row has
-    dropped ``_WINDOW_DROP`` below its maximum; the window reaches one probe
-    step past the first and the last point where any row is within that drop.
+    The probe is a uniform grid, 4 nodes per unit of x, ending at log(RHO_CUT).
+    It is evaluated from the right in pieces of ``_PROBE_PIECE`` nodes and
+    stops at the first piece whose left end lies ``_WINDOW_DROP`` below every
+    row's maximum so far; ``log_g`` is taken to stay dead left of that point,
+    as every rho^p-weighted kernel integrand does.  A grid evaluated to its left
+    end without reaching such a point reaches ``_PROBE_SPAN`` further left and
+    is probed again.  The window reaches one probe step past the first and the
+    last point where any row is within that drop.  A NaN or +inf at an
+    evaluated node is a NumericsError, and so is a row that is -inf on the
+    whole grid.
     """
     x_hi = math.log(RHO_CUT)
     x_lo = x_hi - _PROBE_SPAN
     for _ in range(20):
         x = np.linspace(x_lo, x_hi, int(_PROBE_PER_UNIT * (x_hi - x_lo)) + 1)
-        vals = np.atleast_2d(log_g(x))
-        if np.any(np.isnan(vals) | (vals == np.inf)):
-            raise NumericsError("integrand is not finite on the probe")
-        tops = vals.max(axis=1)
+        pieces, start = [], x.size
+        while start > 0:
+            end, start = start, max(start - _PROBE_PIECE, 0)
+            pieces.insert(0, np.atleast_2d(log_g(x[start:end])))
+            if np.any(np.isnan(pieces[0]) | (pieces[0] == np.inf)):
+                raise NumericsError("integrand is not finite on the probe")
+            vals = np.concatenate(pieces, axis=1)
+            tops = vals.max(axis=1)
+            if not np.all(np.isfinite(tops)):
+                continue
+            keep = np.nonzero(np.any(vals >= tops[:, None] - _WINDOW_DROP, axis=0))[0]
+            if keep[0] > 0:
+                window = slice(keep[0] - 1, keep[-1] + 2)
+                return x[start:][window], vals[:, window]
         if not np.all(np.isfinite(tops)):
             raise NumericsError("integrand vanishes on the whole probe")
-        keep = np.nonzero(np.any(vals >= tops[:, None] - _WINDOW_DROP, axis=0))[0]
-        if keep[0] > 0:
-            window = slice(keep[0] - 1, keep[-1] + 2)
-            return x[window], vals[:, window]
         x_lo -= _PROBE_SPAN
     raise NumericsError(
         f"could not window the integrand: still significant at rho = {math.exp(x_lo):.3g}"

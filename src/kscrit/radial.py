@@ -49,6 +49,7 @@ __all__ = [
     "mass_profile",
     "radial_concentration",
     "scan_max",
+    "refine_max",
     "scale_profile",
     "parse_profile",
 ]
@@ -59,7 +60,7 @@ MAX_DIMENSION = 200
 #: points per decade of every supremum scan (``scan_max``); the criterion
 #: curve's T grid is this scan
 _SCAN_PER_DECADE = 32
-#: stopping width of the Brent refinement in ``scan_max``, in log coordinates
+#: stopping width of the Brent refinement in ``refine_max``, in log coordinates
 _SCAN_TOL = 1e-6
 #: scanned values this close to the maximum, relative to it, are a plateau of it
 _PLATEAU_REL = 1e-12
@@ -635,22 +636,8 @@ def scan_max(
     """Scan a vectorized ``f`` over [lo, hi] and refine its maximum: every supremum's search.
 
     The grid is geometric, ``_SCAN_PER_DECADE`` points per decade, plus the
-    ``extra`` points (breakpoints) strictly inside.  Brent's localmin on -f
-    (Brent 1973, ch. 5: parabolic steps, golden-section steps where a parabola
-    is not trusted) then runs in log coordinates between the grid neighbours
-    of the scanned argmax, calling ``f`` on one-point arrays, until the bracket
-    is ``_SCAN_TOL`` wide in log coordinates, so the same relative width at
-    every scale.  The scanned argmax and its neighbours seed it, so the first
-    parabola costs no call.  A scanned argmax at a grid end is returned after
-    one call ``_SCAN_TOL`` inside it shows ``f`` no larger there.  At a smooth
-    maximum the value is resolved to the rounding of ``f``, the argmax only to
-    about its square root.  The larger of
-    the scanned and the refined maximum is kept (the grid point itself when no
-    refined value beats it), since a kink at a breakpoint can push the
-    refinement off it.  A run of scanned values within ``_PLATEAU_REL`` of the
-    maximum is a plateau: it is not refined, and its left end is the argmax,
-    so last-digit changes cannot move it.  A scan whose maximum is not finite
-    is returned unrefined.  Returns (grid, values, argmax, max).
+    ``extra`` points (breakpoints) strictly inside; ``refine_max`` refines the
+    scanned maximum.  Returns (grid, values, argmax, max).
     """
     n = int(round(_SCAN_PER_DECADE * math.log10(hi / lo))) + 1
     grid = np.geomspace(lo, hi, max(n, 2))
@@ -659,13 +646,37 @@ def scan_max(
     if inside:
         grid = np.unique(np.concatenate([grid, inside]))
     values = f(grid)
+    return (grid, values, *refine_max(f, grid, values))
+
+
+def refine_max(
+    f: Callable[[np.ndarray], np.ndarray], grid: np.ndarray, values: np.ndarray
+) -> tuple[float, float]:
+    """Refine the maximum of ``f`` from its ``values`` on an increasing positive ``grid``.
+
+    Brent's localmin on -f (Brent 1973, ch. 5: parabolic steps,
+    golden-section steps where a parabola is not trusted) runs in log
+    coordinates between the grid neighbours of the scanned argmax, calling
+    ``f`` on one-point arrays, until the bracket is ``_SCAN_TOL`` wide in log
+    coordinates, so the same relative width at every scale.  The scanned
+    argmax and its neighbours seed it, so the first parabola costs no call.
+    A scanned argmax at a grid end is returned after one call ``_SCAN_TOL``
+    inside it shows ``f`` no larger there.  At a smooth maximum the value is
+    resolved to the rounding of ``f``, the argmax only to about its square
+    root.  The larger of the scanned and the refined maximum is kept (the grid
+    point itself when no refined value beats it), since a kink at a breakpoint
+    can push the refinement off it.  A run of scanned values within
+    ``_PLATEAU_REL`` of the maximum is a plateau: it is not refined, and its
+    left end is the argmax, so last-digit changes cannot move it.  A scan
+    whose maximum is not finite is returned unrefined.  Returns (argmax, max).
+    """
     k = int(np.argmax(values))
     if not math.isfinite(values[k]):
-        return grid, values, float(grid[k]), float(values[k])
+        return float(grid[k]), float(values[k])
     near = values >= values[k] - _PLATEAU_REL * abs(values[k])
     if (k > 0 and near[k - 1]) or (k + 1 < grid.size and near[k + 1]):
         below = np.flatnonzero(~near[:k])
-        return grid, values, float(grid[below[-1] + 1 if below.size else 0]), float(values[k])
+        return float(grid[below[-1] + 1 if below.size else 0]), float(values[k])
 
     if k in (0, grid.size - 1):
         # a maximum at a grid end: the parabola through the end and its one
@@ -674,7 +685,7 @@ def scan_max(
         # width, the end is the bracket's maximum
         inner = math.log(grid[k]) + (_SCAN_TOL if k == 0 else -_SCAN_TOL)
         if float(f(np.array([math.exp(inner)]))[0]) <= values[k]:
-            return grid, values, float(grid[k]), float(values[k])
+            return float(grid[k]), float(values[k])
 
     # Brent's localmin on -f in log coordinates, seeded with the scan so that the
     # first parabola is free: x is the scanned argmax, w the better of its
@@ -721,8 +732,8 @@ def scan_max(
             elif fu <= fv or v == x or v == w:
                 v, fv = u, fu
     if values[k] >= -fx:
-        return grid, values, float(grid[k]), float(values[k])
-    return grid, values, math.exp(x), -fx
+        return float(grid[k]), float(values[k])
+    return math.exp(x), -fx
 
 
 def radial_concentration(mass: MassProfile, alpha: float) -> ConcentrationValue:

@@ -1,5 +1,6 @@
-"""The batched criterion quadrature: the halving trapezoid rule in log(rho), the
-fused kernel reduction, and oracle values for the integrals that run through them."""
+"""The batched criterion quadrature: the probed window and the halving trapezoid
+rule in log(rho), the fused kernel reduction, and oracle values for the integrals
+that run through them."""
 
 import math
 
@@ -14,9 +15,15 @@ from semigroup_oracle import singular_semigroup_quadrature
 from kscrit.criteria import blowup_constant_fractional, shell_semigroup_peak, singular_semigroup_value
 from kscrit.errors import IntegrabilityError, NumericsError
 from kscrit.kernels import (
+    _PROBE_PER_UNIT,
+    _PROBE_PIECE,
+    _PROBE_SPAN,
+    _WINDOW_DROP,
     RHO_CUT,
+    SubordinatedKernel,
     build_kernel_table,
     log_quad,
+    log_window,
     radial_kernel,
     tail_moment,
 )
@@ -78,6 +85,80 @@ class TestLogQuad:
         assert log_i[0] == pytest.approx(800.0 + math.log(1e12 / 4.0), rel=1e-14)
 
 
+def single_shot_window(log_g):
+    """``log_window`` evaluating its whole probe at once: the reference for its pieces."""
+    x_hi = math.log(RHO_CUT)
+    x_lo = x_hi - _PROBE_SPAN
+    for _ in range(20):
+        x = np.linspace(x_lo, x_hi, int(_PROBE_PER_UNIT * (x_hi - x_lo)) + 1)
+        vals = np.atleast_2d(log_g(x))
+        if np.any(np.isnan(vals) | (vals == np.inf)):
+            raise NumericsError("integrand is not finite on the probe")
+        tops = vals.max(axis=1)
+        if not np.all(np.isfinite(tops)):
+            raise NumericsError("integrand vanishes on the whole probe")
+        keep = np.nonzero(np.any(vals >= tops[:, None] - _WINDOW_DROP, axis=0))[0]
+        if keep[0] > 0:
+            window = slice(keep[0] - 1, keep[-1] + 2)
+            return x[window], vals[:, window]
+        x_lo -= _PROBE_SPAN
+    raise NumericsError("could not window the integrand")
+
+
+def assert_same_window(log_g):
+    x, vals = log_window(log_g)
+    x_ref, vals_ref = single_shot_window(log_g)
+    assert np.array_equal(x, x_ref) and np.array_equal(vals, vals_ref)
+
+
+class TestLogWindow:
+    @pytest.mark.parametrize("d,alpha", list(QUAD_REFERENCE) + [(3, 0.05), (60, 1.45), (200, 2.0)])
+    def test_pieces_keep_every_window(self, d, alpha, monkeypatch, request):
+        # the three rows of rho_integrals and the shell peak's row, as their callers build them
+        import kscrit.criteria as criteria
+        import kscrit.kernels as kernels
+
+        integrands = []
+
+        def recorded(log_g):
+            integrands.append(log_g)
+            return log_window(log_g)
+
+        for module in (kernels, criteria):
+            monkeypatch.setattr(module, "log_window", recorded)
+        radial_kernel.cache_clear()
+        request.addfinalizer(radial_kernel.cache_clear)
+        SubordinatedKernel(d, alpha).rho_integrals
+        shell_semigroup_peak(d, alpha)
+        assert len(integrands) == (1 if alpha == 2.0 else 2)
+        for log_g in integrands:
+            assert_same_window(log_g)
+
+    @pytest.mark.parametrize(
+        "log_g",
+        [
+            # the peak lies left of the first piece, x >= log(RHO_CUT) - 16
+            lambda x: -((x + 20.0) ** 2),
+            # -inf on the whole first piece, and a second row peaking on it
+            lambda x: np.stack([np.where(x > -10.0, -np.inf, 3.0 * x), -((x - 2.0) ** 2)]),
+        ],
+    )
+    def test_pieces_keep_synthetic_windows(self, log_g):
+        assert_same_window(log_g)
+
+    @pytest.mark.parametrize("x_nan", [5.0, -12.0])
+    def test_nan_at_an_evaluated_node_raises(self, x_nan):
+        # x = 5 lies in the first piece, x = -12 in the second, which the
+        # integrand's left tail forces the probe to evaluate
+        def log_g(x):
+            vals = -((x + 5.0) ** 2)
+            vals[np.argmin(np.abs(x - x_nan))] = np.nan
+            return vals
+
+        with pytest.raises(NumericsError, match="integrand is not finite on the probe"):
+            log_window(log_g)
+
+
 class TestFusedReduction:
     def test_matches_logsumexp_per_order(self):
         k = radial_kernel(4, 0.3)
@@ -133,6 +214,17 @@ class TestFusedReduction:
         perm = np.random.default_rng(seed).permutation(rho.size)
         assert np.array_equal(k.log_sums(rho.reshape(-1)[perm]), flat[:, perm])
 
+    @pytest.mark.parametrize("pair", [(4, 0.0997), (5, 1.5), (8, 1.9075)])
+    def test_band_never_changes_a_result(self, pair, monkeypatch):
+        # every tile outside the band sums below the drop floor, so the full grid
+        # gives the banded rows bit for bit
+        k = radial_kernel(*pair)
+        rng = np.random.default_rng(7)
+        rho = np.concatenate([[0.0], np.geomspace(1e-8, 1e20, 300), 10.0 ** rng.uniform(-8.0, 20.0, 300)])
+        banded = k.log_sums(rho)
+        monkeypatch.setattr(SubordinatedKernel, "_band", lambda self, r2_ends, orders: (0, self._tiled[0].size))
+        np.testing.assert_array_equal(k.log_sums(rho), banded)
+
     def test_views_keep_their_shapes(self):
         k = radial_kernel(3, 1.5)
         assert isinstance(k.log_R(0.5), float)
@@ -159,6 +251,40 @@ def test_matches_quad_reference(d, alpha):
     assert 1.0 + res["norm_Rp"] == pytest.approx(1.0 + norm_rp_ref, rel=1e-9)
     assert res["norm_R_abserr"] <= EPSREL
     assert res["norm_Rp_abserr"] <= EPSREL
+
+
+def test_shell_peak_refines_on_its_window_probe(monkeypatch, request):
+    # L needs no scan of its own: the window's probe pieces, then Brent on one radius per call
+    radial_kernel.cache_clear()
+    request.addfinalizer(radial_kernel.cache_clear)
+    kernel = radial_kernel(5, 0.9)
+    original, sizes = kernel.log_R, []
+
+    def counted(rho):
+        sizes.append(np.size(rho))
+        return original(rho)
+
+    monkeypatch.setattr(kernel, "log_R", counted)
+    shell_semigroup_peak(5, 0.9)
+    pieces = [n for n in sizes if n > 1]
+    first_probe = int(_PROBE_PER_UNIT * _PROBE_SPAN) + 1
+    assert pieces and max(pieces) <= _PROBE_PIECE and sum(pieces) <= first_probe
+    assert 0 < len(sizes) - len(pieces) <= 40
+
+
+@pytest.mark.parametrize("d,alpha", [(5, 0.9), (4, 0.0997), (3, 0.7175), (6, 1.7675), (8, 1.9075)])
+def test_shell_peak_matches_a_tight_maximization(d, alpha):
+    from scipy.optimize import minimize_scalar
+
+    kernel = radial_kernel(d, alpha)
+    l_val, t_at = shell_semigroup_peak(d, alpha)
+    x_at = -math.log(t_at) / alpha
+    best = minimize_scalar(
+        lambda x: -((d - alpha) * x + kernel.log_R(math.exp(x))),
+        bracket=(x_at - 0.3, x_at, x_at + 0.3),
+        tol=1e-12,
+    )
+    assert l_val == pytest.approx(math.exp(-best.fun), rel=1e-12)
 
 
 #: C to 12 decimals from 30-digit mpmath values, the tail series summed in full
