@@ -22,7 +22,7 @@ class IntegrabilityError(NumericsError):
 
 
 class ResolutionError(NumericsError):
-    """The solver grid is too coarse: BDF failed, or a step broke finiteness, nonnegativity
+    """The solver grid is too coarse: VODE failed, or a step broke finiteness, nonnegativity
     or monotonicity of M, before t_end or the blowup cap."""
 
 

