@@ -9,20 +9,17 @@ the Gaussian mixed by the one-sided stable subordinator with beta = alpha/2.
 At alpha = 2 (beta = 1) the subordinator is the point mass at lam = 1, and R
 is the Gauss-Weierstrass kernel (4 pi)^(-d/2) e^(-rho^2/4).
 Differentiation under the integral gives R' and R'' with closed-form
-lambda-integrands.  The lambda-integral is a trapezoid sum in s = log(lam),
-whose integrand is analytic, so the error falls geometrically in 1/h: the
-window is probed until the integrand is dead at both ends, and the spacing is
-halved until two levels agree (at alpha = 2 the grid is the one node s = 0
-with weight 1).  From alpha = 4/3 on, the nodes are uniform in t and mapped to
-s by an analytic, increasing s = g(t), which keeps the geometric convergence
-(Trefethen & Weideman, SIAM Rev. 56, 2014): they are c = beta/(1 - beta)
+lambda-integrands.  The lambda-integral is a trapezoid sum in s = log(lam)
+over a window probed until the integrand is dead at both ends (at alpha = 2
+the one node s = 0 with weight 1).  From alpha = 4/3 on, the nodes are uniform
+in t and mapped to s by an analytic, increasing s = g(t), c = beta/(1 - beta)
 times closer on the left cliff of f_beta, about 1/c wide, than over the rest
-of the window, 50-200 wide, so the node count no longer grows like c.
-Everything is accumulated in log space so large d is no worse than small d.
-Each sum drops the 64-node tiles whose terms sum below 64 e^(-60) of its own
-peak, which drops at most n_s e^(-60) of it relative (n_s nodes), and reads
-them from a band of the grid shared by radii of similar size; the band never
-changes a result, so no value depends on which radii are evaluated together.
+of the window, 50-200 wide, so the node count no longer grows like c.  The
+integrand stays analytic, so the error falls geometrically in 1/h (Trefethen &
+Weideman, SIAM Rev. 56, 2014).  ``_nested_halving`` sizes this grid and the
+rho-quadratures of ``log_quad`` alike, by the newest level's error extrapolated
+at the rate its last two moves show.  Sums run in log space, so large d is no
+worse than small d; ``log_sums`` says which terms a sum may drop.
 
 Facts used as validation anchors:
 
@@ -79,19 +76,17 @@ _RHO_SUPPORT = 4.0e3
 _LEFT_DROP = 60.0
 #: log of the smallest normal float: no s-grid starts left of it, since exp(s) underflows there
 _LOG_TINY = math.log(np.finfo(float).tiny)
-#: probe radii of the halving test, and its tolerance relative to max(1, |log_sums|).
-#: The trapezoid error in s falls geometrically in 1/h, so halving h about squares
-#: it: a level within 3e-7 of its coarser neighbour is itself near 1e-13 (measured
-#: at most 1.3 times the square on the benchmark's pairs).
+#: probe radii of the s-grid's halving, and its bound on the kept level's estimated
+#: error relative to max(1, |log_sums|)
 _HALVING_RHO = np.concatenate([[0.0], np.geomspace(1e-3, _RHO_SUPPORT, 24)])
-_HALVING_TOL = 3e-7
+_HALVING_TOL = 2e-10
 #: a grid that would need more nodes than this is a NumericsError
 _MAX_NODES = 1 << 18
 #: c = beta/(1 - beta) from which the cliff map saved nodes over the uniform grid at every
 #: d measured (2 to 80, 100, 140 and 200)
 _SURE_CLIFF_C = 3.0
-#: below _SURE_CLIFF_C, the largest d at which the cliff map saved nodes at every alpha
-#: measured; past it, it cost nodes at about one alpha in two
+#: below _SURE_CLIFF_C, the largest d up to which the cliff map saved nodes at 310 of 315
+#: alphas measured; past it, it cost nodes at 79 of 147
 _NEAR_CLIFF_MAX_D = 50
 #: c from which (alpha >= 1.93) the cliff map's fine spacing reaches lam = _SERIES_SWITCH
 _WIDE_CLIFF_C = 27.5
@@ -245,11 +240,9 @@ class SubordinatedKernel:
         nodes are uniform in t and mapped to s = g(t) by ``_cliff_map``, which
         puts them 1/c times closer at the left cliff of f_beta than elsewhere
         (or is the identity); each weight is the t-trapezoid weight times
-        g'(t).  The t-spacing starts at most 1 and is halved until ``log_sums``
-        at ``_HALVING_RHO`` moves by at most ``_HALVING_TOL`` times
-        max(1, |log_sums|); each level adds only the midpoints in t, so log f is
-        evaluated once per node of the final grid.  A grid that needs more than
-        ``_MAX_NODES`` nodes is a NumericsError.
+        g'(t).  The t-spacing starts at most 1 and is halved by ``_nested_halving``
+        until the estimated error of ``log_sums`` at ``_HALVING_RHO`` is at most
+        ``_HALVING_TOL`` max(1, |log_sums|), within ``_MAX_NODES`` nodes.
         """
         sub, d = self.subordinator, self.d
         # start guess: beyond the peak of f(lam) lam^(-d/2), located where
@@ -283,25 +276,21 @@ class SubordinatedKernel:
         grid_map = _cliff_map(sub, d)
         t_lo, t_hi = grid_map.t_range(lo, hi)
         t = np.linspace(t_lo, t_hi, math.ceil(t_hi - t_lo) + 1)
-        s, log_slope = grid_map(t)
-        log_f = sub.log_pdf(np.exp(s))
-        self._set_grid(s, _trapezoid_log_weights(t) + log_slope + log_f)
-        coarse = self.log_sums(_HALVING_RHO)
-        while 2 * s.size - 1 <= _MAX_NODES:
-            mid = 0.5 * (t[:-1] + t[1:])
-            s_mid, slope_mid = grid_map(mid)
-            t, s, log_slope = _interleave(t, mid), _interleave(s, s_mid), _interleave(log_slope, slope_mid)
-            log_f = _interleave(log_f, sub.log_pdf(np.exp(s_mid)))
+
+        def rows(t):
+            s, log_slope = grid_map(t)
+            return np.stack([s, log_slope, sub.log_pdf(np.exp(s))])
+
+        def summary(level):
+            # sets the grid it measures, so the kept level's grid is the one left set
+            t, s, log_slope, log_f = level
             self._set_grid(s, _trapezoid_log_weights(t) + log_slope + log_f)
-            fine = self.log_sums(_HALVING_RHO)
-            step = float(np.max(np.abs(fine - coarse) / np.maximum(1.0, np.abs(fine))))
-            if step <= _HALVING_TOL:
-                return
-            coarse = fine
-        raise NumericsError(
-            f"the subordination grid did not converge within {_MAX_NODES} nodes "
-            f"(d={d}, alpha={self.alpha})"
-        )
+            sums = self.log_sums(_HALVING_RHO)
+            return sums, np.maximum(1.0, np.abs(sums))
+
+        message = f"the subordination grid did not converge within {_MAX_NODES} nodes "
+        message += f"(d={d}, alpha={self.alpha})"
+        _nested_halving(np.vstack([t, rows(t)]), rows, summary, 0.0, _HALVING_TOL, _MAX_NODES, message)
 
     def _set_grid(self, s: np.ndarray, log_wf: np.ndarray) -> None:
         self._s = s
@@ -508,10 +497,10 @@ def _cliff_map(sub: StableSubordinator, d: int) -> _UniformMap:
     With c < 2 the fine spacing would be more than half the coarse one and
     could not save a halving, so the grid stays uniform in s, node for node.
     Below c = ``_SURE_CLIFF_C`` the map saves one halving or none: at
-    d <= ``_NEAR_CLIFF_MAX_D`` it saved one at every alpha measured, but past
-    that it saved none at about one alpha in two, and its wider t-range then
-    cost up to 16% more nodes than the uniform grid, so there the grid stays
-    uniform.
+    d <= ``_NEAR_CLIFF_MAX_D`` it saved one at 310 of 315 alphas measured (the
+    other five cost up to 6% more nodes), but past that it saved none at 79 of
+    147, and its wider t-range then cost up to 17% more nodes than the uniform
+    grid, so there the grid stays uniform.
     """
     c = sub.c
     if c < 2.0 or (c < _SURE_CLIFF_C and d > _NEAR_CLIFF_MAX_D):
@@ -575,11 +564,9 @@ _PROBE_PER_UNIT = 4
 _PROBE_SPAN = 46.0
 #: probe nodes per piece of log_window, 16 units of x
 _PROBE_PIECE = 64
-_QUAD_EPSREL = 1e-10
+_QUAD_EPSREL = 1e-12
 #: log_quad reports no error below 50 rounding units of I, as QUADPACK does
 _ROUNDING = 50.0 * np.finfo(float).eps
-#: intervals a level of log_quad needs before it is compared with the next
-_QUAD_MIN_INTERVALS = 8
 _QUAD_MAX_NODES = 1 << 16
 #: Gregory's end correction on the last six trapezoid weights, in units of h: the
 #: backward differences of orders 1-5 with coefficients 1/12, 1/24, 19/720, 3/160, 863/60480
@@ -646,12 +633,14 @@ def log_quad(log_f):
     ``log_f`` maps a 1-d rho array to one row (or several rows sharing the
     nodes) of log-integrand values.  The integral runs in x = log(rho) over
     the window ``log_window`` finds, by the trapezoid rule of
-    ``_cut_trapezoid_weights``, whose error falls geometrically in 1/h on
-    these analytic integrands (Trefethen & Weideman, SIAM Rev. 56, 2014).
-    The window's probe nodes are the first level, and the spacing is halved,
-    evaluating ``log_f`` only at the midpoints, until no row moves by more
-    than 1e-10 of itself.  Returns (log I, abserr) as arrays over the rows,
-    abserr being that last move (at least 50 rounding units of I).
+    ``_cut_trapezoid_weights``.  The probe's nodes are the first level and
+    every other one of them a free level before it; ``_nested_halving`` halves
+    until the estimated error is at most ``_QUAD_EPSREL`` of every row.  On
+    these analytic integrands the error falls geometrically in 1/h (Trefethen
+    & Weideman, SIAM Rev. 56, 2014), but only like h^7, Gregory's order, where
+    the integrand is live at the cut, so the rate is floored at 2^-7.  Returns
+    (log I, abserr) over the rows: abserr is that estimate, at least 50
+    rounding units of I, plus the rounding of log I.
     """
 
     def log_g(x):
@@ -659,25 +648,57 @@ def log_quad(log_f):
 
     x, vals = log_window(log_g)
     shift = vals.max(axis=1)
-    g = np.exp(vals - shift[:, None])
-    coarse = np.inf
-    while x.size <= _QUAD_MAX_NODES:
-        if x.size > _QUAD_MIN_INTERVALS:
-            fine = g @ _cut_trapezoid_weights(x.size, (x[-1] - x[0]) / (x.size - 1))
-            move = np.abs(fine - coarse)
-            if np.all(move <= _QUAD_EPSREL * fine):
-                # abserr is inf where I itself is beyond the float range
-                with np.errstate(divide="ignore", over="ignore"):
-                    return shift + np.log(fine), np.exp(shift) * np.maximum(move, _ROUNDING * fine)
-            coarse = fine
-        mid = 0.5 * (x[:-1] + x[1:])
+
+    def rows(mid):
         g_mid = np.exp(log_g(mid) - shift[:, None])
         if not np.all(np.isfinite(g_mid)):
             raise NumericsError("integrand is not finite at a quadrature node")
-        x, g = _interleave(x, mid), _interleave(g, g_mid)
-    raise NumericsError(
-        f"quadrature did not reach epsrel={_QUAD_EPSREL:g} within {_QUAD_MAX_NODES} nodes"
+        return g_mid
+
+    def summary(level):
+        x, g = level[0], level[1:]
+        if x.size < _GREGORY_END.size:  # too coarse for Gregory's weights: no sum
+            return np.full(len(g), np.nan), 1.0
+        sums = g @ _cut_trapezoid_weights(x.size, (x[-1] - x[0]) / (x.size - 1))
+        return sums, sums
+
+    level = np.vstack([x, np.exp(vals - shift[:, None])])
+    # every other probe node, ending at the cut, is a free level one halving coarser
+    coarse = summary(level[:, (x.size - 1) % 2 :: 2])[0]
+    message = f"quadrature did not reach epsrel={_QUAD_EPSREL:g} within {_QUAD_MAX_NODES} nodes"
+    _, sums, err = _nested_halving(
+        level, rows, summary, 2.0 ** -(_GREGORY_END.size + 1), _QUAD_EPSREL, _QUAD_MAX_NODES, message, coarse
     )
+    # abserr adds the rounding of log I, an ulp of it; it is inf where I is beyond the float range
+    with np.errstate(divide="ignore", over="ignore"):
+        log_i = shift + np.log(sums)
+        return log_i, np.exp(log_i) * (max(err, _ROUNDING) + np.spacing(np.abs(log_i)))
+
+
+def _nested_halving(level, midpoints, summary, q_floor, tol, max_nodes, message, coarse=None):
+    """Halve a trapezoid rule until its newest level's estimated error is at most ``tol``.
+
+    ``level`` stacks the nodes over the rows each node carries; a halving
+    evaluates ``midpoints`` at the new nodes only.  ``summary(level)`` gives
+    the level's result v_k and the unit of its move m_k = max |v_k - v_(k-1)|
+    / unit; ``coarse`` is v one level coarser, where the caller has it free.
+    If the moves keep shrinking by q = max(m_k / m_(k-1), ``q_floor``), level k
+    is off by E_k = m_k q / (1 - q); a move within ``_ROUNDING`` is its own
+    estimate, and a move that did not shrink gives none.  Past ``max_nodes``
+    nodes it raises NumericsError(``message``).  Returns (level, v_k, E_k).
+    """
+    value, unit = summary(level)
+    move = math.nan if coarse is None else float(np.max(np.abs(value - coarse) / unit))
+    while 2 * level.shape[1] - 1 <= max_nodes:
+        mid = 0.5 * (level[0, :-1] + level[0, 1:])
+        level = _interleave(level, np.vstack([mid, midpoints(mid)]))
+        sums, unit = summary(level)
+        prev, move, value = move, float(np.max(np.abs(sums - value) / unit)), sums
+        q = max(move / prev, q_floor) if move < prev else 1.0
+        err = move if move <= _ROUNDING else (move * q / (1.0 - q) if q < 1.0 else math.inf)
+        if err <= tol:
+            return level, value, err
+    raise NumericsError(message)
 
 
 def _tail_coefficients(d: int, alpha: float) -> np.ndarray:
@@ -737,7 +758,7 @@ def build_kernel_table(d: int, alpha: float) -> KernelTable:
         "norm_R": float(i1) - 1.0,
         "norm_Rp": float(i2) - 1.0,
         "R0": math.exp(kernel.log_R(np.array([0.0]))[0] - kernel.log_R0) - 1.0,
-        # quadrature error estimates of the two normalization integrals
+        # estimated errors of the two normalization integrals' kept quadrature level
         "norm_R_abserr": float(err1),
         "norm_Rp_abserr": float(err2),
     }

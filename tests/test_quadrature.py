@@ -341,6 +341,50 @@ def test_table_and_constant_share_one_quadrature(d, alpha, monkeypatch):
     assert len(calls) == 1
 
 
+def test_one_driver_halves_the_s_grid_and_the_quadrature(monkeypatch):
+    import kscrit.kernels as kernels
+
+    driver, messages = kernels._nested_halving, []
+
+    def counted(*args):
+        messages.append(args[6])
+        return driver(*args)
+
+    monkeypatch.setattr(kernels, "_nested_halving", counted)
+    SubordinatedKernel(5, 0.9).rho_integrals
+    assert len(messages) == 2
+    assert "subordination grid" in messages[0] and "quadrature" in messages[1]
+
+
+@pytest.mark.parametrize(
+    "d,alpha", list(QUAD_REFERENCE) + [(4, 0.3), (60, 1.45)] + [(d, 2.0) for d in (2, 3, 6, 10, 200)]
+)
+def test_rho_integrals_hold_their_error_estimate(d, alpha, monkeypatch):
+    # against the same quadrature three halvings past its kept level: an
+    # estimate that trusted the fast early rate where the integrand is live at
+    # the cut would keep a level about 1e-11 off here
+    import kscrit.kernels as kernels
+
+    values, abserr = SubordinatedKernel(d, alpha).rho_integrals
+    driver = kernels._nested_halving
+
+    def finer(level, midpoints, summary, *args):
+        level, _, err = driver(level, midpoints, summary, *args)
+        for _ in range(3):
+            mid = 0.5 * (level[0, :-1] + level[0, 1:])
+            level = kernels._interleave(level, np.vstack([mid, midpoints(mid)]))
+        return level, summary(level)[0], err
+
+    # the kernel is built before the patch, so only its quadrature goes finer
+    kernel = SubordinatedKernel(d, alpha)
+    monkeypatch.setattr(kernels, "_nested_halving", finer)
+    reference, _ = kernel.rho_integrals
+    gap = np.abs(values - reference)
+    assert np.all(gap <= 1e-12 * reference)
+    assert np.all(abserr >= gap)
+    assert np.all(abserr <= 1e-12 * values)
+
+
 # the poisoned call: the window's probe, or the first level of midpoints
 @pytest.mark.parametrize("poisoned_call", [0, 1])
 def test_constant_guard_runs_at_every_quadrature_node(poisoned_call, monkeypatch, capsys, tmp_path, request):

@@ -9,7 +9,8 @@ them where c = beta/(1 - beta) is large, and is the identity for c < 2; next
 to alpha = 2 the grids converge without a warning.  The
 pairs are the seven ``sweep`` strata and three ``verdicts`` pairs of the
 benchmark, the curve's small-alpha pair (4, 0.3), the smallest alpha
-(3, 0.05) and the high dimension (80, 1.5).
+(3, 0.05), the high dimension (80, 1.5), and (60, 1.4454) and (80, 1.3654),
+where the halving stops one level before a rule on the last move alone would.
 """
 
 import math
@@ -26,7 +27,7 @@ from kscrit.kernels import (
 PAIRS = [
     (4, 0.0997), (9, 0.4175), (3, 0.7175), (10, 1.0175), (5, 1.2675), (6, 1.7675), (8, 1.9075),
     (5, 0.9), (4, 1.2), (5, 1.5),
-    (4, 0.3), (3, 0.05), (80, 1.5),
+    (4, 0.3), (3, 0.05), (80, 1.5), (60, 1.4454), (80, 1.3654),
 ]
 RHO = np.concatenate([[0.0], np.geomspace(1e-6, 1e20, 800)])
 _LOG_4PI = math.log(4.0 * math.pi)
@@ -161,16 +162,26 @@ def test_a_grid_past_the_node_cap_is_a_numerics_error(monkeypatch):
         SubordinatedKernel(5, 1.0)
 
 
-#: nodes of each PAIRS grid when every grid was uniform in s
+#: nodes of each PAIRS grid when every grid was uniform in s; the last two
+#: grids are uniform in s (c < 3 at d > 50), as measured with the current halving
 _UNIFORM_NODES = {
     (4, 0.0997): 1665, (9, 0.4175): 593, (3, 0.7175): 945, (10, 1.0175): 433, (5, 1.2675): 601,
     (6, 1.7675): 1985, (8, 1.9075): 3329, (5, 0.9): 657, (4, 1.2): 697, (5, 1.5): 1153,
-    (4, 0.3): 1009, (3, 0.05): 2873, (80, 1.5): 769,
+    (4, 0.3): 1009, (3, 0.05): 2873, (80, 1.5): 769, (60, 1.4454): 401, (80, 1.3654): 385,
 }
 
 
 def test_no_grid_gains_nodes_over_the_uniform_one(kernel):
     assert kernel._s.size <= _UNIFORM_NODES[(kernel.d, kernel.alpha)]
+
+
+def test_a_level_whose_estimated_error_is_in_target_ends_the_halving():
+    # the moves into these levels, 3.2e-7 and 6.2e-7, exceed the 3e-7 that a
+    # rule on the move alone asks for, which spends one more halving (801 and
+    # 769 nodes); the rate of the moves puts the levels' own errors at 7.2e-11
+    # and 1.3e-10, within _HALVING_TOL
+    assert SubordinatedKernel(60, 1.4454)._s.size == 401
+    assert SubordinatedKernel(80, 1.3654)._s.size == 385
 
 
 @pytest.mark.parametrize("alpha", [round(1.30 + 0.04 * k, 2) for k in range(6)])
