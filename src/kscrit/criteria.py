@@ -40,7 +40,6 @@ from .errors import IntegrabilityError, NumericsError, ValidationError
 from .kernels import (
     RHO_CUT,
     _cut_trapezoid_weights,
-    log_window,
     radial_kernel,
     tail_moment,
 )
@@ -128,11 +127,11 @@ def shell_semigroup_peak(d: int, alpha: float = 2.0) -> tuple[float, float]:
     """L_alpha(d) = sup_t t P_t(unit shell)(0) = sup_rho rho^(d-alpha) R(rho).
 
     Returns (value, maximizing time); the time for a unit-radius shell is
-    rho*^(-alpha).  Closed form for alpha = 2; otherwise ``log_window`` probes
-    the log of rho^(d-alpha) R, 4 nodes per unit of log(rho), and
-    ``refine_max`` refines the probe's maximum by Brent's method on one radius
-    per call, with a range error if the probe's maximizer lands on the
-    window's boundary.
+    rho*^(-alpha).  Closed form for alpha = 2; otherwise the log of
+    rho^(d-alpha) R is row 0 (rho^d R) of the kernel's ``rho_window`` less
+    alpha log(rho), 4 nodes per unit of log(rho), so L evaluates no probe of
+    its own; ``refine_max`` refines that maximum by Brent's method on one
+    radius per call, with a range error if it lands on the window's boundary.
     """
     d = check_dimension(d)
     alpha = check_alpha(alpha)
@@ -149,12 +148,11 @@ def shell_semigroup_peak(d: int, alpha: float = 2.0) -> tuple[float, float]:
         )
         return math.exp(log_l), 1.0 / (2.0 * (d - 2))
     kernel = radial_kernel(d, alpha)
-    x, logvals = log_window(lambda x: (d - alpha) * x + kernel.log_R(np.exp(x)))
-    if int(np.argmax(logvals[0])) in (0, x.size - 1):
+    x, rows = kernel.rho_window
+    log_shell = rows[0] - alpha * x
+    if int(np.argmax(log_shell)) in (0, x.size - 1):
         raise NumericsError("shell peak maximizer at the window boundary; extend the rho range")
-    rho_star, log_l = refine_max(
-        lambda rho: (d - alpha) * np.log(rho) + kernel.log_R(rho), np.exp(x), logvals[0]
-    )
+    rho_star, log_l = refine_max(lambda rho: (d - alpha) * np.log(rho) + kernel.log_R(rho), np.exp(x), log_shell)
     return math.exp(log_l), rho_star**-alpha
 
 

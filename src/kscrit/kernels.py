@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import IntegrabilityError, NumericsError
 from .radial import _SCAN_PER_DECADE, check_alpha, check_dimension, sphere_area
-from .subordinator import _SERIES_SWITCH, StableSubordinator, _leggauss
+from .subordinator import _LOG_TINY, _SERIES_SWITCH, StableSubordinator, _leggauss
 
 __all__ = [
     "SubordinatedKernel",
@@ -74,8 +74,6 @@ _WARN_DIMENSION = 60
 _RHO_SUPPORT = 4.0e3
 #: the s-grid starts where every order of the rho = 0 integrand is this far below its maximum
 _LEFT_DROP = 60.0
-#: log of the smallest normal float: no s-grid starts left of it, since exp(s) underflows there
-_LOG_TINY = math.log(np.finfo(float).tiny)
 #: probe radii of the s-grid's halving, and its bound on the kept level's estimated
 #: error relative to max(1, |log_sums|)
 _HALVING_RHO = np.concatenate([[0.0], np.geomspace(1e-3, _RHO_SUPPORT, 24)])
@@ -177,34 +175,44 @@ class SubordinatedKernel:
         rho.flags.writeable = weight.flags.writeable = False
         return rho, h, weight
 
+    def rho_integrands(self, x: np.ndarray) -> np.ndarray:
+        """log of the rho-integrands of ``rho_integrals`` times rho, in x = log(rho): rho^d R,
+        rho^(d+1) |R'| and C's body, from one ``log_sums`` call for orders 0, 1 and 2."""
+        d, alpha = self.d, self.alpha
+        rho = np.exp(x)
+        log_s0, log_s1, log_s2 = self.log_sums(rho)
+        # C's denominator (d-1)/rho + R''/|R'| with R' = -(rho/2) S_1, R'' = (rho^2/4) S_2 - S_1/2,
+        # summed without the 1/rho - 1/rho cancellation
+        denom = (d - 2) / rho + 0.5 * rho * np.exp(log_s2 - log_s1)
+        if not np.all(denom > 0.0):
+            raise NumericsError(
+                f"the denominator of C is not a positive float at d={d}, alpha={alpha}: "
+                "the kernel sums are not finite, or their ratio underflows"
+            )
+        log_rho = np.log(rho)
+        log_c = d * log_rho + log_s1 - math.log(2.0) - np.log(denom)
+        return np.stack([log_s0 + (d - 1) * log_rho, _log_abs_rp(rho, log_s1) + d * log_rho, log_c]) + x
+
+    @cached_property
+    def rho_window(self) -> tuple[np.ndarray, np.ndarray]:
+        """``log_window`` of ``rho_integrands``, built once: the probe C, the norms and L read.  Read-only."""
+        x, rows = log_window(self.rho_integrands)
+        x.flags.writeable = rows.flags.writeable = False
+        return x, rows
+
     @cached_property
     def rho_integrals(self) -> tuple[np.ndarray, np.ndarray]:
         """(values, abserr) of the kernel's rho-integrals, from one ``log_quad``, built once.
 
         The values are sigma_d int R rho^(d-1) drho and (sigma_d/d) int |R'| rho^d
         drho, both 1 exactly, and C_alpha(d) (``blowup_constant_fractional``),
-        each with its part past RHO_CUT, so a value never mixes two cuts.  Each
-        node calls ``log_sums`` once, for orders 0, 1 and 2.  Read-only arrays.
+        each with its part past RHO_CUT, so a value never mixes two cuts.  The
+        quadrature starts from ``rho_window``.  Read-only arrays.
         """
         d, alpha = self.d, self.alpha
-
-        def log_f(rho):
-            log_s0, log_s1, log_s2 = self.log_sums(rho)
-            # C's denominator (d-1)/rho + R''/|R'| with R' = -(rho/2) S_1, R'' = (rho^2/4) S_2 - S_1/2,
-            # summed without the 1/rho - 1/rho cancellation
-            denom = (d - 2) / rho + 0.5 * rho * np.exp(log_s2 - log_s1)
-            if not np.all(denom > 0.0):
-                raise NumericsError(
-                    f"the denominator of C is not a positive float at d={d}, alpha={alpha}: "
-                    "the kernel sums are not finite, or their ratio underflows"
-                )
-            log_rho = np.log(rho)
-            log_c = d * log_rho + log_s1 - math.log(2.0) - np.log(denom)
-            return np.stack([log_s0 + (d - 1) * log_rho, _log_abs_rp(rho, log_s1) + d * log_rho, log_c])
-
         sig = sphere_area(d)
         scale = np.array([sig, sig / d, 2.0 * sig])
-        log_i, err = log_quad(log_f)
+        log_i, err = log_quad(self.rho_integrands, self.rho_window)
         values, err = scale * np.exp(log_i), scale * err
         if alpha < 2.0:
             # C past the cut: with a_k = (d + alpha k) c_k the tail series of |R'| and
@@ -391,9 +399,6 @@ class SubordinatedKernel:
     def log_abs_Rp(self, rho):
         return _scalar_if(rho, _log_abs_rp(rho, self.log_sums(rho, (1,))[0]))
 
-    def Rp(self, rho):
-        return -np.exp(self.log_abs_Rp(rho))
-
     def Rpp(self, rho):
         log_s1, log_s2 = self.log_sums(rho, (1, 2))
         return _scalar_if(rho, _rpp(rho, log_s1, log_s2))
@@ -559,11 +564,12 @@ def _tail_fit(log_rho: np.ndarray, log_val: np.ndarray) -> tuple[float, float]:
 
 #: a window keeps x = log(rho) where the log-integrand is within this of its maximum
 _WINDOW_DROP = 40.0
-#: probe points per unit of x, and the x-extent added per probe extension
+#: probe nodes per unit of x
 _PROBE_PER_UNIT = 4
-_PROBE_SPAN = 46.0
 #: probe nodes per piece of log_window, 16 units of x
 _PROBE_PIECE = 64
+#: probe nodes down to the smallest normal float, rho = e^_LOG_TINY
+_PROBE_MAX_NODES = int(_PROBE_PER_UNIT * (math.log(RHO_CUT) - _LOG_TINY)) + 1
 _QUAD_EPSREL = 1e-12
 #: log_quad reports no error below 50 rounding units of I, as QUADPACK does
 _ROUNDING = 50.0 * np.finfo(float).eps
@@ -590,49 +596,40 @@ def log_window(log_g) -> tuple[np.ndarray, np.ndarray]:
     """Probe nodes x <= log(RHO_CUT) spanning the mass of exp(log_g), and log_g's rows there.
 
     ``log_g`` maps a 1-d x array to one row (or several rows) of log values.
-    The probe is a uniform grid, 4 nodes per unit of x, ending at log(RHO_CUT).
-    It is evaluated from the right in pieces of ``_PROBE_PIECE`` nodes and
-    stops at the first piece whose left end lies ``_WINDOW_DROP`` below every
-    row's maximum so far; ``log_g`` is taken to stay dead left of that point,
-    as every rho^p-weighted kernel integrand does.  A grid evaluated to its left
-    end without reaching such a point reaches ``_PROBE_SPAN`` further left and
-    is probed again.  The window reaches one probe step past the first and the
-    last point where any row is within that drop.  A NaN or +inf at an
-    evaluated node is a NumericsError, and so is a row that is -inf on the
-    whole grid.
+    The probe walks the lattice x_j = log(RHO_CUT) - j/4 from the right in
+    pieces of ``_PROBE_PIECE`` nodes, evaluating each node once, and stops at
+    the first piece whose left end lies ``_WINDOW_DROP`` below every row's
+    maximum so far; ``log_g`` is taken to stay dead left of that point, as
+    every rho^p-weighted kernel integrand does.  The window reaches one probe
+    step past the first and the last point where any row is within that drop.
+    A NaN or +inf at an evaluated node is a NumericsError, and so is a probe
+    that reaches ``_PROBE_MAX_NODES`` nodes without closing the window.
     """
-    x_hi = math.log(RHO_CUT)
-    x_lo = x_hi - _PROBE_SPAN
-    for _ in range(20):
-        x = np.linspace(x_lo, x_hi, int(_PROBE_PER_UNIT * (x_hi - x_lo)) + 1)
-        pieces, start = [], x.size
-        while start > 0:
-            end, start = start, max(start - _PROBE_PIECE, 0)
-            pieces.insert(0, np.atleast_2d(log_g(x[start:end])))
-            if np.any(np.isnan(pieces[0]) | (pieces[0] == np.inf)):
-                raise NumericsError("integrand is not finite on the probe")
-            vals = np.concatenate(pieces, axis=1)
-            tops = vals.max(axis=1)
-            if not np.all(np.isfinite(tops)):
-                continue
+    xs, pieces = [], []
+    for j in range(0, _PROBE_MAX_NODES, _PROBE_PIECE):
+        # lattice nodes j ... j + _PROBE_PIECE - 1, counted from the right
+        j_piece = np.arange(min(j + _PROBE_PIECE, _PROBE_MAX_NODES) - 1, j - 1, -1)
+        xs.insert(0, math.log(RHO_CUT) - j_piece / _PROBE_PER_UNIT)
+        pieces.insert(0, np.atleast_2d(log_g(xs[0])))
+        if np.any(np.isnan(pieces[0]) | (pieces[0] == np.inf)):
+            raise NumericsError("integrand is not finite on the probe")
+        x, vals = np.concatenate(xs), np.concatenate(pieces, axis=1)
+        tops = vals.max(axis=1)
+        if np.all(np.isfinite(tops)):
             keep = np.nonzero(np.any(vals >= tops[:, None] - _WINDOW_DROP, axis=0))[0]
             if keep[0] > 0:
                 window = slice(keep[0] - 1, keep[-1] + 2)
-                return x[start:][window], vals[:, window]
-        if not np.all(np.isfinite(tops)):
-            raise NumericsError("integrand vanishes on the whole probe")
-        x_lo -= _PROBE_SPAN
-    raise NumericsError(
-        f"could not window the integrand: still significant at rho = {math.exp(x_lo):.3g}"
-    )
+                return x[window], vals[:, window]
+    raise NumericsError(f"could not window the integrand down to rho = {math.exp(x[0]):.3g}")
 
 
-def log_quad(log_f):
-    """log of int_0^RHO_CUT exp(log_f(rho)) drho for each row of ``log_f``, with errors.
+def log_quad(log_g, window: tuple[np.ndarray, np.ndarray]):
+    """log of int exp(log_g(x)) dx up to x = log(RHO_CUT) for each row of ``log_g``, with errors.
 
-    ``log_f`` maps a 1-d rho array to one row (or several rows sharing the
-    nodes) of log-integrand values.  The integral runs in x = log(rho) over
-    the window ``log_window`` finds, by the trapezoid rule of
+    ``log_g`` maps a 1-d x = log(rho) array to one row (or several rows
+    sharing the nodes) of log-integrand values, and ``window`` is its
+    ``log_window``, (x, rows): ``log_quad`` probes nothing itself.  The
+    integral runs over the window by the trapezoid rule of
     ``_cut_trapezoid_weights``.  The probe's nodes are the first level and
     every other one of them a free level before it; ``_nested_halving`` halves
     until the estimated error is at most ``_QUAD_EPSREL`` of every row.  On
@@ -642,11 +639,7 @@ def log_quad(log_f):
     (log I, abserr) over the rows: abserr is that estimate, at least 50
     rounding units of I, plus the rounding of log I.
     """
-
-    def log_g(x):
-        return np.atleast_2d(log_f(np.exp(x))) + x
-
-    x, vals = log_window(log_g)
+    x, vals = window
     shift = vals.max(axis=1)
 
     def rows(mid):

@@ -660,15 +660,17 @@ def refine_max(
     ``f`` on one-point arrays, until the bracket is ``_SCAN_TOL`` wide in log
     coordinates, so the same relative width at every scale.  The scanned
     argmax and its neighbours seed it, so the first parabola costs no call.
-    A scanned argmax at a grid end is returned after one call ``_SCAN_TOL``
-    inside it shows ``f`` no larger there.  At a smooth maximum the value is
-    resolved to the rounding of ``f``, the argmax only to about its square
-    root.  The larger of the scanned and the refined maximum is kept (the grid
-    point itself when no refined value beats it), since a kink at a breakpoint
-    can push the refinement off it.  A run of scanned values within
-    ``_PLATEAU_REL`` of the maximum is a plateau: it is not refined, and its
-    left end is the argmax, so last-digit changes cannot move it.  A scan
-    whose maximum is not finite is returned unrefined.  Returns (argmax, max).
+    One more call, at the vertex of a last parabola through Brent's three best
+    points and kept where larger, resolves even a sharply curved maximum's
+    value to the rounding of ``f``; the argmax is resolved only to about its
+    square root.  A scanned argmax at a grid end is returned after one call
+    ``_SCAN_TOL`` inside it shows ``f`` no larger there.  The larger of the
+    scanned and the refined maximum is kept (the grid point itself when no
+    refined value beats it), since a kink at a breakpoint can push the
+    refinement off it.  A run of scanned values within ``_PLATEAU_REL`` of the
+    maximum is a plateau: it is not refined, and its left end is the argmax,
+    so last-digit changes cannot move it.  A scan whose maximum is not finite
+    is returned unrefined.  Returns (argmax, max).
     """
     k = int(np.argmax(values))
     if not math.isfinite(values[k]):
@@ -731,6 +733,12 @@ def refine_max(
                 v, fv, w, fw = w, fw, u, fu
             elif fu <= fv or v == x or v == w:
                 v, fv = u, fu
+    # a last parabola through the three best points, for a sharply curved maximum
+    r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
+    u = x - ((x - v) * q - (x - w) * r) / (2.0 * (q - r)) if q != r else x
+    if a < u < b and u != x:
+        fu = -float(f(np.array([math.exp(u)]))[0])
+        x, fx = (u, fu) if fu < fx else (x, fx)
     if values[k] >= -fx:
         return float(grid[k]), float(values[k])
     return math.exp(x), -fx

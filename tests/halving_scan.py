@@ -1,9 +1,11 @@
-"""Trace the nested halvings of the s-grid and of the rho-quadrature, level by level.
+"""Trace the nested halvings of the s-grid and of the rho-quadrature, level by level,
+and count the radii of each kernel's rho-probe.
 
 Run from the repository root:
 
     PYTHONPATH=src python3 tests/halving_scan.py sgrid [--uniform | --cliff] [--low-d] [d,alpha ...]
     PYTHONPATH=src python3 tests/halving_scan.py quad [d,alpha ...]
+    PYTHONPATH=src python3 tests/halving_scan.py probe [d,alpha ...]
 
 Without pairs, ``sgrid`` scans d in {52, 56, 60, 64, 70, 76, 80} (with
 ``--low-d``, d in {2, 3, 4, 5, 6, 8, 10, 15, ..., 50}) x alpha = 1.3334 +
@@ -17,8 +19,13 @@ units of the rule's own summary.  The kept level is starred.  ``sgrid``
 traces the s-grid under the map ``_cliff_map`` chooses, or under the uniform
 map (``--uniform``) or the cliff map wherever c >= 2 (``--cliff``); it ends
 with one ``nodes`` line per pair for ``sort``/``diff``.  ``quad`` builds each
-kernel untraced, then traces its ``rho_integrals``.  The script needs only the
-standard library and kscrit, and pytest does not collect it.
+kernel untraced, then traces its ``rho_integrals``.  ``probe`` (by default on
+the ``quad`` pairs with alpha < 2, and (3, 0.05)) prints one line per pair:
+the lattice nodes ``log_window`` evaluated for ``rho_window`` and the nodes of
+the window it kept, then the radii ``log_sums`` took for ``rho_integrals``
+(probe and halvings) and for L (``shell_semigroup_peak``), which reads the
+same probe.  The script needs only the standard library and kscrit, and pytest
+does not collect it.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ import math
 import sys
 
 import kscrit.kernels as kernels
+from kscrit.criteria import shell_semigroup_peak
 
 FINER = 3
 HIGH_D = (52, 56, 60, 64, 70, 76, 80)
@@ -122,6 +130,25 @@ def main(argv: list[str]) -> None:
                 kernel.rho_integrals
             finally:
                 kernels._nested_halving = _driver
+    elif kind == "probe":
+        for d, alpha in _pairs(words, [p for p in QUAD_PAIRS if p[1] < 2.0] + [(3, 0.05)]):
+            kernel = kernels.radial_kernel(d, alpha)
+            original, radii = kernel.log_sums, []
+
+            def counted(rho, orders=(0, 1, 2)):
+                radii.append(getattr(rho, "size", 1))
+                return original(rho, orders)
+
+            kernel.log_sums = counted
+            x, _ = kernel.rho_window
+            probe = sum(radii)
+            kernel.rho_integrals
+            integrals = sum(radii)
+            shell_semigroup_peak(d, alpha)
+            print(
+                f"probe d={d} alpha={alpha}  probe nodes {probe:5d}  window nodes {x.size:5d}  "
+                f"rho_integrals radii {integrals:6d}  L radii {sum(radii) - integrals:4d}"
+            )
     else:
         raise SystemExit(__doc__)
 

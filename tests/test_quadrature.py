@@ -15,9 +15,8 @@ from semigroup_oracle import singular_semigroup_quadrature
 from kscrit.criteria import blowup_constant_fractional, shell_semigroup_peak, singular_semigroup_value
 from kscrit.errors import IntegrabilityError, NumericsError
 from kscrit.kernels import (
+    _PROBE_MAX_NODES,
     _PROBE_PER_UNIT,
-    _PROBE_PIECE,
-    _PROBE_SPAN,
     _WINDOW_DROP,
     RHO_CUT,
     SubordinatedKernel,
@@ -62,6 +61,15 @@ QUAD_REFERENCE = {
 }
 
 
+def quad_in_rho(log_f):
+    """int_0^RHO_CUT exp(log_f(rho)) drho by ``log_quad`` in x = log(rho), on its own window."""
+
+    def log_g(x):
+        return np.atleast_2d(log_f(np.exp(x))) + x
+
+    return log_quad(log_g, log_window(log_g))
+
+
 class TestLogQuad:
     def test_gaussian_moments_share_nodes(self):
         # int_0^inf rho^p e^(-rho^2/4) drho = 2^p Gamma((p+1)/2)
@@ -69,7 +77,7 @@ class TestLogQuad:
             log_rho = np.log(rho)
             return np.stack([2.0 * log_rho, 3.0 * log_rho]) - 0.25 * rho**2
 
-        log_i, err = log_quad(log_f)
+        log_i, err = quad_in_rho(log_f)
         exact = [2.0 * math.sqrt(math.pi), 8.0]
         np.testing.assert_allclose(np.exp(log_i), exact, rtol=1e-13)
         assert np.all(err <= EPSREL * np.exp(log_i))
@@ -77,32 +85,27 @@ class TestLogQuad:
     def test_noise_raises_instead_of_looping(self):
         rng = np.random.default_rng(0)
         with pytest.raises(NumericsError, match="did not reach"):
-            log_quad(lambda rho: np.log1p(0.1 * rng.random(rho.shape)) - rho)
+            quad_in_rho(lambda rho: np.log1p(0.1 * rng.random(rho.shape)) - rho)
 
     def test_large_log_values(self):
         # a shift far beyond the float range: int_0^1000 e^(800) rho^3 drho
-        log_i, err = log_quad(lambda rho: 800.0 + 3.0 * np.log(rho))
+        log_i, err = quad_in_rho(lambda rho: 800.0 + 3.0 * np.log(rho))
         assert log_i[0] == pytest.approx(800.0 + math.log(1e12 / 4.0), rel=1e-14)
 
 
 def single_shot_window(log_g):
-    """``log_window`` evaluating its whole probe at once: the reference for its pieces."""
-    x_hi = math.log(RHO_CUT)
-    x_lo = x_hi - _PROBE_SPAN
-    for _ in range(20):
-        x = np.linspace(x_lo, x_hi, int(_PROBE_PER_UNIT * (x_hi - x_lo)) + 1)
+    """``log_window`` evaluating its whole lattice at once: the reference for its pieces."""
+    x = math.log(RHO_CUT) - np.arange(_PROBE_MAX_NODES - 1, -1, -1) / _PROBE_PER_UNIT
+    # C's (d-2)/rho overflows to +inf near the smallest normal float, far left of any window
+    with np.errstate(over="ignore"):
         vals = np.atleast_2d(log_g(x))
-        if np.any(np.isnan(vals) | (vals == np.inf)):
-            raise NumericsError("integrand is not finite on the probe")
-        tops = vals.max(axis=1)
-        if not np.all(np.isfinite(tops)):
-            raise NumericsError("integrand vanishes on the whole probe")
-        keep = np.nonzero(np.any(vals >= tops[:, None] - _WINDOW_DROP, axis=0))[0]
-        if keep[0] > 0:
-            window = slice(keep[0] - 1, keep[-1] + 2)
-            return x[window], vals[:, window]
-        x_lo -= _PROBE_SPAN
-    raise NumericsError("could not window the integrand")
+    if np.any(np.isnan(vals) | (vals == np.inf)):
+        raise NumericsError("integrand is not finite on the probe")
+    tops = vals.max(axis=1)
+    keep = np.nonzero(np.any(vals >= tops[:, None] - _WINDOW_DROP, axis=0))[0]
+    assert np.all(np.isfinite(tops)) and keep[0] > 0
+    window = slice(keep[0] - 1, keep[-1] + 2)
+    return x[window], vals[:, window]
 
 
 def assert_same_window(log_g):
@@ -114,8 +117,8 @@ def assert_same_window(log_g):
 class TestLogWindow:
     @pytest.mark.parametrize("d,alpha", list(QUAD_REFERENCE) + [(3, 0.05), (60, 1.45), (200, 2.0)])
     def test_pieces_keep_every_window(self, d, alpha, monkeypatch, request):
-        # the three rows of rho_integrals and the shell peak's row, as their callers build them
-        import kscrit.criteria as criteria
+        # one probe per kernel, the three rows of rho_integrals, which the shell
+        # peak reads too, and gradient_nodes' two rows, as the kernel builds them
         import kscrit.kernels as kernels
 
         integrands = []
@@ -124,13 +127,14 @@ class TestLogWindow:
             integrands.append(log_g)
             return log_window(log_g)
 
-        for module in (kernels, criteria):
-            monkeypatch.setattr(module, "log_window", recorded)
+        monkeypatch.setattr(kernels, "log_window", recorded)
         radial_kernel.cache_clear()
         request.addfinalizer(radial_kernel.cache_clear)
-        SubordinatedKernel(d, alpha).rho_integrals
+        kernel = radial_kernel(d, alpha)
+        kernel.rho_integrals
         shell_semigroup_peak(d, alpha)
-        assert len(integrands) == (1 if alpha == 2.0 else 2)
+        kernel.gradient_nodes
+        assert len(integrands) == 2
         for log_g in integrands:
             assert_same_window(log_g)
 
@@ -253,26 +257,33 @@ def test_matches_quad_reference(d, alpha):
     assert res["norm_Rp_abserr"] <= EPSREL
 
 
-def test_shell_peak_refines_on_its_window_probe(monkeypatch, request):
-    # L needs no scan of its own: the window's probe pieces, then Brent on one radius per call
+# at (3, 0.05) the probe runs to six pieces, 384 nodes, where (5, 0.9) closes in one
+@pytest.mark.parametrize("d,alpha", [(5, 0.9), (3, 0.05)])
+def test_shell_peak_reads_the_quadrature_probe(d, alpha, monkeypatch, request):
+    # the quadrature evaluates every node, probe and midpoints, once, and L
+    # adds only Brent's one-radius calls to it
     radial_kernel.cache_clear()
     request.addfinalizer(radial_kernel.cache_clear)
-    kernel = radial_kernel(5, 0.9)
-    original, sizes = kernel.log_R, []
+    kernel = radial_kernel(d, alpha)
+    original, radii = kernel.log_sums, []
 
-    def counted(rho):
-        sizes.append(np.size(rho))
-        return original(rho)
+    def counted(rho, orders=(0, 1, 2)):
+        radii.append(np.ravel(rho))
+        return original(rho, orders)
 
-    monkeypatch.setattr(kernel, "log_R", counted)
-    shell_semigroup_peak(5, 0.9)
-    pieces = [n for n in sizes if n > 1]
-    first_probe = int(_PROBE_PER_UNIT * _PROBE_SPAN) + 1
-    assert pieces and max(pieces) <= _PROBE_PIECE and sum(pieces) <= first_probe
-    assert 0 < len(sizes) - len(pieces) <= 40
+    monkeypatch.setattr(kernel, "log_sums", counted)
+    kernel.rho_integrals
+    evaluated = np.concatenate(radii)
+    assert np.unique(evaluated).size == evaluated.size
+    radii.clear()
+    shell_semigroup_peak(d, alpha)
+    assert 0 < len(radii) <= 40 and all(r.size == 1 for r in radii)
 
 
-@pytest.mark.parametrize("d,alpha", [(5, 0.9), (4, 0.0997), (3, 0.7175), (6, 1.7675), (8, 1.9075)])
+@pytest.mark.parametrize(
+    "d,alpha",
+    [(5, 0.9), (4, 0.0997), (3, 0.7175), (6, 1.7675), (8, 1.9075), (60, 1.45), (10, 1.0175), (150, 1.95)],
+)
 def test_shell_peak_matches_a_tight_maximization(d, alpha):
     from scipy.optimize import minimize_scalar
 
@@ -284,7 +295,9 @@ def test_shell_peak_matches_a_tight_maximization(d, alpha):
         bracket=(x_at - 0.3, x_at, x_at + 0.3),
         tol=1e-12,
     )
-    assert l_val == pytest.approx(math.exp(-best.fun), rel=1e-12)
+    # the last parabola resolves even the sharply curved maximum at (60, 1.45)
+    # to the rounding of log L, where Brent's bracket alone left 14 units
+    assert abs(math.log(l_val) + best.fun) <= 4 * np.finfo(float).eps * max(1.0, abs(best.fun))
 
 
 #: C to 12 decimals from 30-digit mpmath values, the tail series summed in full
@@ -329,9 +342,9 @@ def test_table_and_constant_share_one_quadrature(d, alpha, monkeypatch):
     radial_kernel.cache_clear()
     calls = []
 
-    def counted(log_f):
-        calls.append(log_f)
-        return log_quad(log_f)
+    def counted(log_g, window):
+        calls.append(log_g)
+        return log_quad(log_g, window)
 
     for module in (kernels, criteria):
         # criteria once ran a quadrature of its own for C
