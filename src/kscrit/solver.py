@@ -16,13 +16,10 @@ A step that passes t_end, and each snapshot time, is read back by VODE's
 interpolation inside its last step.  A run ends in one of three ways: at
 t_end; at a blowup, witnessed when the origin density M(r_1) d/(sigma_d r_1^d)
 crosses a cap; or with a ``ResolutionError`` when VODE fails or a step breaks
-finiteness, nonnegativity or radial monotonicity of M.  The cap
-(``_origin_density_cap``) is derived, not set: the grid's resolution limit
-d / r_1^2, where the core sqrt(2(d-2)(T-t)) of the explicit solution is two
-inner cells wide, raised to 100 x the initial density scale where the datum
-starts above it.  The absolute tolerance is set per node, so VODE controls the near-axis masses that the cap
-reads.  The detected time must be insensitive to the cap (that insensitivity
-is part of the test suite).
+finiteness, nonnegativity or radial monotonicity of M.  The cap is derived,
+not set (``_origin_density_cap``), and the absolute tolerance is set per node,
+so VODE controls the near-axis masses that the cap reads.  The detected time
+must be insensitive to the cap (that insensitivity is part of the test suite).
 """
 
 from __future__ import annotations
@@ -203,7 +200,7 @@ class _Discretization:
         self.inv_vol = 1.0 / vol
         self.half_rpow = 0.5 * r ** (d - 1)
         self.h = h
-        self._flux = np.zeros(r.size + 1)
+        self._flux, self._div, self._grad = np.zeros(r.size + 1), np.empty(r.size), np.empty(r.size)
         self.adv_coef = self._calibrated_advection()
         # constant bands of d div / dM and d grad / dM (one-sided last row), laid out as
         # ``jacobian`` returns them: row i's entries right and left of the diagonal sit in
@@ -219,16 +216,18 @@ class _Discretization:
         self.div_bands[2, -1] = self.grad_bands[2, -1] = 0.0
 
     def _div_grad(self, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Divergence term and node gradient from one pass over the interface fluxes."""
+        """Divergence term and node gradient from the interface fluxes, into reused buffers."""
         # flux[i] = r^(1-d) M_r at the interface between nodes i-1 and i; flux[n] = 0
-        flux = self._flux
+        flux, div, grad = self._flux, self._div, self._grad
         flux[0] = M[0]
         np.subtract(M[1:], M[:-1], out=flux[1:-1])
         flux[:-1] *= self.c_flux
-        div = (flux[1:] - flux[:-1]) * self.inv_vol
+        np.subtract(flux[1:], flux[:-1], out=div)
+        div *= self.inv_vol
         # interface-flux average: exact on A + B r^d, the leading behavior
         # of any smooth mass profile at the axis
-        grad = self.half_rpow * (flux[:-1] + flux[1:])
+        np.add(flux[:-1], flux[1:], out=grad)
+        grad *= self.half_rpow
         grad[-1] = (M[-1] - M[-2]) / self.h[-1]
         return div, grad
 
@@ -245,8 +244,11 @@ class _Discretization:
         return np.where(bad, base, kappa)
 
     def rhs(self, M: np.ndarray) -> np.ndarray:
+        """div + a M grad, in a new array: VODE and callers may hold earlier results."""
         div, grad = self._div_grad(M)
-        out = div + self.adv_coef * M * grad
+        out = self.adv_coef * M
+        out *= grad
+        out += div
         if self.pinned:
             out[-1] = 0.0
         return out
@@ -279,9 +281,24 @@ def gaussian_moment(r: np.ndarray, M: np.ndarray, d: int, t: float, target: floa
 
 
 def _origin_density_cap(d: int, r_1: float, density_scale0: float) -> float:
-    """Blowup cap on the origin density: the grid's resolution limit d / r_1^2, raised to
+    """Blowup cap on the origin density: the grid's resolution limit d / r_1^2, where the
+    core sqrt(2(d-2)(T-t)) of the explicit solution is two inner cells wide, raised to
     ``_GROWTH_FACTOR`` x the initial density scale where the datum starts above it."""
     return max(d / r_1**2, _GROWTH_FACTOR * density_scale0)
+
+
+def _step_fault(y: np.ndarray, dy: np.ndarray, tol: float) -> tuple[str, int] | None:
+    """None if y is finite with y >= -tol and diff(y) >= -tol (taken into ``dy``), else the
+    broken property and its first node.  NaN fails both ``min`` tests, -inf the first, and a
+    +inf before y[-1] makes some difference -inf or NaN: y[-1] is the one entry left to test."""
+    with np.errstate(invalid="ignore"):  # inf - inf, where the check fails anyway
+        np.subtract(y[1:], y[:-1], out=dy)
+    if y.min() >= -tol and dy.min() >= -tol and math.isfinite(y[-1]):
+        return None
+    faults = {"non-finite": ~np.isfinite(y), "negative beyond tol": y < -tol,
+              "decreasing beyond tol": np.append(False, dy < -tol)}
+    what = next(k for k, bad in faults.items() if bad.any())
+    return what, int(np.argmax(faults[what]))
 
 
 def run(
@@ -296,13 +313,11 @@ def run(
     mass = datum if isinstance(datum, MassProfile) else mass_profile(datum)
     d = mass.d
 
-    warnings_list: list[str] = []
     pinned = not math.isfinite(mass.total_mass)
-    if pinned:
-        warnings_list.append(
-            "outer boundary pins M(r_max) at its initial value: finite-domain "
-            "approximation of the whole-space problem for unbounded-mass data"
-        )
+    warnings_list = [
+        "outer boundary pins M(r_max) at its initial value: finite-domain "
+        "approximation of the whole-space problem for unbounded-mass data"
+    ] if pinned else []
     disc = _Discretization(grid, d, pinned)
     M = np.asarray(mass.fn(disc.r), dtype=float)
     if np.any(np.diff(M) < 0) or np.any(M < 0):
@@ -317,19 +332,14 @@ def run(
     # largest initial cell-average density; the cap lies far beyond it
     density_scale0 = max(float(np.max(np.diff(M, prepend=0.0) / np.diff(ball, prepend=0.0))), 1e-300)
     cap = _origin_density_cap(d, float(disc.r[0]), density_scale0)
-    rec: dict[str, list] = {k: [] for k in ("t", "dt", "rho", "W", "probes")}
+    rows: list[tuple] = []  # (t, dt, origin density, W, probes) of each recorded state
+    target = controls.moment_target
 
     def record(t: float, dt: float) -> None:
-        if rec["t"] and rec["t"][-1] == t:
+        if rows and rows[-1][0] == t:
             return
-        rec["t"].append(t)
-        rec["dt"].append(dt)
-        rec["rho"].append(disc.origin_density(M))
-        if controls.moment_target is not None and t < controls.moment_target:
-            rec["W"].append(gaussian_moment(disc.r, M, d, t, controls.moment_target))
-        else:
-            rec["W"].append(math.nan)
-        rec["probes"].append(np.interp(probe_radii, disc.r, M))
+        W = gaussian_moment(disc.r, M, d, t, target) if target is not None and t < target else math.nan
+        rows.append((t, dt, disc.origin_density(M), W, np.interp(probe_radii, disc.r, M)))
 
     # per node, at most rtol x the mass of B_r at the initial density scale: at high d the
     # axis masses lie far below 1e-9 max M.  Kept positive: VODE divides by atol where M = 0
@@ -345,37 +355,39 @@ def run(
     event: BlowupEvent | None = None
     n_steps = 0
     record(0.0, 0.0)  # no step precedes the datum
+    t_end, stride, integrate, dy = controls.t_end, controls.stride, solver.integrate, np.empty(M.size - 1)
 
     with warnings.catch_warnings():
         # scipy reports a VODE failure as a UserWarning "vode: <message>"; raised here, it
         # ends the run below whatever the caller's warning filters say
         warnings.filterwarnings("error", category=UserWarning, message="vode:")
-        while t < controls.t_end and event is None:
+        while t < t_end and event is None:
             if n_steps >= _MAX_STEPS:
                 raise NumericsError(f"exceeded max_steps={_MAX_STEPS}")
             try:
-                y = solver.integrate(controls.t_end, step=True)
+                y = integrate(t_end, step=True)
                 # VODE steps past t_end; a step that does is read back at t_end
-                t_new = min(solver.t, controls.t_end)
+                t_new = min(solver.t, t_end)
                 if solver.t > t_new:
-                    y = solver.integrate(t_new)
+                    y = integrate(t_new)
             except UserWarning as exc:
                 raise ResolutionError(
                     f"VODE failed at t={t:.6g} with istate={solver.get_return_code()} ({exc})"
                 ) from None
-            if not (np.all(np.isfinite(y)) and np.all(np.diff(y) >= -mono_tol) and np.all(y >= -mono_tol)):
+            if (fault := _step_fault(y, dy, mono_tol)) is not None:
+                what, i = fault
                 raise ResolutionError(
-                    "a step broke finiteness, nonnegativity or monotonicity of M "
+                    f"a step left M {what} (tol {mono_tol:.3g}) at node {i} (r={disc.r[i]:.6g}) "
                     f"at t={t:.6g} with r_1={disc.r[0]:.6g}; the grid is too coarse for this datum"
                 )
             M_new = np.maximum(y, 0.0)
             while snapshots_due and snapshots_due[0] <= t_new:
                 s = snapshots_due.pop(0)
                 # VODE interpolates inside its last step
-                snapshots[s] = M.copy() if s <= t else np.maximum(solver.integrate(s), 0.0)
+                snapshots[s] = M.copy() if s <= t else np.maximum(integrate(s), 0.0)
             dt, t, M = t_new - t, t_new, M_new
             n_steps += 1
-            if n_steps % controls.stride == 0:
+            if n_steps % stride == 0:
                 record(t, dt)
             rho = disc.origin_density(M)
             if rho > cap:
@@ -389,12 +401,8 @@ def run(
     n_rejected = int(iwork[21] + iwork[20])
 
     return SimResult(
-        grid=grid,
-        t=np.array(rec["t"]),
-        dt=np.array(rec["dt"]),
-        origin_density=np.array(rec["rho"]),
-        W=np.array(rec["W"]),
-        probes=np.array(rec["probes"]),
+        grid,
+        *(np.array(column) for column in zip(*rows)),  # t, dt, origin_density, W, probes
         probe_radii=probe_radii,
         M_final=M,
         t_final=t,
@@ -430,10 +438,8 @@ def comparison_check(
     grid with tolerance 1e-6 * max M; if either run blows up, only checkpoints
     before the first blowup are compared.
     """
-    mass_low = datum_low if isinstance(datum_low, MassProfile) else mass_profile(datum_low)
-    mass_high = datum_high if isinstance(datum_high, MassProfile) else mass_profile(datum_high)
-    m0_low = np.asarray(mass_low.fn(grid.r))
-    m0_high = np.asarray(mass_high.fn(grid.r))
+    mass_low, mass_high = (x if isinstance(x, MassProfile) else mass_profile(x) for x in (datum_low, datum_high))
+    m0_low, m0_high = np.asarray(mass_low.fn(grid.r)), np.asarray(mass_high.fn(grid.r))
     if np.any(m0_low > m0_high + 1e-12 * max(float(np.max(m0_high)), 1.0)):
         raise ValidationError("data are not ordered at t = 0")
 
@@ -441,10 +447,7 @@ def comparison_check(
     ctl = replace(controls, snapshot_times=times)
     res_low = run(mass_low, grid, ctl)
     res_high = run(mass_high, grid, ctl)
-    t_cut = min(
-        res_low.event.detected_time if res_low.event else math.inf,
-        res_high.event.detected_time if res_high.event else math.inf,
-    )
+    t_cut = min(res.event.detected_time if res.event else math.inf for res in (res_low, res_high))
     shared = [s for s in times if s in res_low.snapshots and s in res_high.snapshots and s < t_cut]
     scale = max(float(np.max(m0_high)), 1.0)
     tol = 1e-6 * scale

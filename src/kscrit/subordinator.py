@@ -320,9 +320,6 @@ class StableSubordinator:
                 out[mid] = self._log_pdf_zolotarev(lam_arr[mid])
         return float(out[0]) if np.ndim(lam) == 0 else out
 
-    def pdf(self, lam) -> np.ndarray | float:
-        return np.exp(self.log_pdf(lam))
-
     def neg_moment(self, p: float) -> float:
         """E[S^-p] = Gamma(1 + p/beta) / Gamma(1 + p), p >= 0."""
         if p < 0:

@@ -22,6 +22,7 @@ from kscrit.radial import (
 from kscrit.solver import (
     SolverControls,
     _Discretization,
+    _step_fault,
     build_grid,
     comparison_check,
     gaussian_moment,
@@ -55,6 +56,19 @@ def counting_ode(monkeypatch):
 
 def exact_mass(r, t, T=1.0, d=3):
     return 4 * sphere_area(d) * r**d / (r**2 + 2 * (d - 2) * (T - t))
+
+
+def _reference_rhs(disc, M):
+    """rhs as div + a M grad, each from fresh temporaries: the unbuffered form."""
+    flux = np.concatenate([[M[0]], M[1:] - M[:-1], [0.0]])
+    flux[:-1] *= disc.c_flux
+    div = (flux[1:] - flux[:-1]) * disc.inv_vol
+    grad = disc.half_rpow * (flux[:-1] + flux[1:])
+    grad[-1] = (M[-1] - M[-2]) / disc.h[-1]
+    out = div + disc.adv_coef * M * grad
+    if disc.pinned:
+        out[-1] = 0.0
+    return out
 
 
 class TestGrid:
@@ -131,6 +145,25 @@ class TestRhs:
             # the layout LAPACK's banded solver reads
             b = np.linspace(1.0, 2.0, grid.n)
             np.testing.assert_allclose(solve_banded((1, 1), bands, b), np.linalg.solve(dense, b), rtol=1e-9)
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("pinned", [False, True])
+    def test_rhs_is_bit_identical_to_the_unbuffered_form(self, d, pinned):
+        grid = build_grid(10.0, 120, 0.5)
+        disc = _Discretization(grid, d, pinned=pinned)
+        m = mass_profile(Gaussian(d, 3.0 * sphere_area(d), 1.0)).fn(grid.r)
+        for M in (m, m * (1.0 + 1e-3 * np.sin(7.0 * grid.r)), np.sqrt(m)):
+            np.testing.assert_array_equal(disc.rhs(M), _reference_rhs(disc, M))
+
+    def test_consecutive_rhs_results_do_not_alias(self):
+        grid = build_grid(10.0, 120, 0.5)
+        disc = _Discretization(grid, D, pinned=False)
+        m = mass_profile(Gaussian(D, 3.0 * SIG, 1.0)).fn(grid.r)
+        first = disc.rhs(m)
+        kept = first.copy()
+        second = disc.rhs(2.0 * m)
+        assert not np.shares_memory(first, second)
+        np.testing.assert_array_equal(first, kept)
 
     def test_exact_solution_residual_second_order(self):
         # rhs must match the analytic time derivative of the closed-form mass
@@ -355,7 +388,67 @@ class TestStepFloor:
         assert counting_ode.starts == 1
 
 
+class TestStepCheck:
+    """The per-step check: finite, M >= -tol and diff(M) >= -tol, each within tol passing."""
+
+    # a dyadic profile and tol, so that each dip and decrease below is exact
+    TOL = 2.0**-36
+
+    @staticmethod
+    def _profile():
+        return np.arange(12) / 4.0
+
+    @pytest.mark.parametrize(
+        "node, value, fault",
+        [
+            (0, math.nan, "non-finite"),
+            (5, math.nan, "non-finite"),
+            (-1, math.nan, "non-finite"),
+            (-1, math.inf, "non-finite"),
+            (5, math.inf, "non-finite"),
+            (0, -math.inf, "non-finite"),
+            (5, -math.inf, "non-finite"),
+            (0, -2 * TOL, "negative beyond tol"),
+            (6, 1.25 - 2 * TOL, "decreasing beyond tol"),
+        ],
+    )
+    def test_each_broken_property_is_flagged_at_its_node(self, node, value, fault):
+        y = self._profile()
+        y[node] = value
+        dy = np.empty(y.size - 1)
+        assert _step_fault(y, dy, self.TOL) == (fault, node % y.size)
+        # the check it replaced
+        assert not (np.all(np.isfinite(y)) and np.all(np.diff(y) >= -self.TOL) and np.all(y >= -self.TOL))
+
+    def test_adjacent_infinities_are_flagged_without_a_warning(self):
+        y = self._profile()
+        y[4:6] = math.inf
+        assert _step_fault(y, np.empty(y.size - 1), self.TOL) == ("non-finite", 4)
+
+    @pytest.mark.parametrize("node, value", [(0, -0.5 * TOL), (0, -TOL), (6, 1.25 - 0.5 * TOL), (6, 1.25 - TOL)])
+    def test_dips_and_decreases_within_tol_pass(self, node, value):
+        y = self._profile()
+        y[node] = value
+        assert y[node] < self._profile()[node] and np.all(np.diff(y) >= -self.TOL) and np.all(y >= -self.TOL)
+        assert _step_fault(y, np.empty(y.size - 1), self.TOL) is None
+
+    def test_the_step_error_names_the_broken_property(self):
+        with pytest.raises(ResolutionError, match=r"^a step left M decreasing beyond tol \(tol 5e-10\) at node 2 "):
+            run(Gaussian(D, 50.0, 0.2), TestStepFloor.GRID, TestStepFloor.CONTROLS)
+
+
 class TestVode:
+    def test_reference_rhs_gives_the_same_run(self, monkeypatch):
+        # every value VODE sees is bit-identical, so the whole run is
+        args = ExplicitBlowupDatum(D, 0.25), build_grid(15.0, 200, 0.5), SolverControls(t_end=0.5)
+        shipped = run(*args)
+        monkeypatch.setattr(_Discretization, "rhs", _reference_rhs)
+        reference = run(*args)
+        np.testing.assert_array_equal(shipped.M_final, reference.M_final)
+        for key in ("t_final", "n_steps", "n_rhs", "n_jac", "n_lu"):
+            assert getattr(shipped, key) == getattr(reference, key), key
+        assert shipped.event is not None
+
     def test_counters_match_the_callbacks(self, monkeypatch, counting_ode):
         # n_rhs and n_jac are read from VODE's private iwork; a scipy release that moves
         # or stops updating it must fail here, against counts kept in the callbacks
