@@ -14,7 +14,6 @@ from .criteria import (
     CriterionReport,
     Verdict,
     blowup_constant_fractional,
-    blowup_rate_bound,
     classify,
     criterion_constants,
     criterion_curve,

@@ -9,6 +9,7 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ValidationError
+from .radial import check_fractional_domain
 
 __all__ = ["RunConfig", "check_singular_comparison", "parse_config", "resolved_json"]
 
@@ -53,13 +54,7 @@ class RunConfig:
     output: OutputConfig = field(default_factory=OutputConfig)
 
 
-_SECTIONS = {
-    "problem": ProblemConfig,
-    "initial": InitialConfig,
-    "grid": GridConfig,
-    "time": TimeConfig,
-    "output": OutputConfig,
-}
+_SECTIONS = {f.name: f.default_factory for f in fields(RunConfig)}
 
 
 def _convert(path: str, value, default):
@@ -131,11 +126,7 @@ def _validate(cfg: RunConfig) -> RunConfig:
 
 def check_singular_comparison(cfg: RunConfig) -> RunConfig:
     """The fractional singular comparison (classify, constants) needs 2*alpha < d."""
-    p = cfg.problem
-    if p.alpha < 2.0 and 2.0 * p.alpha >= p.d:
-        raise ValidationError(
-            "problem.alpha: the fractional singular comparison requires 2*alpha < d"
-        )
+    check_fractional_domain(cfg.problem.d, cfg.problem.alpha)
     return cfg
 
 

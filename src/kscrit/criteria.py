@@ -49,6 +49,7 @@ from .radial import (
     RadialProfile,
     check_alpha,
     check_dimension,
+    check_fractional_domain,
     mass_profile,
     radial_concentration,
     refine_max,
@@ -69,7 +70,6 @@ __all__ = [
     "Verdict",
     "CriterionReport",
     "classify",
-    "blowup_rate_bound",
 ]
 
 _T_DECADES = (-4.0, 4.0)
@@ -110,8 +110,7 @@ def singular_semigroup_value(d: int, alpha: float = 2.0) -> float:
         if d < 3:
             raise ValidationError("the singular stationary density needs d >= 3 when alpha = 2")
         return 1.0
-    if 2.0 * alpha >= d:
-        raise ValidationError("singular_semigroup_value requires 2*alpha < d")
+    check_fractional_domain(d, alpha)
     return math.exp(
         math.lgamma(alpha)
         - math.lgamma(0.5 * alpha)
@@ -192,8 +191,6 @@ def criterion_constants(d: int, alpha: float = 2.0) -> CriterionConstants:
         k = 1.0 if d >= 3 else None
         upper = None
     else:
-        if 2.0 * alpha >= d:
-            raise ValidationError("fractional criteria require 2*alpha < d")
         k = singular_semigroup_value(d, alpha)
         upper = 2.0 * d / (d - 2.0) if d > 2 else None  # the bound is infinite at d = 2
     c, c_abserr = blowup_constant_fractional(d, alpha)
@@ -222,9 +219,6 @@ class CriterionCurve:
     values: np.ndarray
     sup: float
     T_at_sup: float
-    #: smallest scanned T with curve > threshold (None if never exceeded)
-    T_star: float | None = None
-    threshold: float | None = None
     #: False when the scan rises again after falling: ``scan_max`` refines only
     #: around the scanned argmax, so the sup may then be a local maximum
     unimodal: bool = True
@@ -315,13 +309,11 @@ def criterion_curve(
     mass: MassProfile,
     alpha: float = 2.0,
     T_range: tuple[float, float] | None = None,
-    threshold: float | None = None,
 ) -> CriterionCurve:
     """Scan T |-> T * W0(T) and refine its supremum, both by ``scan_max``.
 
     The window defaults to [1e-4, 1e4] times the datum's characteristic
-    radius to the power alpha.  When ``threshold`` is given, T_star is the
-    smallest scanned T whose curve value exceeds it.
+    radius to the power alpha.
     """
     alpha = check_alpha(alpha)
     check_integrability(mass, alpha)
@@ -342,21 +334,13 @@ def criterion_curve(
             f"criterion curve is not finite on T in [{T[0]:.3g}, {T[-1]:.3g}] "
             f"(d={mass.d}, alpha={alpha})"
         )
+    return CriterionCurve(T=T, values=vals, sup=sup, T_at_sup=t_at, unimodal=_discretely_unimodal(vals))
 
-    t_star = None
-    if threshold is not None:
-        above = np.nonzero(vals > threshold)[0]
-        if above.size:
-            t_star = float(T[above[0]])
-    return CriterionCurve(
-        T=T,
-        values=vals,
-        sup=sup,
-        T_at_sup=t_at,
-        T_star=t_star,
-        threshold=threshold,
-        unimodal=_discretely_unimodal(vals),
-    )
+
+def _first_above(curve: CriterionCurve, level: float) -> float | None:
+    """The smallest scanned T whose curve value exceeds ``level`` (None if none does)."""
+    above = np.flatnonzero(curve.values > level)
+    return float(curve.T[above[0]]) if above.size else None
 
 
 # ---------------------------------------------------------------------------
@@ -406,11 +390,10 @@ def classify(datum: RadialProfile | MassProfile, d: int, alpha: float = 2.0) -> 
         profile, mass = datum, mass_profile(datum)
     if mass.d != d:
         raise ValidationError(f"datum has d={mass.d}, classifier asked for d={d}")
-    if alpha < 2.0 and 2.0 * alpha >= d:
-        raise ValidationError("fractional classification requires 2*alpha < d")
 
     constants = criterion_constants(d, alpha)
-    curve = criterion_curve(mass, alpha, threshold=constants.C)
+    curve = criterion_curve(mass, alpha)
+    t_star = _first_above(curve, constants.C)
     conc = radial_concentration(mass, alpha)
     warnings_list = list(radial_kernel(d, alpha).warnings)
     if not curve.unimodal:
@@ -430,14 +413,11 @@ def classify(datum: RadialProfile | MassProfile, d: int, alpha: float = 2.0) -> 
         sup_mass = mass.total_mass
         ratio = sup_mass / _MASS_2D_THRESHOLD
         if ratio > 1.0:
-            t_star = curve.T_star
             t_hi = float(curve.T[-1])
             # each window must end at a finite float for the scan to size its grid
             while t_star is None and t_hi < 1e16 * mass.r_char**alpha and math.isfinite(t_hi * 1e4):
-                ext = criterion_curve(
-                    mass, alpha, T_range=(t_hi, t_hi * 1e4), threshold=constants.C
-                )
-                t_star, t_hi = ext.T_star, float(ext.T[-1])
+                ext = criterion_curve(mass, alpha, T_range=(t_hi, t_hi * 1e4))
+                t_star, t_hi = _first_above(ext, constants.C), float(ext.T[-1])
             if t_star is None:
                 warnings_list.append(
                     f"criterion curve stays at or below C up to T = {t_hi:.6g}, the last T "
@@ -462,14 +442,14 @@ def classify(datum: RadialProfile | MassProfile, d: int, alpha: float = 2.0) -> 
                 "density and above the blowup threshold"
             )
         if fires_blowup:
-            if curve.T_star is None:
+            if t_star is None:
                 warnings_list.append(
                     f"only the refined supremum {curve.sup:.10g} of the criterion curve exceeds "
                     f"C = {constants.C:.10g}, no scanned T does: no t_star"
                 )
             verdict = Verdict(
                 kind="blowup",
-                t_star=curve.T_star,
+                t_star=t_star,
                 margin=curve.sup / constants.C - 1.0,
                 diagnostics={"sup": curve.sup, "C": constants.C},
             )
@@ -497,15 +477,3 @@ def classify(datum: RadialProfile | MassProfile, d: int, alpha: float = 2.0) -> 
         verdict=verdict,
         warnings=tuple(warnings_list),
     )
-
-
-def blowup_rate_bound(w0: float, c: float, t: float) -> float:
-    """Lower envelope (1/W(0) - t/C)^(-1) for the moment along a blowing-up run."""
-    if w0 <= 0 or c <= 0:
-        raise ValidationError("need W(0) > 0 and C > 0")
-    if t < 0:
-        raise ValidationError("time must be >= 0")
-    pole = c / w0
-    if t >= pole:
-        raise ValidationError(f"t={t} is beyond the envelope pole at t={pole}")
-    return 1.0 / (1.0 / w0 - t / c)

@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import IntegrabilityError, NumericsError
 from .radial import _SCAN_PER_DECADE, check_alpha, check_dimension, sphere_area
-from .subordinator import _LOG_TINY, _SERIES_SWITCH, StableSubordinator, _leggauss
+from .subordinator import _CHUNK_ELEMENTS, _LOG_TINY, _SERIES_SWITCH, StableSubordinator, _leggauss
 
 __all__ = [
     "SubordinatedKernel",
@@ -60,9 +60,6 @@ __all__ = [
 
 #: upper end of every rho-quadrature; the algebraic tail beyond is added analytically
 RHO_CUT = 1.0e3
-#: entries of one full-width exponent block in SubordinatedKernel.log_sums: it sets how
-#: many sorted radii share one s-band
-_CHUNK_ELEMENTS = 65_536
 #: log_sums drops every s-tile whose terms sum below _TILE e^(-_LIVE_DROP) of the row's peak
 _LIVE_DROP = 60.0
 #: s-nodes per tile of log_sums, aligned to the whole grid
@@ -740,10 +737,17 @@ def build_kernel_table(d: int, alpha: float) -> KernelTable:
 
     last_decade = rho >= RHO_CUT / 10.0
     lr = np.log(rho[last_decade])
+    log_abs_rpp = np.log(np.maximum(np.abs(Rpp[last_decade]), 1e-300))
+    # R'' underflows on the whole decade at high d (150 and up) and at alpha = 2:
+    # there log|R''| = log|R'| + log|R''/R'|, formed in logs
+    under = np.abs(Rpp[last_decade]) < 1e-300
+    r = rho[last_decade][under]
+    ratio = _curvature_ratio(r, *kernel.log_sums(r, (1, 2)))
+    log_abs_rpp[under] = log_abs_Rp[last_decade][under] + np.log(np.abs(ratio))
     fits = {
         "R": _tail_fit(lr, log_R[last_decade]),
         "Rp": _tail_fit(lr, log_abs_Rp[last_decade]),
-        "Rpp": _tail_fit(lr, np.log(np.maximum(np.abs(Rpp[last_decade]), 1e-300))),
+        "Rpp": _tail_fit(lr, log_abs_rpp),
     }
 
     (i1, i2, _), (err1, err2, _) = kernel.rho_integrals

@@ -87,6 +87,14 @@ def check_alpha(alpha: float) -> float:
     return alpha
 
 
+def check_fractional_domain(d: int, alpha: float) -> None:
+    """The fractional singular density, and every comparison with it, needs alpha = 2 or 2*alpha < d."""
+    if alpha < 2.0 and 2.0 * alpha >= d:
+        raise ValidationError(
+            f"the fractional singular comparison requires 2*alpha < d, got alpha={alpha}, d={d}"
+        )
+
+
 def sphere_area(d: int) -> float:
     """Area of the unit sphere in R^d, 2*pi^(d/2)/Gamma(d/2), via log-Gamma."""
     d = check_dimension(d)
@@ -106,10 +114,7 @@ def singular_coefficient(d: int, alpha: float = 2.0) -> float:
         if d < 3:
             raise ValidationError("the singular stationary density needs d >= 3 when alpha = 2")
         return 2.0 * (d - 2)
-    if 2.0 * alpha >= d:
-        raise ValidationError(
-            f"singular_coefficient requires 2*alpha < d, got alpha={alpha}, d={d}"
-        )
+    check_fractional_domain(d, alpha)
     log_val = (
         alpha * math.log(2.0)
         + math.lgamma(0.5 * (d - alpha) + 1.0)

@@ -58,7 +58,8 @@ _BAND_SA = 38.0
 _LAYER_A0S = 4.0
 #: the Zolotarev nodes serve lam < _SERIES_SWITCH, and reach lam a little past it
 _TOP_LAM = 1.005 * _SERIES_SWITCH
-#: entries of one block of the Zolotarev sum: it sets how many lam share one block
+#: entries of one block of the Zolotarev sum, and of one full-width exponent block of
+#: SubordinatedKernel.log_sums: it sets how many lam, or sorted radii, share one block
 _CHUNK_ELEMENTS = 65_536
 
 

@@ -1,15 +1,16 @@
-"""Run a benchmark workload's ops on two source trees and list every artifact that moved.
+"""Run benchmark workloads' ops on two source trees and list every artifact that moved.
 
 Run from the repository root:
 
-    python3 tests/artifact_diff.py OLD_TREE NEW_TREE --workload simulate --seeds 601 9001 --rounds 2
+    python3 tests/artifact_diff.py OLD_TREE NEW_TREE --workload verdicts sweep simulate --seeds 601 --rounds 2
 
 Each tree is a checkout whose ``src/kscrit`` is imported.  The ops come from
 this checkout's ``perfbench/workloads.py`` (op generation uses no kscrit code,
 so both trees receive the same command lines); the script reads that file and
-writes nothing under ``perfbench/``.  Each tree runs every op in a fresh process
-through ``kscrit.cli.main``, into the same output paths ``<work>/out/seed<s>/
-<k>-<op id>/<j>``, so artifacts that record their own path compare equal too.
+writes nothing under ``perfbench/``.  Each tree runs every op of every workload
+named, in one fresh process through ``kscrit.cli.main``, into the same output
+paths ``<work>/out/<workload>/seed<s>/<k>-<op id>/<j>``, so artifacts that
+record their own path compare equal too.
 The outputs are then kept as ``<work>/old`` and ``<work>/new`` (``--work``
 defaults to a temporary directory, removed at the end unless ``--keep``).
 
@@ -49,14 +50,15 @@ ROOT = Path(__file__).resolve().parent.parent
 Move = tuple[str, object, object, str]
 
 
-def _ops(workload: str, seeds: list[int], n_rounds: int) -> list[tuple[str, list[list[str]]]]:
+def _ops(workload_names: list[str], seeds: list[int], n_rounds: int) -> list[tuple[str, list[list[str]]]]:
     """(output directory relative to the out root, argvs) of every op, in run order."""
     sys.dont_write_bytecode = True  # leave perfbench/ as it is
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
     return [
-        (f"seed{seed}/{k}-{op['id']}", op["argvs"])
+        (f"{workload}/seed{seed}/{k}-{op['id']}", op["argvs"])
+        for workload in workload_names
         for seed in seeds
         for k, op in enumerate(workloads.op_list(workload, seed, n_rounds))
     ]
@@ -171,7 +173,7 @@ def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old", type=Path, help="checkout of the reference tree")
     parser.add_argument("new", type=Path, help="checkout of the tree under test")
-    parser.add_argument("--workload", required=True, choices=("verdicts", "sweep", "simulate"))
+    parser.add_argument("--workload", required=True, nargs="+", choices=("verdicts", "sweep", "simulate"))
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--rounds", type=int, default=1, help="rounds per seed (default 1)")
     parser.add_argument("--work", type=Path, help="where outputs go (default: a temporary directory)")
@@ -197,7 +199,7 @@ def main(argv: list[str]) -> int:
             print(f"EXIT {rel}: {codes[0][rel]} -> {codes[1].get(rel)}")
     for path, old, new, detail in moves:
         print(f"MOVED {path}: {old!r} -> {new!r}" + (f" ({detail})" if detail else ""))
-    print(f"{args.workload}, seeds {' '.join(map(str, args.seeds))}, {args.rounds} round(s), {len(ops)} ops: "
+    print(f"{' '.join(args.workload)}, seeds {' '.join(map(str, args.seeds))}, {args.rounds} round(s), {len(ops)} ops: "
           f"{identical} files identical, {len(moves)} moved items")
     return 1 if moves else 0
 

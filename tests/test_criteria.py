@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from semigroup_oracle import singular_semigroup_quadrature
 
 from kscrit.criteria import (
+    _first_above,
     blowup_constant_fractional,
-    blowup_rate_bound,
     classify,
     criterion_constants,
     criterion_curve,
@@ -347,12 +347,12 @@ class TestCriterionCurve:
         # exactly at its blowup time
         T = 1.0
         m = mass_profile(ExplicitBlowupDatum(3, T))
-        cur = criterion_curve(m, 2.0, threshold=blowup_constant_fractional(3, 2.0)[0])
         from kscrit.criteria import _CurveEvaluator
 
         ev = _CurveEvaluator(m, 2.0)
         assert ev.values(np.array([T]))[0] == pytest.approx(blowup_constant_fractional(3, 2.0)[0], rel=1e-5)
-        assert cur.T_star == pytest.approx(T, rel=0.08)  # first grid node past T
+        t_star = classify(m, 3, 2.0).verdict.t_star
+        assert t_star == pytest.approx(T, rel=0.08)  # first grid node past T
 
     @pytest.mark.parametrize(
         "profile,alpha",
@@ -378,10 +378,9 @@ class TestCriterionCurve:
         m1 = mass_profile(ShellAtom(3, 75.0, 1.0))
         m2 = mass_profile(ShellAtom(3, 150.0, 1.0))
         c = blowup_constant_fractional(3, 2.0)[0]
-        cur1 = criterion_curve(m1, 2.0, threshold=c)
-        cur2 = criterion_curve(m2, 2.0, threshold=c)
+        cur1, cur2 = criterion_curve(m1, 2.0), criterion_curve(m2, 2.0)
         assert np.all(cur2.values >= cur1.values)
-        assert cur2.T_star <= cur1.T_star
+        assert _first_above(cur2, c) <= _first_above(cur1, c)
 
 
 def _unimodal_loop(vals):
@@ -514,23 +513,3 @@ class TestClassify:
         # a tiny shell cannot sit strictly below the singular density pointwise
         rep = classify(ShellAtom(3, 1e-3, 1.0), 3, 2.0)
         assert rep.verdict.kind == "indeterminate"
-
-
-class TestBlowupRateBound:
-    def test_at_zero_returns_initial(self):
-        assert blowup_rate_bound(3.0, 1.3, 0.0) == pytest.approx(3.0)
-
-    def test_marginal_initial_value_gives_hyperbola(self):
-        c, T = 1.3, 2.0
-        w0 = c / T
-        for t in (0.5, 1.0, 1.9):
-            assert blowup_rate_bound(w0, c, t) == pytest.approx(c / (T - t), rel=1e-12)
-
-    def test_direct_arithmetic_case(self):
-        c, T = 1.3, 2.0
-        w0 = 2 * c / T
-        assert blowup_rate_bound(w0, c, T / 4) == pytest.approx(4 * c / T, rel=1e-12)
-
-    def test_pole_error(self):
-        with pytest.raises(ValidationError):
-            blowup_rate_bound(2.0, 1.0, 0.5)
