@@ -1,8 +1,9 @@
 """Command line interface.
 
 Subcommands: ``constants``, ``classify``, ``simulate``, ``kernel``, ``verify``.
-Every run echoes its fully resolved configuration to ``resolved.json`` in the
-output directory, and identical resolved configs produce byte-identical
+Every flag sets a config key, and every run echoes its fully resolved
+configuration, every input of its subcommand included, to ``resolved.json`` in
+the output directory; identical resolved configs produce byte-identical
 outputs (``verify`` keeps its wall-clock runtimes apart, in ``timings.json``).
 Exit codes: 0 success, 1 domain/validation error, 2 numerical
 failure, 3 acceptance failure.
@@ -19,35 +20,15 @@ import numpy as np
 
 from . import __version__
 from .acceptance import run_acceptance
-from .config import RunConfig, check_singular_comparison, parse_config, resolved_json
+from .config import RunConfig, parse_config, resolved_json
 from .criteria import classify, criterion_constants
 from .errors import AcceptanceError, KscritError, NumericsError, ValidationError
 from .kernels import build_kernel_table, radial_kernel, validate_kernel
 from .output import write_csv, write_json, write_svg_lineplot
-from .radial import check_alpha, check_dimension, mass_profile, parse_profile
+from .radial import check_fractional_domain, mass_profile, parse_profile
 from .solver import SolverControls, build_grid, run as run_sim
 
 __all__ = ["main"]
-
-
-def _parse_d_range(text: str) -> list[int]:
-    try:
-        if ":" in text:
-            lo, hi = (check_dimension(int(x)) for x in text.split(":", 1))
-            return list(range(lo, hi + 1))
-        return [check_dimension(int(x)) for x in text.split(",")]
-    except ValueError as exc:
-        raise ValidationError(f"bad --d-range {text!r}; expected a:b or a comma list") from exc
-
-
-def _parse_alpha_list(text: str) -> list[float]:
-    try:
-        vals = [check_alpha(float(x)) for x in text.split(",") if x.strip()]
-    except ValueError as exc:
-        raise ValidationError(f"bad --alpha list {text!r}") from exc
-    if not vals:
-        raise ValidationError("--alpha list is empty")
-    return vals
 
 
 def _load_config(args) -> RunConfig:
@@ -69,15 +50,8 @@ def _outdir(cfg: RunConfig) -> Path:
 
 
 def _cmd_constants(args) -> int:
-    cfg = check_singular_comparison(_load_config(args))
-    ds = _parse_d_range(args.d_range)
-    alphas = _parse_alpha_list(args.alpha_list)
-    cases = [(d, a) for d in ds for a in alphas if a == 2.0 or 2.0 * a < d]
-    skipped = [(d, a) for d in ds for a in alphas if not (a == 2.0 or 2.0 * a < d)]
-    if not cases:
-        raise ValidationError(
-            f"--d-range {args.d_range} --alpha {args.alpha_list} leaves no (d, alpha) with alpha = 2 or 2*alpha < d"
-        )
+    cfg = _load_config(args)
+    cases, skipped = cfg.constants.pairs()
     rows = [criterion_constants(d, a) for d, a in cases]
     out = _outdir(cfg)
     fields = ["d", "alpha", "sigma_d", "C", "K", "L", "N_threshold", "upper_bound"]
@@ -91,7 +65,8 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    cfg = check_singular_comparison(_load_config(args))
+    cfg = _load_config(args)
+    check_fractional_domain(cfg.problem.d, cfg.problem.alpha)
     out = _outdir(cfg)
     profile = parse_profile(cfg.initial.profile, cfg.problem.d)
     report = classify(profile, cfg.problem.d, cfg.problem.alpha)
@@ -123,26 +98,16 @@ def _cmd_classify(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    out = _outdir(cfg)
     if cfg.problem.alpha != 2.0:
         raise ValidationError(
             "simulate supports classical diffusion only (alpha = 2); "
             "fractional diffusion is covered at the kernel/criterion level"
         )
-    profile = parse_profile(cfg.initial.profile, cfg.problem.d)
-    mass = mass_profile(profile)
-    grid = build_grid(
-        cfg.grid.r_max,
-        cfg.grid.n,
-        cfg.grid.inner_fraction,
-        # only the outermost breakpoints become nodes: a table datum lists every node
-        breakpoints=mass.breakpoints[:1] + mass.breakpoints[-1:],
-    )
-    controls = SolverControls(
-        t_end=cfg.time.t_end,
-        stride=cfg.output.stride,
-        moment_target=cfg.problem.T_target,
-    )
+    out = _outdir(cfg)
+    mass = mass_profile(parse_profile(cfg.initial.profile, cfg.problem.d))
+    # only the outermost breakpoints become nodes: a table datum lists every node
+    grid = build_grid(**vars(cfg.grid), breakpoints=mass.breakpoints[:1] + mass.breakpoints[-1:])
+    controls = SolverControls(t_end=cfg.time.t_end, stride=cfg.output.stride, moment_target=cfg.problem.T_target)
     res = run_sim(mass, grid, controls)
     flags = np.zeros(res.t.size, dtype=int)
     if res.event is not None:
@@ -163,19 +128,10 @@ def _cmd_simulate(args) -> int:
         title="origin density",
         log_y=True,
     )
-    summary = {
-        "t_final": res.t_final,
-        "blew_up": res.blew_up,
-        "event": res.event,
-        "n_steps": res.n_steps,
-        "n_rejected": res.n_rejected,
-        "n_rhs": res.n_rhs,
-        "n_jac": res.n_jac,
-        "n_lu": res.n_lu,
-        "probe_radii": res.probe_radii,
-        "warnings": res.warnings,
-        "grid": {"n": res.grid.n, "r_first": res.grid.r[0], "r_max": res.grid.r[-1]},
-    }
+    keys = ("t_final", "blew_up", "event", "n_steps", "n_rejected", "n_rhs", "n_jac", "n_lu")
+    keys += ("probe_radii", "warnings")
+    summary = {key: getattr(res, key) for key in keys}
+    summary["grid"] = {"n": res.grid.n, "r_first": res.grid.r[0], "r_max": res.grid.r[-1]}
     write_json(out / "summary.json", summary)
     print(
         f"simulated to t={res.t_final:.6g}; "
@@ -198,17 +154,8 @@ def _cmd_kernel(args) -> int:
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
     path = write_csv(out / "kernel.csv", {"rho": table.rho, "R": table.R, "Rp": table.Rp, "Rpp": table.Rpp})
-    write_json(
-        out / "kernel.json",
-        {
-            "d": table.d,
-            "alpha": table.alpha,
-            "R0": table.R0,
-            "tail_fits": table.tail_fits,
-            "residuals": table.residuals,
-            "warnings": warnings,
-        },
-    )
+    sidecar = {key: getattr(table, key) for key in ("d", "alpha", "R0", "tail_fits", "residuals")}
+    write_json(out / "kernel.json", {**sidecar, "warnings": warnings})
     print(f"wrote {path} ({table.rho.size} rows)")
     return 0
 
@@ -216,7 +163,7 @@ def _cmd_kernel(args) -> int:
 def _cmd_verify(args) -> int:
     cfg = _load_config(args)
     out = _outdir(cfg)
-    items, runtimes = run_acceptance(only=args.only)
+    items, runtimes = run_acceptance(only=cfg.verify.only)
     width = max(len(i.name) for i in items) + 2
     for item in items:
         status = "PASS" if item.passed else "FAIL"
@@ -248,6 +195,38 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(f"{self.prog}: {message}")
 
 
+#: subcommand: (handler, help, the settings it takes as flags, by config path); a
+#: setting's flag is its config key with '-' for '_' (problem.T_target: --t-target)
+_COMMANDS = {
+    "constants": (
+        _cmd_constants,
+        "criterion constants over a (d, alpha) grid",
+        ("output.format", "constants.d_range", "constants.alpha"),
+    ),
+    "classify": (
+        _cmd_classify,
+        "global/blowup verdict for a radial datum",
+        ("initial.profile", "problem.d", "problem.alpha"),
+    ),
+    "simulate": (
+        _cmd_simulate,
+        "integrate the radial mass equation (alpha = 2)",
+        ("initial.profile", "problem.d", "problem.alpha", "problem.T_target", "grid.r_max",
+         "grid.n", "grid.inner_fraction", "time.t_end", "output.stride"),
+    ),
+    "kernel": (_cmd_kernel, "tabulate the radial kernel R, R', R''", ("problem.d", "problem.alpha")),
+    "verify": (_cmd_verify, "run the acceptance suite", ("verify.only",)),
+}
+_HELP = {
+    "output.format": "csv, or json to also write constants.json",
+    "constants.d_range": "a:b inclusive or comma list",
+    "constants.alpha": "comma list of alpha values",
+    "initial.profile": "profile grammar, e.g. chandrasekhar(eta=2.5)",
+    "problem.T_target": "moment-tracking horizon",
+    "verify.only": "run a single criterion, e.g. AC-5",
+}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # built once per process (parse_args keeps no state); a setting's flag has its config
@@ -258,57 +237,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"kscrit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, (_, text, paths) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
         p.add_argument("--config", help="INI config file, or a resolved.json to re-run")
         p.add_argument("--out", dest="output.path", help="output directory (default: out)")
-
-    p = sub.add_parser("constants", help="criterion constants over a (d, alpha) grid")
-    common(p)
-    p.add_argument("--format", dest="output.format", choices=("csv", "json"), help="also write constants.json")
-    p.add_argument("--d-range", default="3:10", help="a:b inclusive or comma list")
-    p.add_argument("--alpha", dest="alpha_list", default="2.0", help="comma list of alpha values")
-
-    p = sub.add_parser("classify", help="global/blowup verdict for a radial datum")
-    common(p)
-    p.add_argument("--profile", dest="initial.profile", help="profile grammar, e.g. chandrasekhar(eta=2.5)")
-    p.add_argument("--d", dest="problem.d")
-    p.add_argument("--alpha", dest="problem.alpha")
-
-    p = sub.add_parser("simulate", help="integrate the radial mass equation (alpha = 2)")
-    common(p)
-    p.add_argument("--profile", dest="initial.profile")
-    p.add_argument("--d", dest="problem.d")
-    p.add_argument("--alpha", dest="problem.alpha")
-    p.add_argument("--t-target", dest="problem.T_target", help="moment-tracking horizon")
-    p.add_argument("--r-max", dest="grid.r_max")
-    p.add_argument("--n", dest="grid.n")
-    p.add_argument("--inner-fraction", dest="grid.inner_fraction")
-    p.add_argument("--t-end", dest="time.t_end")
-    p.add_argument("--stride", dest="output.stride")
-
-    p = sub.add_parser("kernel", help="tabulate the radial kernel R, R', R''")
-    common(p)
-    p.add_argument("--d", dest="problem.d")
-    p.add_argument("--alpha", dest="problem.alpha")
-
-    p = sub.add_parser("verify", help="run the acceptance suite")
-    common(p)
-    p.add_argument("--only", help="run a single criterion, e.g. AC-5")
+        for path in paths:
+            flag = "--" + path.partition(".")[2].lower().replace("_", "-")
+            p.add_argument(flag, dest=path, help=_HELP.get(path))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    handlers = {
-        "constants": _cmd_constants,
-        "classify": _cmd_classify,
-        "simulate": _cmd_simulate,
-        "kernel": _cmd_kernel,
-        "verify": _cmd_verify,
-    }
     try:
         args = _build_parser().parse_args(argv)
-        return handlers[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except AcceptanceError as exc:
         print(f"acceptance failure: {exc}", file=sys.stderr)
         return 3

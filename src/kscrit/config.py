@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import configparser
 import io
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ValidationError
-from .radial import check_fractional_domain
+from .radial import check_alpha, check_dimension, check_fractional_domain
+from .solver import SolverControls, check_grid
 
-__all__ = ["RunConfig", "check_singular_comparison", "parse_config", "resolved_json"]
+__all__ = ["RunConfig", "parse_config", "resolved_json"]
 
 
 @dataclass
@@ -45,6 +47,57 @@ class OutputConfig:
     format: str = "csv"
 
 
+def _check(key: str, rule, *args, **kwargs):
+    """Apply a library rule to a setting; its error names the setting's config key."""
+    try:
+        return rule(*args, **kwargs)
+    except ValidationError as exc:
+        raise ValidationError(f"{key}: {exc}") from exc
+
+
+def _dimensions(text: str) -> list[int]:
+    try:
+        if ":" in text:
+            lo, hi = (check_dimension(int(x)) for x in text.split(":", 1))
+            return list(range(lo, hi + 1))
+        return [check_dimension(int(x)) for x in text.split(",")]
+    except ValueError as exc:
+        raise ValidationError(f"expected a:b inclusive or a comma list, got {text!r}") from exc
+
+
+def _alphas(text: str) -> list[float]:
+    try:
+        return [check_alpha(float(x)) for x in text.split(",") if x.strip()]
+    except ValueError as exc:
+        raise ValidationError(f"expected a comma list of numbers, got {text!r}") from exc
+
+
+@dataclass
+class ConstantsConfig:
+    d_range: str = "3:10"
+    alpha: str = "2.0"
+
+    def pairs(self) -> tuple[list[tuple[int, float]], list[tuple[int, float]]]:
+        """The grid's (d, alpha) pairs in the fractional domain, and those outside it."""
+        ds = _check("constants.d_range", _dimensions, self.d_range)
+        alphas = _check("constants.alpha", _alphas, self.alpha)
+        kept, skipped = [], []
+        for pair in itertools.product(ds, alphas):
+            try:
+                check_fractional_domain(*pair)
+            except ValidationError:
+                skipped.append(pair)
+            else:
+                kept.append(pair)
+        return kept, skipped
+
+
+@dataclass
+class VerifyConfig:
+    #: one acceptance criterion, e.g. AC-5; empty runs them all
+    only: str = ""
+
+
 @dataclass
 class RunConfig:
     problem: ProblemConfig = field(default_factory=ProblemConfig)
@@ -52,6 +105,8 @@ class RunConfig:
     grid: GridConfig = field(default_factory=GridConfig)
     time: TimeConfig = field(default_factory=TimeConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
+    constants: ConstantsConfig = field(default_factory=ConstantsConfig)
+    verify: VerifyConfig = field(default_factory=VerifyConfig)
 
 
 _SECTIONS = {f.name: f.default_factory for f in fields(RunConfig)}
@@ -106,27 +161,21 @@ def _file_settings(text: str) -> dict:
 
 
 def _validate(cfg: RunConfig) -> RunConfig:
-    p, g, t, o = cfg.problem, cfg.grid, cfg.time, cfg.output
-    if p.d < 2:
-        raise ValidationError("problem.d must be >= 2")
-    if not 0.0 < p.alpha <= 2.0:
-        raise ValidationError("problem.alpha: alpha must be in (0,2]")
+    p, g, o, c = cfg.problem, cfg.grid, cfg.output, cfg.constants
+    _check("problem.d", check_dimension, p.d)
+    _check("problem.alpha", check_alpha, p.alpha)
     if p.T_target is not None and p.T_target <= 0:
         raise ValidationError("problem.T_target must be positive when given")
-    if g.r_max <= 0 or g.n < 16 or not 0 <= g.inner_fraction <= 1:
-        raise ValidationError("grid: need r_max > 0, n >= 16, inner_fraction in [0,1]")
-    if t.t_end <= 0:
-        raise ValidationError("time.t_end must be positive")
-    if o.stride < 1:
-        raise ValidationError("output.stride must be >= 1")
+    _check("grid", check_grid, **vars(g))
+    _check("time.t_end", SolverControls, t_end=cfg.time.t_end)
+    _check("output.stride", SolverControls, stride=o.stride)
     if o.format not in ("csv", "json"):
         raise ValidationError("output.format must be 'csv' or 'json'")
-    return cfg
-
-
-def check_singular_comparison(cfg: RunConfig) -> RunConfig:
-    """The fractional singular comparison (classify, constants) needs 2*alpha < d."""
-    check_fractional_domain(cfg.problem.d, cfg.problem.alpha)
+    if not c.pairs()[0]:
+        raise ValidationError(
+            f"constants.d_range {c.d_range!r} with constants.alpha {c.alpha!r} leaves no (d, alpha) "
+            "with alpha = 2 or 2*alpha < d"
+        )
     return cfg
 
 

@@ -75,16 +75,20 @@ class SolverGrid:
         return self.r.size
 
 
+def check_grid(r_max: float, n: int, inner_fraction: float) -> None:
+    if r_max <= 0 or n < 16:
+        raise ValidationError("need r_max > 0 and n >= 16")
+    if not 0.0 <= inner_fraction <= 1.0:
+        raise ValidationError("inner_fraction must be in [0, 1]")
+
+
 def build_grid(
     r_max: float,
     n: int,
     inner_fraction: float = 0.5,
     breakpoints: tuple[float, ...] = (),
 ) -> SolverGrid:
-    if r_max <= 0 or n < 16:
-        raise ValidationError("need r_max > 0 and n >= 16")
-    if not 0.0 <= inner_fraction <= 1.0:
-        raise ValidationError("inner_fraction must be in [0, 1]")
+    check_grid(r_max, n, inner_fraction)
     n_in = int(round(n * inner_fraction))
     if n_in >= n:
         r = np.linspace(r_max / n, r_max, n)

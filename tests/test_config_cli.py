@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from kscrit.cli import main
-from kscrit.config import check_singular_comparison, parse_config, resolved_json
+from kscrit.config import parse_config, resolved_json
 from kscrit.errors import ValidationError
+from kscrit.radial import check_fractional_domain
 
 
 class TestConfig:
@@ -37,14 +38,14 @@ class TestConfig:
             parse_config("[grid]\nn = lots\n")
 
     def test_alpha_validation(self):
-        with pytest.raises(ValidationError, match=r"alpha must be in \(0,2\]"):
+        with pytest.raises(ValidationError, match=r"problem.alpha: alpha must be in \(0, 2\]"):
             parse_config("[problem]\nalpha = 2.5\n")
 
     def test_fractional_precondition(self):
         # 2*alpha < d binds only the singular comparison, not every subcommand
         cfg = parse_config("[problem]\nd = 3\nalpha = 1.5\n")
         with pytest.raises(ValidationError, match="2\\*alpha < d"):
-            check_singular_comparison(cfg)
+            check_fractional_domain(cfg.problem.d, cfg.problem.alpha)
 
     @pytest.mark.parametrize("key", ["T_target", "t_target"])
     def test_t_target_key_in_either_case(self, key):
@@ -55,6 +56,14 @@ class TestConfig:
         cfg = parse_config("[problem]\nd = 4\n[time]\nt_end = 2.5\n", {"grid.n": 800})
         again = parse_config(resolved_json(cfg))
         assert again == cfg
+
+    def test_constants_grid_and_verify_selection_are_settings(self):
+        cfg = parse_config("[constants]\nd_range = 3:4\nalpha = 1.5,2\n[verify]\nonly = AC-1\n")
+        kept, skipped = cfg.constants.pairs()
+        assert kept == [(3, 2.0), (4, 1.5), (4, 2.0)]
+        assert skipped == [(3, 1.5)]
+        assert cfg.verify.only == "AC-1"
+        assert parse_config(resolved_json(cfg)) == cfg
 
     def test_resolved_values_are_checked_like_ini_values(self):
         with pytest.raises(ValidationError, match="grid.n"):
@@ -99,6 +108,31 @@ def test_one_parser_serves_every_call_in_a_process(tmp_path):
         # report.json names its curve.csv by the output path
         written = {k: v.replace(bytes(shared), bytes(alone)) for k, v in written.items()}
         assert written == contents(alone)
+
+
+RERUN = [
+    ["classify", "--profile", "shell(N=30,R=1)", "--d", "3", "--alpha", "2"],
+    ["kernel", "--d", "3", "--alpha", "1.5"],
+    ["simulate", "--profile", "shell(N=10.0,R=1.0)", "--r-max", "8", "--n", "200", "--t-end", "0.02"],
+    ["constants", "--d-range", "5:7", "--alpha", "0.5,2", "--format", "json"],
+    ["verify", "--only", "AC-1"],
+]
+
+
+@pytest.mark.parametrize("argv", RERUN, ids=lambda argv: argv[0])
+def test_resolved_json_reproduces_every_subcommand(argv, tmp_path):
+    # resolved.json holds every input: re-fed alone, into the same output path, it writes
+    # the same bytes (report.json names that path; timings.json holds wall-clock runtimes)
+    out, first = tmp_path / "out", tmp_path / "first"
+    assert run_cli(argv + ["--out", str(out)]) == 0
+    out.rename(first)
+    assert run_cli([argv[0], "--config", str(first / "resolved.json")]) == 0
+
+    def contents(root):
+        return {p.name: p.read_bytes() for p in sorted(root.iterdir()) if p.name != "timings.json"}
+
+    assert len(contents(first)) >= 2
+    assert contents(out) == contents(first)
 
 
 class TestCli:
@@ -262,7 +296,7 @@ class TestCli:
             ["classify", "--profile", "gauss(mass=1.0,width=1.0)", "--d", "3", "--alpha", "2.5", "--out", str(tmp_path / "x")]
         )
         assert code == 1
-        assert "alpha must be in (0,2]" in capsys.readouterr().err
+        assert "alpha must be in (0, 2]" in capsys.readouterr().err
 
     def test_fractional_precondition_exit_code(self, capsys, tmp_path):
         code = run_cli(
@@ -270,12 +304,16 @@ class TestCli:
         )
         assert code == 1
         assert "2*alpha < d" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
-    def test_constants_fractional_precondition_exit_code(self, capsys, tmp_path):
+    def test_constants_fractional_precondition_exit_code(self, tmp_path):
+        # constants computes on its own grid: the [problem] pair, outside 2*alpha < d, is no input of it
         conf = tmp_path / "c.ini"
         conf.write_text("[problem]\nd = 3\nalpha = 1.5\n")
-        assert run_cli(["constants", "--config", str(conf), "--out", str(tmp_path / "x")]) == 1
-        assert "2*alpha < d" in capsys.readouterr().err
+        args = ["constants", "--config", str(conf), "--d-range", "5:6", "--alpha", "1.5,2"]
+        assert run_cli(args + ["--out", str(tmp_path / "x")]) == 0
+        rows = (tmp_path / "x" / "constants.csv").read_text().strip().splitlines()[1:]
+        assert [tuple(row.split(",")[:2]) for row in rows] == [("5", "1.5"), ("5", "2.0"), ("6", "1.5"), ("6", "2.0")]
 
     def test_kernel_needs_no_singular_comparison(self, tmp_path):
         # the README example: a kernel table needs only 0 < alpha <= 2
@@ -497,6 +535,7 @@ class TestCli:
         )
         assert code == 1
         assert "alpha = 2" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_simulate_resolved_json_round_trip(self, tmp_path):
         conf = tmp_path / "run.ini"
