@@ -17,7 +17,6 @@ from .criteria import (
     classify,
     criterion_constants,
     criterion_curve,
-    shell_mass_threshold,
     shell_semigroup_peak,
     singular_semigroup_value,
 )

@@ -19,7 +19,6 @@ from .criteria import (
     classify,
     criterion_constants,
     criterion_curve,
-    shell_mass_threshold,
 )
 from .errors import ValidationError
 from .kernels import build_kernel_table, radial_kernel, validate_kernel
@@ -179,7 +178,7 @@ def ac6() -> list[CheckItem]:
     """Shell threshold asymptotics: N(d)/(4 sigma_d sqrt(pi(d-2))) <= 1.1, decreasing."""
     ratios = {}
     for d in (20, 50, 100):
-        n = shell_mass_threshold(d, 2.0)
+        n = criterion_constants(d, 2.0).N_threshold
         ratios[d] = n / (4.0 * sphere_area(d) * math.sqrt(math.pi * (d - 2)))
     ok_bound = all(v <= 1.1 for v in ratios.values())
     ok_dec = ratios[20] > ratios[50] > ratios[100]
@@ -256,7 +255,7 @@ def ac8() -> list[CheckItem]:
         )
     )
     # (b) shell 5% above the sufficient threshold
-    n_mass = 1.05 * shell_mass_threshold(d, 2.0)
+    n_mass = 1.05 * criterion_constants(d, 2.0).N_threshold
     rep = classify(ShellAtom(d, n_mass, 1.0), d, 2.0)
     t_star = rep.verdict.t_star
     grid = build_grid(r_max=8.0, n=1500, inner_fraction=0.6, breakpoints=(1.0,))

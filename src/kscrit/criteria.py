@@ -49,7 +49,7 @@ from .radial import (
     RadialProfile,
     check_alpha,
     check_dimension,
-    check_fractional_domain,
+    check_singular_domain,
     mass_profile,
     radial_concentration,
     refine_max,
@@ -62,7 +62,6 @@ __all__ = [
     "blowup_constant_fractional",
     "singular_semigroup_value",
     "shell_semigroup_peak",
-    "shell_mass_threshold",
     "CriterionConstants",
     "criterion_constants",
     "CriterionCurve",
@@ -106,11 +105,9 @@ def singular_semigroup_value(d: int, alpha: float = 2.0) -> float:
     """
     d = check_dimension(d)
     alpha = check_alpha(alpha)
+    check_singular_domain(d, alpha)
     if alpha == 2.0:
-        if d < 3:
-            raise ValidationError("the singular stationary density needs d >= 3 when alpha = 2")
         return 1.0
-    check_fractional_domain(d, alpha)
     return math.exp(
         math.lgamma(alpha)
         - math.lgamma(0.5 * alpha)
@@ -153,15 +150,6 @@ def shell_semigroup_peak(d: int, alpha: float = 2.0) -> tuple[float, float]:
         raise NumericsError("shell peak maximizer at the window boundary; extend the rho range")
     rho_star, log_l = refine_max(lambda rho: (d - alpha) * np.log(rho) + kernel.log_R(rho), np.exp(x), log_shell)
     return math.exp(log_l), rho_star**-alpha
-
-
-def shell_mass_threshold(d: int, alpha: float = 2.0) -> float:
-    """C/L: shells of mass above this necessarily blow up (sufficient bound).
-
-    This is the implementable upper bound for the infimal blowup shell mass;
-    at (d, alpha) = (2, 2) it equals exactly 8 pi.
-    """
-    return blowup_constant_fractional(d, alpha)[0] / shell_semigroup_peak(d, alpha)[0]
 
 
 @dataclass(frozen=True)
@@ -349,14 +337,32 @@ def _first_above(curve: CriterionCurve, level: float) -> float | None:
 
 
 @dataclass(frozen=True)
+class CriterionTest:
+    """One sufficient condition that applies to the datum: ``value`` against
+    ``threshold``, and the verdict kind it certifies (None when it decides nothing)."""
+
+    name: str  # "curve" | "density" | "mass_8pi"
+    value: float
+    threshold: float
+    certifies: str | None
+
+
+def _test(
+    name: str, value: float, threshold: float, above: str | None = None, below: str | None = None
+) -> CriterionTest:
+    certifies = above if value > threshold else below if value < threshold else None
+    return CriterionTest(name, value, threshold, certifies)
+
+
+@dataclass(frozen=True)
 class Verdict:
-    """One of blowup (with the criterion time), global, or indeterminate."""
+    """One of blowup (with the criterion time), global, or indeterminate, and the tests behind it."""
 
     kind: str  # "blowup" | "global" | "indeterminate"
     t_star: float | None = None
     margin: float | None = None
     epsilon: float | None = None
-    diagnostics: dict = field(default_factory=dict)
+    tests: tuple[CriterionTest, ...] = ()
 
 
 @dataclass(frozen=True, eq=False)
@@ -375,11 +381,13 @@ class CriterionReport:
 def classify(datum: RadialProfile | MassProfile, d: int, alpha: float = 2.0) -> CriterionReport:
     """Render the global/blowup/indeterminate verdict for a radial datum.
 
-    Blowup branch: the scanned supremum of T*W0(T) exceeds C.  Global branch:
-    the datum is strictly below the singular stationary density (pointwise,
-    density data only).  For d = 2, alpha = 2 the sharp mass rule decides the
-    verdict kind instead: blowup iff sup_r M(r) > 8 pi.  The two branches are
-    mutually exclusive by the comparison principle; this is asserted.
+    Each test that applies is one ``CriterionTest``: ``curve``, the scanned
+    supremum of T*W0(T) against C, certifies blowup above it; ``density``, the
+    datum's ratio to the singular stationary density (density data only),
+    certifies global below 1.  For d = 2, alpha = 2 the sharp mass rule
+    ``mass_8pi``, sup_r M(r) / 8 pi against 1, replaces both.  The verdict is
+    the one kind the tests certify, or indeterminate when none does; by the
+    comparison principle no two certify opposite kinds, and this is asserted.
     """
     d = check_dimension(d)
     alpha = check_alpha(alpha)
@@ -393,7 +401,6 @@ def classify(datum: RadialProfile | MassProfile, d: int, alpha: float = 2.0) -> 
 
     constants = criterion_constants(d, alpha)
     curve = criterion_curve(mass, alpha)
-    t_star = _first_above(curve, constants.C)
     conc = radial_concentration(mass, alpha)
     warnings_list = list(radial_kernel(d, alpha).warnings)
     if not curve.unimodal:
@@ -402,17 +409,29 @@ def classify(datum: RadialProfile | MassProfile, d: int, alpha: float = 2.0) -> 
             "supremum may be a local maximum"
         )
 
-    # global branch: strictly below the singular density (needs a density and d >= 3)
-    epsilon = None
-    if profile is not None and not profile.is_measure and (d >= 3 or alpha < 2.0):
-        s_sing = singular_coefficient(d, alpha)
-        epsilon = profile.weighted_sup(alpha) / s_sing
-
-    if d == 2 and alpha == 2.0:
+    plane = d == 2 and alpha == 2.0
+    if plane:
         # sharp classical rule; sup_r M(r) is the total mass by monotonicity
-        sup_mass = mass.total_mass
-        ratio = sup_mass / _MASS_2D_THRESHOLD
-        if ratio > 1.0:
+        tests = [_test("mass_8pi", mass.total_mass / _MASS_2D_THRESHOLD, 1.0, above="blowup", below="global")]
+    else:
+        tests = [_test("curve", curve.sup, constants.C, above="blowup")]
+        if profile is not None and not profile.is_measure:
+            density_ratio = profile.weighted_sup(alpha) / singular_coefficient(d, alpha)
+            tests.append(_test("density", density_ratio, 1.0, below="global"))
+    kinds = {test.certifies for test in tests} - {None}
+    if len(kinds) > 1:
+        raise NumericsError(
+            "criterion consistency violated: datum both below the singular "
+            "density and above the blowup threshold"
+        )
+    kind = kinds.pop() if kinds else "indeterminate"
+
+    t_star = margin = epsilon = None
+    if kind == "blowup":
+        decisive = next(test for test in tests if test.certifies == "blowup")
+        margin = decisive.value / decisive.threshold - 1.0
+        t_star = _first_above(curve, constants.C)
+        if plane:
             t_hi = float(curve.T[-1])
             # each window must end at a finite float for the scan to size its grid
             while t_star is None and t_hi < 1e16 * mass.r_char**alpha and math.isfinite(t_hi * 1e4):
@@ -423,48 +442,14 @@ def classify(datum: RadialProfile | MassProfile, d: int, alpha: float = 2.0) -> 
                     f"criterion curve stays at or below C up to T = {t_hi:.6g}, the last T "
                     "scanned: no t_star; the 8 pi mass rule alone decides blowup"
                 )
-            verdict = Verdict(
-                kind="blowup",
-                t_star=t_star,
-                margin=ratio - 1.0,
-                diagnostics={"mass_ratio": ratio, "curve_sup": curve.sup},
+        elif t_star is None:
+            warnings_list.append(
+                f"only the refined supremum {curve.sup:.10g} of the criterion curve exceeds "
+                f"C = {constants.C:.10g}, no scanned T does: no t_star"
             )
-        elif ratio < 1.0:
-            verdict = Verdict(kind="global", epsilon=ratio, diagnostics={"mass_ratio": ratio})
-        else:
-            verdict = Verdict(kind="indeterminate", diagnostics={"mass_ratio": ratio})
     else:
-        fires_blowup = curve.sup > constants.C
-        fires_global = epsilon is not None and epsilon < 1.0
-        if fires_blowup and fires_global:
-            raise NumericsError(
-                "criterion consistency violated: datum both below the singular "
-                "density and above the blowup threshold"
-            )
-        if fires_blowup:
-            if t_star is None:
-                warnings_list.append(
-                    f"only the refined supremum {curve.sup:.10g} of the criterion curve exceeds "
-                    f"C = {constants.C:.10g}, no scanned T does: no t_star"
-                )
-            verdict = Verdict(
-                kind="blowup",
-                t_star=t_star,
-                margin=curve.sup / constants.C - 1.0,
-                diagnostics={"sup": curve.sup, "C": constants.C},
-            )
-        elif fires_global:
-            verdict = Verdict(kind="global", epsilon=epsilon, diagnostics={"sup": curve.sup})
-        else:
-            verdict = Verdict(
-                kind="indeterminate",
-                epsilon=epsilon,
-                diagnostics={
-                    "sup_over_C": curve.sup / constants.C,
-                    # None (JSON null) when the datum has no density
-                    "density_over_singular": epsilon,
-                },
-            )
+        epsilon = next((test.value for test in tests if test.name != "curve"), None)
+    verdict = Verdict(kind, t_star, margin, epsilon, tuple(tests))
 
     return CriterionReport(
         d=d,

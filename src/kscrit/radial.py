@@ -95,6 +95,13 @@ def check_fractional_domain(d: int, alpha: float) -> None:
         )
 
 
+def check_singular_domain(d: int, alpha: float) -> None:
+    """The singular stationary density s/r^alpha exists: d >= 3 when alpha = 2, else 2*alpha < d."""
+    if alpha == 2.0 and d < 3:
+        raise ValidationError("the singular stationary density needs d >= 3 when alpha = 2")
+    check_fractional_domain(d, alpha)
+
+
 def sphere_area(d: int) -> float:
     """Area of the unit sphere in R^d, 2*pi^(d/2)/Gamma(d/2), via log-Gamma."""
     d = check_dimension(d)
@@ -110,11 +117,9 @@ def singular_coefficient(d: int, alpha: float = 2.0) -> float:
     """
     d = check_dimension(d)
     alpha = check_alpha(alpha)
+    check_singular_domain(d, alpha)
     if alpha == 2.0:
-        if d < 3:
-            raise ValidationError("the singular stationary density needs d >= 3 when alpha = 2")
         return 2.0 * (d - 2)
-    check_fractional_domain(d, alpha)
     log_val = (
         alpha * math.log(2.0)
         + math.lgamma(0.5 * (d - alpha) + 1.0)

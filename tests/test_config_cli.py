@@ -163,14 +163,15 @@ class TestCli:
 
     @pytest.mark.filterwarnings("error")
     def test_indeterminate_report_without_a_density_writes_null(self, tmp_path):
-        # a shell has no density to compare with the singular one: that ratio is
-        # null in report.json, never the string "nan"
+        # a shell has no density to compare with the singular one: it has no density
+        # test, and its epsilon is null in report.json, never the string "nan"
         out = tmp_path / "r"
         args = ["classify", "--profile", "shell(N=0.328435,R=0.360752)", "--d", "6", "--alpha", "0.742"]
         assert run_cli(args + ["--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["verdict"]["kind"] == "indeterminate"
-        assert report["verdict"]["diagnostics"]["density_over_singular"] is None
+        assert [test["name"] for test in report["verdict"]["tests"]] == ["curve"]
+        assert report["verdict"]["epsilon"] is None
 
         def leaves(node):
             if isinstance(node, dict):

@@ -7,17 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from semigroup_oracle import singular_semigroup_quadrature
 
+import kscrit.criteria
+from kscrit.cli import main
 from kscrit.criteria import (
     _first_above,
     blowup_constant_fractional,
     classify,
     criterion_constants,
     criterion_curve,
-    shell_mass_threshold,
     shell_semigroup_peak,
     singular_semigroup_value,
 )
-from kscrit.errors import ValidationError
+from kscrit.errors import NumericsError, ValidationError
 from kscrit.radial import (
     Chandrasekhar,
     ExplicitBlowupDatum,
@@ -162,11 +163,11 @@ class TestShellSemigroupPeak:
 
 class TestThreshold:
     def test_two_dimensional_threshold_is_8pi(self):
-        assert shell_mass_threshold(2, 2.0) == pytest.approx(8 * math.pi, rel=1e-12)
+        assert criterion_constants(2, 2.0).N_threshold == pytest.approx(8 * math.pi, rel=1e-12)
 
     def test_asymptotic_ratio_bounded_and_decreasing(self):
         ratios = [
-            shell_mass_threshold(d, 2.0) / (4 * sphere_area(d) * math.sqrt(math.pi * (d - 2)))
+            criterion_constants(d, 2.0).N_threshold / (4 * sphere_area(d) * math.sqrt(math.pi * (d - 2)))
             for d in (20, 50, 100)
         ]
         assert all(r <= 1.1 for r in ratios)
@@ -175,7 +176,7 @@ class TestThreshold:
     def test_fractional_order_bound(self):
         alpha = 1.5
         vals = [
-            shell_mass_threshold(d, alpha) / (sphere_area(d) * d ** (alpha / 2))
+            criterion_constants(d, alpha).N_threshold / (sphere_area(d) * d ** (alpha / 2))
             for d in (6, 10, 20)
         ]
         assert max(vals) / min(vals) < 3.0
@@ -434,7 +435,7 @@ class TestClassify:
         assert lo.verdict.kind == "global"
 
     def test_shell_above_and_below_threshold(self):
-        n = shell_mass_threshold(3, 2.0)
+        n = criterion_constants(3, 2.0).N_threshold
         assert classify(ShellAtom(3, 1.05 * n, 1.0), 3, 2.0).verdict.kind == "blowup"
         assert classify(ShellAtom(3, 0.95 * n, 1.0), 3, 2.0).verdict.kind == "indeterminate"
 
@@ -508,6 +509,47 @@ class TestClassify:
     def test_accepts_bare_mass_profile(self):
         rep = classify(mass_profile(ShellAtom(3, 80.0, 1.0)), 3, 2.0)
         assert rep.verdict.kind == "blowup"
+
+    @pytest.mark.parametrize(
+        "datum, d, tests",
+        [
+            # the plane: the mass rule alone, on either side of 8 pi
+            (Gaussian(2, 8 * math.pi * 1.01), 2, [("mass_8pi", "blowup")]),
+            (Gaussian(2, 8 * math.pi * 0.99), 2, [("mass_8pi", "global")]),
+            # exactly 8 pi decides nothing: indeterminate, with epsilon 1
+            (Gaussian(2, 8 * math.pi), 2, [("mass_8pi", None)]),
+            # a shell is a measure: no density test
+            (ShellAtom(3, 80.0, 1.0), 3, [("curve", "blowup")]),
+            # inside the dichotomy gap both tests apply and neither decides
+            (Chandrasekhar(3, 1.2), 3, [("curve", None), ("density", None)]),
+            (Chandrasekhar(3, 0.9), 3, [("curve", None), ("density", "global")]),
+        ],
+    )
+    def test_verdict_follows_from_its_tests(self, datum, d, tests):
+        verdict = classify(datum, d, 2.0).verdict
+        assert [(test.name, test.certifies) for test in verdict.tests] == tests
+        certified = {kind for _, kind in tests} - {None}
+        assert verdict.kind == (certified.pop() if certified else "indeterminate")
+        decisive = verdict.tests[0]
+        if verdict.kind == "blowup":
+            assert verdict.margin == decisive.value / decisive.threshold - 1.0
+            assert verdict.epsilon is None and verdict.t_star is not None
+        else:
+            # the global side is the last test: density, or the plane's mass rule
+            assert verdict.margin is None and verdict.t_star is None
+            assert verdict.epsilon == verdict.tests[-1].value
+        threshold = {"curve": criterion_constants(d, 2.0).C, "density": 1.0, "mass_8pi": 1.0}
+        assert [test.threshold for test in verdict.tests] == [threshold[name] for name, _ in tests]
+
+    def test_opposite_certificates_are_a_numerics_error(self, monkeypatch, tmp_path):
+        # a singular density four times too large puts 2 u_C at half of it: the density
+        # test certifies global while the curve, at 2 > C(3), certifies blowup
+        real = kscrit.criteria.singular_coefficient
+        monkeypatch.setattr(kscrit.criteria, "singular_coefficient", lambda d, alpha: 4.0 * real(d, alpha))
+        with pytest.raises(NumericsError, match="consistency violated"):
+            classify(Chandrasekhar(3, 2.0), 3, 2.0)
+        args = ["classify", "--profile", "chandrasekhar(eta=2)", "--d", "3", "--alpha", "2"]
+        assert main(args + ["--out", str(tmp_path / "r")]) == 2
 
     def test_measure_datum_never_global(self):
         # a tiny shell cannot sit strictly below the singular density pointwise

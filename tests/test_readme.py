@@ -1,6 +1,8 @@
 """The README's examples run as written: every ``kscrit`` line of its CLI block,
-its profile grammar table, its simulate INI file and its Library block."""
+its profile grammar table, its simulate INI file and its Library block; and its
+table of ``report.json`` keys lists exactly the keys that ``classify`` writes."""
 
+import json
 import re
 import shlex
 from pathlib import Path
@@ -49,6 +51,31 @@ GRAMMAR = re.findall(r"^\| `([a-z_]+\(.*?\))` \|", README, flags=re.MULTILINE)
 
 def test_grammar_table_lists_the_registered_kinds():
     assert sorted(text.split("(")[0] for text in GRAMMAR) == sorted(_KINDS)
+
+
+# the first column of the report.json key table
+REPORT_TABLE = README.split("| key | value |\n", 1)[1].split("\n\n", 1)[0]
+REPORT_KEYS = {
+    key for row in REPORT_TABLE.splitlines()[1:] for key in re.findall(r"`([^`]+)`", row.split(" | ")[0])
+}
+
+
+def _key_paths(node, path: str = "") -> set[str]:
+    """Every leaf of a JSON value as a dotted path, ``[]`` standing for each item of a list of objects."""
+    if isinstance(node, dict):
+        return set().union(*(_key_paths(value, f"{path}.{key}" if path else key) for key, value in node.items()))
+    if isinstance(node, list) and node and all(isinstance(item, dict) for item in node):
+        return set().union(*(_key_paths(item, path + "[]") for item in node))
+    return {path}
+
+
+def test_report_table_lists_every_report_key(tmp_path):
+    # inside the dichotomy gap both the curve and the density test apply
+    args = ["classify", "--profile", "chandrasekhar(eta=1.2)", "--d", "3", "--alpha", "2.0"]
+    assert main(_with_out(args, tmp_path / "out")) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert len(report["verdict"]["tests"]) == 2
+    assert _key_paths(report) == REPORT_KEYS
 
 
 @pytest.mark.parametrize("text", GRAMMAR)
